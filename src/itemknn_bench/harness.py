@@ -192,6 +192,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for seed in cfg.seeds:
         with _phase("split", timings):
             pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed))
+        if pair.test.n_interactions == 0:
+            raise ExperimentError(
+                "split",
+                f"train ratio {cfg.train_ratio} with seed {seed} leaves no test "
+                f"interactions: nothing to evaluate",
+            )
         with _phase("similarity", timings):
             # Full matrix once per seed; truncation shared by the topk presets.
             s_full = cosine_similarity(build_matrix(pair.train))

@@ -189,7 +189,7 @@ def load_interactions(
 
     Raises ``FileNotFoundError``, ``SchemaError`` for missing mapped columns,
     and ``RowParseError`` (with the 1-based file line number) for rows whose
-    rating or timestamp does not parse as a number.
+    rating or timestamp does not parse as a finite number.
     """
     if format in ("atomic", "atomic-tsv"):
         delimiter = "\t"
@@ -240,6 +240,8 @@ def load_interactions(
                     timestamp = float(row[t_col])
                 except (ValueError, IndexError) as e:
                     raise RowParseError(line_no, f"bad timestamp field: {e}") from None
+                if not math.isfinite(timestamp):
+                    raise RowParseError(line_no, f"non-finite timestamp {row[t_col]!r}")
             interactions.append(Interaction(row[u_col], row[i_col], rating, timestamp))
 
     return InteractionDataset.from_interactions(interactions)

@@ -1,17 +1,49 @@
 """Candidate scoring and top-N recommendation under configurable scoring modes.
 
-Two scoring modes exist for a user profile P and similarity matrix S:
+This docstring is the scoring contract.  For a user profile P (the user's
+train items) and a similarity matrix S whose row i holds the neighbours of
+candidate item i, every item i gets a score:
 
-* ``sum-all``: score(i) = sum of S[i, j] over j in P.
-* ``profile-topk``: score(i) = sum of the k largest values among
+* ``sum-all``: score(i) = the sum of S[i, j] over j in P.
+* ``profile-topk``: score(i) = the sum of the k largest values among
   {S[i, j] : j in P}, value ties resolved toward the smaller j.
 
-Both modes accumulate the selected values for a candidate in the same order
-(ascending j, strict left-to-right).  Adding a selected zero is an exact
-no-op in IEEE arithmetic, so whenever the two modes select the same nonzero
-values — e.g. on a top-k truncated matrix whose rows hold at most k entries —
-their scores are bit-identical, not merely close.  That exactness is what
+In both modes the selected addends are summed left to right in ascending j,
+starting from 0.0.  Stored similarities are positive, and adding 0.0 in
+place of an unselected or unstored value leaves a sum unchanged, so
+whenever the two modes select the same addends (on a top-k truncated
+matrix, whose rows hold at most k entries) their scores are bit-identical,
+not merely close.  That exactness is what
 makes the strategy-alignment equivalence checkable as equality downstream.
+
+How each mode is computed:
+
+* ``sum-all`` is one sparse product ``X @ S.T``, with X the binary
+  users x items train matrix from :func:`knn.build_matrix`.  Scipy's CSR
+  product walks each row of X in stored order, which is ascending j, and
+  adds ``1.0 * S[i, j]`` into candidate i's accumulator, which starts at
+  0.0: the same addends, in the same order, as the contract.  The tests pin
+  this against an in-order oracle instead of assuming it.
+* ``profile-topk`` gathers the dense block S[:, P] (items x |P|, columns in
+  ascending j).  Only rows with more than k nonzeros need a selection.  On
+  those, ``np.partition`` finds the k-th largest value t; every value above
+  t is kept, and of the values equal to t the first k - #above in ascending
+  j, which is exactly the first k of the (-value, j) order.  The rest are
+  zeroed, and the columns are added one at a time in ascending j.  On a
+  top-k matrix no row has more than k nonzeros, so nothing is zeroed and the
+  column sum adds what the product adds: the equality with ``sum-all`` is
+  observed, not routed.
+
+:func:`recommend_all` scores the evaluated users in blocks of
+``USER_BLOCK`` rows.  A block's product holds at most
+``USER_BLOCK x n_items`` entries whatever the number of users, so memory
+stays bounded where the whole users x items product (8.8M entries, about
+100 MB, at 1M ratings) would not; no dense users x items or items x items
+array is ever built.
+
+Top-N keeps the candidates whose score is at least the n-th largest
+(``np.partition``), then orders only those by score descending, item
+ascending.
 
 Named presets pair a matrix strategy with a scoring mode:
 
@@ -24,17 +56,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ContractError
 from .ingest import InteractionDataset
-from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix
+from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix
 from .split import SplitPair
 
 SCORING_SUM_ALL = "sum-all"
 SCORING_PROFILE_TOPK = "profile-topk"
+
+# Evaluated users scored per sparse product; bounds its memory (see above).
+USER_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +114,50 @@ class RecommendationList:
     entries: list[tuple[int, float]]
 
 
+def _profile_topk(s: SimilarityMatrix, profile: np.ndarray, k: int) -> np.ndarray:
+    """Profile-topk scores of every item for one sorted, unique profile."""
+    gathered = s.csc()[:, profile].toarray()  # (n_items, |profile|), ascending j
+    width = gathered.shape[1]
+    if k < width:
+        (rows,) = np.nonzero(np.count_nonzero(gathered, axis=1) > k)
+        block = gathered[rows]
+        kth = np.partition(block, width - k, axis=1)[:, width - k, None]
+        np.putmask(block, block < kth, 0.0)
+        # Rows still holding more than k values have surplus ties at kth:
+        # keep the first ones in ascending j, up to k values in all.
+        (tied,) = np.nonzero(np.count_nonzero(block, axis=1) > k)
+        sub, t = block[tied], kth[tied]
+        ties = sub == t
+        room = k - np.count_nonzero(sub > t, axis=1, keepdims=True)
+        np.putmask(sub, ties & (np.cumsum(ties, axis=1) > room), 0.0)
+        block[tied] = sub
+        gathered[rows] = block
+
+    # One column at a time keeps each candidate's sum sequential in ascending j.
+    scores = np.zeros(s.n_items, dtype=np.float64)
+    for idx in range(width):
+        scores += gathered[:, idx]
+    return scores
+
+
+def _score_rows(s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode) -> Iterator[np.ndarray]:
+    """Yield the dense score vector of each row of ``x``, in row order.
+
+    ``x`` is a binary users x items CSR matrix; its rows are the profiles,
+    sorted by item index.
+    """
+    if mode.kind == SCORING_PROFILE_TOPK:
+        for r in range(x.shape[0]):
+            yield _profile_topk(s, x.indices[x.indptr[r] : x.indptr[r + 1]], mode.k)
+        return
+    product = x @ s.csc().T
+    for r in range(x.shape[0]):
+        lo, hi = product.indptr[r], product.indptr[r + 1]
+        scores = np.zeros(s.n_items, dtype=np.float64)
+        scores[product.indices[lo:hi]] = product.data[lo:hi]
+        yield scores
+
+
 def score_user(
     s: SimilarityMatrix, profile: Iterable[int], mode: ScoringMode
 ) -> np.ndarray:
@@ -92,24 +172,10 @@ def score_user(
         raise ContractError(
             f"profile indices out of range [0, {s.n_items}): {profile.min()}..{profile.max()}"
         )
-
-    scores = np.zeros(s.n_items, dtype=np.float64)
-    if len(profile) == 0:
-        return scores
-
-    gathered = s.csc()[:, profile].toarray()  # (n_items, |profile|), ascending j
-
-    if mode.kind == SCORING_PROFILE_TOPK and mode.k < gathered.shape[1]:
-        order = np.argsort(-gathered, axis=1, kind="stable")  # ties -> smaller j
-        selected = np.zeros_like(gathered, dtype=bool)
-        np.put_along_axis(selected, order[:, : mode.k], True, axis=1)
-        gathered = np.where(selected, gathered, 0.0)
-
-    # One column at a time keeps per-candidate accumulation sequential in
-    # ascending j for both modes; see the module docstring for why.
-    for idx in range(gathered.shape[1]):
-        scores += gathered[:, idx]
-    return scores
+    x = sp.csr_matrix(
+        (np.ones(len(profile)), profile, [0, len(profile)]), shape=(1, s.n_items)
+    )
+    return next(_score_rows(s, x, mode))
 
 
 def recommend_topn(
@@ -123,23 +189,15 @@ def recommend_topn(
     if len(seen):
         candidates[seen] = False
     (items,) = np.nonzero(candidates)
-    if len(items) == 0:
-        return RecommendationList(user=user, entries=[])
     vals = scores[items]
+    if len(items) > n:
+        # Everything tied with the n-th largest survives; lexsort settles ties.
+        keep = vals >= np.partition(vals, len(vals) - n)[len(vals) - n]
+        items, vals = items[keep], vals[keep]
     order = np.lexsort((items, -vals))[:n]
     return RecommendationList(
         user=user, entries=[(int(items[o]), float(vals[o])) for o in order]
     )
-
-
-def train_profiles(train: InteractionDataset) -> dict[int, np.ndarray]:
-    """Dense user index -> sorted array of the user's train item indices."""
-    per_user: dict[int, list[int]] = {}
-    for r in train.interactions:
-        per_user.setdefault(train.user_index.dense(r.user), []).append(
-            train.item_index.dense(r.item)
-        )
-    return {u: np.array(sorted(items), dtype=np.int64) for u, items in per_user.items()}
 
 
 def recommend_all(
@@ -149,26 +207,28 @@ def recommend_all(
 
     Scoring uses the user's train profile, which is also the excluded seen
     set.  Lists come back in ascending dense-user order, so the output is
-    independent of any internal scheduling.
+    independent of the block size.
     """
     if s.n_items != split.train.n_items:
         raise ContractError(
             f"matrix has {s.n_items} items but split.train has {split.train.n_items}"
         )
 
-    profiles = train_profiles(split.train)
-    eval_users = sorted(
-        {split.test.user_index.dense(r.user) for r in split.test.interactions}
+    x = build_matrix(split.train).csr()
+    eval_users = np.unique(
+        np.fromiter(
+            (split.test.user_index.dense(r.user) for r in split.test.interactions),
+            dtype=np.int64,
+        )
     )
 
     out: list[RecommendationList] = []
-    for u in eval_users:
-        profile = profiles.get(u)
-        if profile is None:
-            # Unreachable with split_holdout's ceil rule; guard for foreign splits.
-            profile = np.zeros(0, dtype=np.int64)
-        scores = score_user(s, profile, mode)
-        out.append(recommend_topn(scores, profile, n, user=u))
+    for start in range(0, len(eval_users), USER_BLOCK):
+        users = eval_users[start : start + USER_BLOCK]
+        block = x[users]
+        for r, scores in enumerate(_score_rows(s, block, mode)):
+            seen = block.indices[block.indptr[r] : block.indptr[r + 1]]
+            out.append(recommend_topn(scores, seen, n, user=int(users[r])))
     return out
 
 

@@ -80,6 +80,28 @@ def brute_scores(
     return scores
 
 
+def in_order_scores(
+    sim: list[list[float]], profile: set[int], kind: str, k: int | None = None
+) -> list[float]:
+    """Score all candidates exactly as the scoring contract words it.
+
+    Select the addends by sorted ``(-value, j)`` (all of them for sum-all,
+    the first k for profile-topk), then add the selected values left to
+    right in ascending j, starting from 0.0.  Unlike :func:`brute_scores`
+    this fixes the summation order, so scores can be compared with ``==``.
+    """
+    scores = []
+    for row in sim:
+        ranked = sorted(profile, key=lambda j: (-row[j], j))
+        if kind == "profile-topk":
+            ranked = ranked[:k]
+        total = 0.0
+        for j in sorted(ranked):
+            total += row[j]
+        scores.append(total)
+    return scores
+
+
 def brute_dcg(gains) -> float:
     total = 0.0
     for pos, rel in enumerate(gains, start=1):

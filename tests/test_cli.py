@@ -166,3 +166,27 @@ def test_experiment_unknown_preset(data_file, capsys):
     )
     assert rc == 2
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_experiment_ratio_one_exits_tagged(data_file, tmp_path, capsys):
+    rc = run_cli(
+        "experiment", "--data", data_file, "--threshold", "3", "--ratio", "1.0",
+        "--out", tmp_path / "exp",
+    )
+    assert rc == 2
+    assert "error [split]" in capsys.readouterr().err
+    assert not (tmp_path / "exp" / "report.json").exists()
+
+
+def test_non_finite_timestamp_exits_tagged(tmp_path, capsys):
+    path = tmp_path / "nan.inter"
+    path.write_text(
+        "user_id:token\titem_id:token\trating:float\ttimestamp:float\n"
+        "a\tx\t4.0\t1\nb\ty\t4.0\tnan\n",
+        encoding="utf-8",
+    )
+    assert run_cli("stats", "--data", path) == 2
+    err = capsys.readouterr().err
+    assert "error [stats]" in err and "line 3" in err
+    assert run_cli("experiment", "--data", path, "--threshold", "3") == 2
+    assert "[load]" in capsys.readouterr().err

@@ -86,7 +86,7 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
     rng = random.Random(5150)
     rows = []
     for u in range(5):
-        for i in rng.sample(range(8), rng.randint(3, 6)):
+        for i in rng.sample(range(12), rng.randint(7, 12)):
             rows.append(Interaction(f"u{u}", f"m{i}", float(rng.randint(1, 5)), float(rng.randint(0, 99))))
     path = save_interactions(InteractionDataset.from_interactions(rows), tmp_path / "five.inter")
     cfg = ExperimentConfig(
@@ -104,6 +104,7 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
         for mode in cfg.idcg_modes:
             adjusted = res.report("lenskit-adjusted", seed, mode)
             recbole = res.report("recbole", seed, mode)
+            assert adjusted.n_users > 0
             assert adjusted.per_user == recbole.per_user
             assert adjusted.mean_ndcg == recbole.mean_ndcg
 
@@ -188,6 +189,14 @@ def test_timings_written_separately(ratings_file, tmp_path):
 def test_empty_after_threshold_is_config_error(ratings_file, tmp_path):
     cfg = toy_config(ratings_file, tmp_path, threshold=ImplicitThreshold(99, "gt"))
     with pytest.raises(ExperimentError, match=r"\[preprocess\]"):
+        run_experiment(cfg)
+
+
+def test_split_without_test_users_is_error(ratings_file, tmp_path):
+    # ratio 1.0 keeps every interaction in train: there is nothing to evaluate,
+    # and a mean nDCG of 0.0 over 0 users must not come out as a result.
+    cfg = toy_config(ratings_file, tmp_path, train_ratio=1.0)
+    with pytest.raises(ExperimentError, match=r"\[split\].*nothing to evaluate"):
         run_experiment(cfg)
 
 

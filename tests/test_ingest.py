@@ -75,6 +75,13 @@ def test_load_bad_rating_reports_line(tmp_path):
         load_interactions(path)
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN"])
+def test_load_non_finite_timestamp_reports_line(tmp_path, stamp):
+    path = write_atomic(tmp_path / "bad.inter", ["a\tx\t4.0\t1\n", f"b\ty\t4.0\t{stamp}\n"])
+    with pytest.raises(RowParseError, match="line 3.*non-finite timestamp"):
+        load_interactions(path)
+
+
 def test_load_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_interactions(tmp_path / "x", "parquet")

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from itemknn_bench import recommend
 from itemknn_bench.errors import ContractError
 from itemknn_bench.ingest import IdIndex, Interaction, InteractionDataset
 from itemknn_bench.knn import STRATEGY_FULL, STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
@@ -20,7 +23,7 @@ from itemknn_bench.recommend import (
 )
 from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
 
-from conftest import brute_scores, make_implicit_dataset
+from conftest import in_order_scores, make_implicit_dataset
 from test_knn import sim_from_dense, to_dense
 
 SUM_ALL = ScoringMode("sum-all")
@@ -156,10 +159,111 @@ def test_scoring_matches_dense_oracle_both_modes():
             dense = to_dense(s)
             got_sum = score_user(s, profile, SUM_ALL)
             got_topk = score_user(s, profile, topk_mode(k))
-            want_sum = brute_scores(dense, profile, "sum-all")
-            want_topk = brute_scores(dense, profile, "profile-topk", k)
-            np.testing.assert_allclose(got_sum, want_sum, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got_topk, want_topk, rtol=0, atol=1e-12)
+            assert got_sum.tolist() == in_order_scores(dense, profile, "sum-all")
+            assert got_topk.tolist() == in_order_scores(dense, profile, "profile-topk", k)
+
+
+def test_sum_all_adds_in_ascending_j():
+    # (0.1 + 0.2) + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit: the
+    # sparse product must add in ascending j, as the contract says.
+    s = sim_from_dense([[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4])
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    assert score_user(s, [1, 2, 3], SUM_ALL)[0] == (0.1 + 0.2) + 0.3
+    assert score_user(s, [1, 2, 3], topk_mode(3))[0] == (0.1 + 0.2) + 0.3
+
+
+def tie_heavy_matrix(rng, n):
+    """Rows drawn from a few values whose sums depend on the addition order."""
+    values = (0.0, 0.1, 0.2, 0.3, 0.3, 0.7, 0.7)
+    return [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+
+
+def test_score_user_tie_heavy_exact():
+    rng = random.Random(909)
+    order_matters = False
+    for _ in range(40):
+        n = rng.randint(3, 12)
+        dense = tie_heavy_matrix(rng, n)
+        s = sim_from_dense(dense)
+        profile = set(rng.sample(range(n), rng.randint(1, n)))
+        for k in range(1, len(profile) + 3):  # k < |P|, k = |P| and k > |P|
+            got = score_user(s, profile, topk_mode(k))
+            assert got.tolist() == in_order_scores(dense, profile, "profile-topk", k)
+        got = score_user(s, profile, SUM_ALL)
+        want = in_order_scores(dense, profile, "sum-all")
+        assert got.tolist() == want
+        descending = [sum(sorted((row[j] for j in profile), reverse=True)) for row in dense]
+        order_matters |= want != descending
+    assert order_matters  # the oracle's summation order is actually exercised
+
+
+def train_item_sets(pair) -> dict[int, set[int]]:
+    profiles: dict[int, set[int]] = {}
+    for r in pair.train.interactions:
+        profiles.setdefault(pair.train.user_index.dense(r.user), set()).add(
+            pair.train.item_index.dense(r.item)
+        )
+    return profiles
+
+
+def per_user_lists(s, pair, mode, n):
+    """Reference for recommend_all: one score_user + recommend_topn per user."""
+    profiles = train_item_sets(pair)
+    users = sorted({pair.test.user_index.dense(r.user) for r in pair.test.interactions})
+    return [
+        recommend_topn(score_user(s, profiles.get(u, ()), mode), profiles.get(u, ()), n, user=u)
+        for u in users
+    ]
+
+
+def test_recommend_all_crosses_user_blocks():
+    rng = random.Random(606)
+    rows = [
+        Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 50)))
+        for u in range(2 * recommend.USER_BLOCK + 37)
+        for i in rng.sample(range(25), rng.randint(5, 12))  # >= 5: one test row
+    ]
+    pair = split_holdout(InteractionDataset.from_interactions(rows), SplitConfig(0.8, 7))
+    assert len({r.user for r in pair.test.interactions}) > 2 * recommend.USER_BLOCK
+    s_full = cosine_similarity(build_matrix(pair.train))
+    for s in (s_full, truncate_topk(s_full, 3)):
+        for mode in (SUM_ALL, topk_mode(3)):
+            assert recommend_all(s, pair, mode, 5) == per_user_lists(s, pair, mode, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_property_blocked_kernel_matches_oracles(data):
+    n_users = data.draw(st.integers(2, 14), label="n_users")
+    n_items = data.draw(st.integers(2, 9), label="n_items")
+    cells = data.draw(
+        st.sets(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+            min_size=2,
+            max_size=n_users * n_items,
+        ),
+        label="cells",
+    )
+    k = data.draw(st.integers(1, n_items), label="k")
+    n = data.draw(st.integers(1, n_items), label="n")
+    block = data.draw(st.integers(1, 5), label="block")
+    seed = data.draw(st.integers(0, 999), label="seed")
+    ds = InteractionDataset.from_interactions(
+        Interaction(f"u{u}", f"i{i}", 1.0, float(u * i % 7)) for u, i in sorted(cells)
+    )
+    pair = split_holdout(ds, SplitConfig(0.6, seed))
+    s_full = cosine_similarity(build_matrix(pair.train))
+    for s in (s_full, truncate_topk(s_full, k)):
+        dense = to_dense(s)
+        for mode in (SUM_ALL, topk_mode(k)):
+            want = per_user_lists(s, pair, mode, n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recommend, "USER_BLOCK", block)
+                assert recommend_all(s, pair, mode, n) == want
+            for profile in train_item_sets(pair).values():
+                assert score_user(s, profile, mode).tolist() == in_order_scores(
+                    dense, profile, mode.kind, mode.k
+                )
 
 
 def run_preset(preset_name, s_full, pair, k, n):
