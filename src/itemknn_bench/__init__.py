@@ -20,7 +20,6 @@ from .ingest import (
 )
 from .knn import (
     SimilarityMatrix,
-    UserItemMatrix,
     build_matrix,
     cosine_similarity,
     load_similarity,

@@ -38,7 +38,7 @@ from .knn import (
     save_similarity,
     truncate_topk,
 )
-from .metrics import IDCG_FIXED_K, IDCG_TRUNCATED, report_from_gains
+from .metrics import IDCG_FIXED_K, IDCG_TRUNCATED, report_from_gains, user_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
 from .split import SplitConfig, SplitPair, save_split, split_holdout
 
@@ -137,11 +137,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_test(args):
+    test = load_interactions(args.test, args.format, args.column_map)
+    if test.n_interactions == 0:
+        raise ContractError(f"{args.test}: no test interactions: nothing to evaluate")
+    return test
+
+
 def _cmd_recommend(args) -> int:
     preset = PRESETS[args.preset]
     train = load_interactions(args.train, args.format, args.column_map)
-    test = load_interactions(args.test, args.format, args.column_map)
-    pair = SplitPair.from_datasets(train, test)
+    pair = SplitPair.from_datasets(train, _load_test(args))
     if args.matrix:
         s = load_similarity(args.matrix)
     else:
@@ -160,22 +166,9 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     recs = load_recommendations(args.recs)
-    test = load_interactions(args.test, args.format, args.column_map)
-    test_sets: dict[str, set[str]] = {}
-    for r in test.interactions:
-        test_sets.setdefault(r.user, set()).add(r.item)
-
-    def triples():
-        for user, entries in recs.items():
-            relevant = test_sets.get(user)
-            if not relevant:
-                raise ContractError(f"user {user!r} in dump has no test interactions")
-            yield user, [1.0 if item in relevant else 0.0 for item, _ in entries], len(relevant)
-
-    payload = {}
-    for mode in args.idcg:
-        rep = report_from_gains(list(triples()), args.topn, mode)
-        payload[mode] = rep.as_dict()
+    ranked = ((user, [item for item, _ in entries]) for user, entries in recs.items())
+    gains = list(user_gains(_load_test(args), ranked))
+    payload = {mode: report_from_gains(gains, args.topn, mode).as_dict() for mode in args.idcg}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

@@ -68,8 +68,7 @@ class ExperimentConfig:
             raise ValueError("at least one IDCG mode required")
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be >= 1")
-        if not (0.0 < self.train_ratio <= 1.0):
-            raise ValueError(f"train_ratio must be in (0, 1], got {self.train_ratio}")
+        SplitConfig(self.train_ratio)  # checks the ratio
         for p in self.presets:
             if p not in PRESETS:
                 raise ValueError(f"unknown preset {p!r} (known: {sorted(PRESETS)})")
@@ -178,6 +177,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
     with _phase("preprocess", timings):
         implicit = to_implicit(raw, cfg.threshold)
+        del raw
         if implicit.n_interactions == 0:
             raise ExperimentError(
                 "preprocess",
@@ -186,34 +186,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         stats_after = stats(implicit)
 
-    needs_topk = any(PRESETS[p].matrix_strategy == STRATEGY_TOPK for p in cfg.presets)
     cells: dict[tuple[str, int, str], MetricReport] = {}
-
     for seed in cfg.seeds:
-        with _phase("split", timings):
-            pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed))
-        if pair.test.n_interactions == 0:
-            raise ExperimentError(
-                "split",
-                f"train ratio {cfg.train_ratio} with seed {seed} leaves no test "
-                f"interactions: nothing to evaluate",
-            )
-        with _phase("similarity", timings):
-            # Full matrix once per seed; truncation shared by the topk presets.
-            s_full = cosine_similarity(build_matrix(pair.train))
-            s_topk = truncate_topk(s_full, cfg.k) if needs_topk else None
-        for preset_name in cfg.presets:
-            preset = PRESETS[preset_name]
-            s = s_topk if preset.matrix_strategy == STRATEGY_TOPK else s_full
-            with _phase("recommend", timings):
-                recs = recommend_all(s, pair, preset.scoring_mode(cfg.k), cfg.n)
-            with _phase("evaluate", timings):
-                for mode in cfg.idcg_modes:
-                    cells[(preset_name, seed, mode)] = evaluate(
-                        recs, pair.test, cfg.n, mode, preset=preset_name, seed=seed
-                    )
-
+        _run_seed(cfg, implicit, seed, cells, timings)
     return ExperimentResult(cfg, stats_before, stats_after, cells, timings)
+
+
+def _run_seed(cfg, implicit, seed, cells, timings) -> None:
+    """One seed's split, matrices and evaluations, freed when it returns."""
+    with _phase("split", timings):
+        pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed))
+    if pair.test.n_interactions == 0:
+        raise ExperimentError(
+            "split",
+            f"train ratio {cfg.train_ratio} with seed {seed} leaves no test "
+            f"interactions: nothing to evaluate",
+        )
+    needs_topk = any(PRESETS[p].matrix_strategy == STRATEGY_TOPK for p in cfg.presets)
+    with _phase("similarity", timings):
+        # Full matrix once per seed; truncation shared by the topk presets.
+        s_full = cosine_similarity(build_matrix(pair.train))
+        s_topk = truncate_topk(s_full, cfg.k) if needs_topk else None
+    for preset_name in cfg.presets:
+        preset = PRESETS[preset_name]
+        s = s_topk if preset.matrix_strategy == STRATEGY_TOPK else s_full
+        with _phase("recommend", timings):
+            recs = recommend_all(s, pair, preset.scoring_mode(cfg.k), cfg.n)
+        with _phase("evaluate", timings):
+            for mode in cfg.idcg_modes:
+                cells[(preset_name, seed, mode)] = evaluate(
+                    recs, pair.test, cfg.n, mode, preset=preset_name, seed=seed
+                )
 
 
 def _canonical_json(payload: dict) -> str:

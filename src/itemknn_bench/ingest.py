@@ -7,16 +7,25 @@ Input files are UTF-8 text with a header row.  Two layouts are supported:
   map is applied.
 * ``csv``: comma-separated, plain headers.
 
-Datasets are immutable once built and safe to share across threads.
+A dataset is columnar: row r is the event (``user_ids[users[r]]``,
+``item_ids[items[r]]``, ``ratings[r]``, ``timestamps[r]``).  ``users`` and
+``items`` are int64 dense codes, ``ratings`` and ``timestamps`` float64, and
+the external-id lists give each dense code its id, in first-appearance
+order.  No per-interaction Python object is kept.  Columns are never
+modified after construction, so datasets are safe to share across threads,
+and the train/test sides of a split share their source's id lists.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import RowParseError, SchemaError
 
@@ -30,9 +39,8 @@ DEFAULT_COLUMNS = {
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
 
 
-@dataclass(frozen=True, slots=True)
-class Interaction:
-    """One user-item event with the dataset-native rating scale."""
+class Interaction(NamedTuple):
+    """One input row for :meth:`InteractionDataset.from_interactions`."""
 
     user: str
     item: str
@@ -45,7 +53,8 @@ class ImplicitThreshold:
     """Rule for binarizing explicit ratings.
 
     ``mode`` is ``"gt"`` (keep ratings strictly greater than ``cutoff``) or
-    ``"ge"`` (keep ratings greater than or equal to ``cutoff``).
+    ``"ge"`` (keep ratings greater than or equal to ``cutoff``).  ``passes``
+    takes a scalar or a numpy array of ratings.
     """
 
     cutoff: float
@@ -55,99 +64,105 @@ class ImplicitThreshold:
         if self.mode not in ("gt", "ge"):
             raise ValueError(f"threshold mode must be 'gt' or 'ge', got {self.mode!r}")
 
-    def passes(self, rating: float) -> bool:
+    def passes(self, rating):
         if self.mode == "gt":
             return rating > self.cutoff
         return rating >= self.cutoff
 
 
-class IdIndex:
-    """Bijection between external string ids and dense integers [0, n)."""
-
-    __slots__ = ("_to_dense", "_to_ext")
-
-    def __init__(self, ids: Iterable[str] = ()):
-        self._to_dense: dict[str, int] = {}
-        self._to_ext: list[str] = []
-        for ext in ids:
-            self.add(ext)
-
-    def add(self, ext: str) -> int:
-        """Return the dense index for ``ext``, inserting it if new."""
-        dense = self._to_dense.get(ext)
-        if dense is None:
-            dense = len(self._to_ext)
-            self._to_dense[ext] = dense
-            self._to_ext.append(ext)
-        return dense
-
-    def dense(self, ext: str) -> int:
-        return self._to_dense[ext]
-
-    def ext(self, dense: int) -> str:
-        return self._to_ext[dense]
-
-    def __contains__(self, ext: str) -> bool:
-        return ext in self._to_dense
-
-    def __len__(self) -> int:
-        return len(self._to_ext)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IdIndex) and self._to_ext == other._to_ext
-
-    def __repr__(self) -> str:
-        return f"IdIndex({len(self)} ids)"
-
-
 @dataclass(frozen=True)
 class InteractionDataset:
-    """Ordered interactions plus dense index maps for users and items.
+    """Interaction columns plus the external ids of the dense codes.
 
-    The index maps define the id universe; train/test partitions derived from
-    a dataset share its maps so dense indices stay comparable downstream.
+    The id lists define the id universe; train/test partitions derived from
+    a dataset share its lists so dense indices stay comparable downstream.
     """
 
-    interactions: list[Interaction]
-    user_index: IdIndex
-    item_index: IdIndex
+    users: np.ndarray
+    items: np.ndarray
+    ratings: np.ndarray
+    timestamps: np.ndarray
+    user_ids: list[str]
+    item_ids: list[str]
 
     @classmethod
     def from_interactions(cls, interactions: Iterable[Interaction]) -> "InteractionDataset":
-        """Build a dataset with indices assigned in first-appearance order."""
-        rows = list(interactions)
-        users = IdIndex()
-        items = IdIndex()
-        for r in rows:
-            users.add(r.user)
-            items.add(r.item)
-        return cls(rows, users, items)
+        """Build a dataset from (user, item, rating, timestamp) rows.
+
+        Dense codes are assigned in first-appearance order.
+        """
+        user_codes: dict[str, int] = {}
+        item_codes: dict[str, int] = {}
+        users, items, ratings, timestamps = array("q"), array("q"), array("d"), array("d")
+        for user, item, rating, timestamp in interactions:
+            users.append(user_codes.setdefault(user, len(user_codes)))
+            items.append(item_codes.setdefault(item, len(item_codes)))
+            ratings.append(rating)
+            timestamps.append(timestamp)
+        columns = map(np.asarray, (users, items, ratings, timestamps))  # no copy
+        return cls(*columns, list(user_codes), list(item_codes))
+
+    @classmethod
+    def concat(cls, parts: Iterable["InteractionDataset"]) -> "InteractionDataset":
+        """The rows of ``parts`` in order, codes rebuilt in first-appearance order.
+
+        Ids that are equal by value share one code, and ids that no row uses
+        leave the universe.
+        """
+        parts = list(parts)
+        users, user_ids = _recode([p.users for p in parts], [p.user_ids for p in parts])
+        items, item_ids = _recode([p.items for p in parts], [p.item_ids for p in parts])
+        ratings = np.concatenate([p.ratings for p in parts])
+        timestamps = np.concatenate([p.timestamps for p in parts])
+        return cls(users, items, ratings, timestamps, user_ids, item_ids)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.users, self.items, self.ratings, self.timestamps
+
+    def take(self, rows) -> "InteractionDataset":
+        """The selected rows, in the order given, on this dataset's id universe."""
+        return InteractionDataset(*(c[rows] for c in self.columns), self.user_ids, self.item_ids)
 
     @property
     def n_users(self) -> int:
-        return len(self.user_index)
+        return len(self.user_ids)
 
     @property
     def n_items(self) -> int:
-        return len(self.item_index)
+        return len(self.item_ids)
 
     @property
     def n_interactions(self) -> int:
-        return len(self.interactions)
+        return len(self.users)
 
     def is_implicit(self) -> bool:
-        return all(r.rating == 1.0 for r in self.interactions)
-
-    def pair_set(self) -> set[tuple[str, str]]:
-        return {(r.user, r.item) for r in self.interactions}
+        return bool(np.all(self.ratings == 1.0))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, InteractionDataset)
-            and self.interactions == other.interactions
-            and self.user_index == other.user_index
-            and self.item_index == other.item_index
+            and self.user_ids == other.user_ids
+            and self.item_ids == other.item_ids
+            and all(map(np.array_equal, self.columns, other.columns))
         )
+
+
+def _recode(codes: list[np.ndarray], ids: list[list[str]]) -> tuple[np.ndarray, list[str]]:
+    """Concatenate code columns, each indexing its own id list, and renumber
+    the result densely in first-appearance order; equal ids share a code."""
+    canon: dict[str, int] = {}
+    to_canon = [
+        np.array([canon.setdefault(x, len(canon)) for x in part], dtype=np.int64)
+        for part in ids
+    ]
+    merged = np.concatenate([m[c] for m, c in zip(to_canon, codes)])
+    names = list(canon)
+    used, first, inverse = np.unique(merged, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], [names[c] for c in used[order]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,18 +175,28 @@ class DatasetStats:
     sparsity: float
 
     def as_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "n_items": self.n_items,
-            "n_interactions": self.n_interactions,
-            "avg_per_user": self.avg_per_user,
-            "avg_per_item": self.avg_per_item,
-            "sparsity": self.sparsity,
-        }
+        return asdict(self)
 
 
-def _strip_type_suffix(name: str) -> str:
-    return name.split(":", 1)[0]
+def _number(row: list[str], col: int, name: str, line_no: int) -> float:
+    try:
+        value = float(row[col])
+    except (ValueError, IndexError) as e:
+        raise RowParseError(line_no, f"bad {name} field: {e}") from None
+    if not math.isfinite(value):
+        raise RowParseError(line_no, f"non-finite {name} {row[col]!r}")
+    return value
+
+
+def _parse_rows(reader, u_col: int, i_col: int, r_col: int, t_col: int | None) -> Iterator[tuple]:
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) <= max(u_col, i_col):
+            raise RowParseError(line_no, f"{len(row)} fields, no user or item field")
+        rating = _number(row, r_col, "rating", line_no)
+        timestamp = 0.0 if t_col is None else _number(row, t_col, "timestamp", line_no)
+        yield row[u_col], row[i_col], rating, timestamp
 
 
 def load_interactions(
@@ -188,16 +213,12 @@ def load_interactions(
     timestamp column yields timestamp 0.0 for every row.
 
     Raises ``FileNotFoundError``, ``SchemaError`` for missing mapped columns,
-    and ``RowParseError`` (with the 1-based file line number) for rows whose
-    rating or timestamp does not parse as a finite number.
+    and ``RowParseError`` (with the 1-based file line number) for rows that
+    lack the user or item field, or whose rating or timestamp does not parse
+    as a finite number.
     """
-    if format in ("atomic", "atomic-tsv"):
-        delimiter = "\t"
-        atomic = True
-    elif format == "csv":
-        delimiter = ","
-        atomic = False
-    else:
+    atomic = format in ("atomic", "atomic-tsv")
+    if not atomic and format != "csv":
         raise ValueError(f"unknown format {format!r} (expected 'atomic' or 'csv')")
 
     columns = dict(DEFAULT_COLUMNS)
@@ -205,14 +226,13 @@ def load_interactions(
         columns.update(column_map)
 
     path = Path(path)
-    interactions: list[Interaction] = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh, delimiter="\t" if atomic else ",")
         try:
             raw_header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [_strip_type_suffix(h) if atomic else h for h in raw_header]
+        header = [h.split(":", 1)[0] if atomic else h for h in raw_header]
         pos = {name: i for i, name in enumerate(header)}
 
         for logical in ("user", "item", "rating"):
@@ -220,54 +240,32 @@ def load_interactions(
                 raise SchemaError(
                     f"{path}: missing column {columns[logical]!r} (for {logical!r})"
                 )
-        u_col = pos[columns["user"]]
-        i_col = pos[columns["item"]]
-        r_col = pos[columns["rating"]]
-        t_col = pos.get(columns["timestamp"])
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rating = float(row[r_col])
-            except (ValueError, IndexError) as e:
-                raise RowParseError(line_no, f"bad rating field: {e}") from None
-            if not math.isfinite(rating):
-                raise RowParseError(line_no, f"non-finite rating {row[r_col]!r}")
-            timestamp = 0.0
-            if t_col is not None:
-                try:
-                    timestamp = float(row[t_col])
-                except (ValueError, IndexError) as e:
-                    raise RowParseError(line_no, f"bad timestamp field: {e}") from None
-                if not math.isfinite(timestamp):
-                    raise RowParseError(line_no, f"non-finite timestamp {row[t_col]!r}")
-            interactions.append(Interaction(row[u_col], row[i_col], rating, timestamp))
-
-    return InteractionDataset.from_interactions(interactions)
+        return InteractionDataset.from_interactions(_parse_rows(
+            reader,
+            pos[columns["user"]],
+            pos[columns["item"]],
+            pos[columns["rating"]],
+            pos.get(columns["timestamp"]),
+        ))
 
 
 def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionDataset:
     """Binarize a dataset: keep interactions passing ``t``, rating becomes 1.
 
     Duplicate (user, item) pairs among the survivors collapse to a single
-    record at the first occurrence's position, keeping the earliest timestamp.
-    Indices are rebuilt, so users and items with no surviving interactions
-    disappear from the id universe.
+    record at the first occurrence's position, keeping the earliest timestamp
+    (the first occurrence of it on equal timestamps).  Indices are rebuilt,
+    so users and items with no surviving interactions disappear from the id
+    universe.
     """
-    kept: list[Interaction] = []
-    seen: dict[tuple[str, str], int] = {}
-    for r in ds.interactions:
-        if not t.passes(r.rating):
-            continue
-        key = (r.user, r.item)
-        at = seen.get(key)
-        if at is None:
-            seen[key] = len(kept)
-            kept.append(Interaction(r.user, r.item, 1.0, r.timestamp))
-        elif r.timestamp < kept[at].timestamp:
-            kept[at] = Interaction(r.user, r.item, 1.0, r.timestamp)
-    return InteractionDataset.from_interactions(kept)
+    kept = ds.take(np.flatnonzero(t.passes(ds.ratings)))
+    pair = kept.users * kept.n_items + kept.items
+    # Stable: each pair's rows in ascending timestamp, then file position.
+    order = np.lexsort((kept.timestamps, pair))
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    by_first_seen = np.argsort(np.minimum.reduceat(order, starts))
+    out = kept.take(order[starts][by_first_seen])
+    return InteractionDataset.concat([replace(out, ratings=np.ones(out.n_interactions))])
 
 
 def stats(ds: InteractionDataset) -> DatasetStats:
@@ -290,6 +288,12 @@ def save_interactions(ds: InteractionDataset, path: str | Path) -> Path:
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(ATOMIC_HEADER + "\n")
-        for r in ds.interactions:
-            fh.write(f"{r.user}\t{r.item}\t{r.rating!r}\t{r.timestamp!r}\n")
+        # tolist() gives Python floats, whose repr is the shortest round trip.
+        fh.writelines(map(
+            "{}\t{}\t{!r}\t{!r}\n".format,
+            (ds.user_ids[u] for u in ds.users.tolist()),
+            (ds.item_ids[i] for i in ds.items.tolist()),
+            ds.ratings.tolist(),
+            ds.timestamps.tolist(),
+        ))
     return path

@@ -25,28 +25,6 @@ STRATEGY_FULL = "full"
 STRATEGY_TOPK = "topk"
 
 
-@dataclass(frozen=True)
-class UserItemMatrix:
-    """Binary user-item matrix as per-user sorted arrays of item indices."""
-
-    n_users: int
-    n_items: int
-    rows: list[np.ndarray]
-
-    def csr(self) -> sp.csr_matrix:
-        """Scipy view with int64 ones as data."""
-        indptr = np.zeros(self.n_users + 1, dtype=np.int64)
-        for u, items in enumerate(self.rows):
-            indptr[u + 1] = indptr[u] + len(items)
-        indices = (
-            np.concatenate(self.rows) if self.rows else np.zeros(0, dtype=np.int64)
-        )
-        data = np.ones(len(indices), dtype=np.int64)
-        return sp.csr_matrix(
-            (data, indices, indptr), shape=(self.n_users, self.n_items)
-        )
-
-
 @dataclass
 class SimilarityMatrix:
     """Item-item similarities in CSR arrays; rows sorted by column index.
@@ -90,39 +68,39 @@ class SimilarityMatrix:
         )
 
 
-def build_matrix(train: InteractionDataset) -> UserItemMatrix:
-    """Assemble the binary user-item matrix from a train dataset.
+def build_matrix(train: InteractionDataset) -> sp.csr_matrix:
+    """The binary users x items matrix of a train dataset, int64 ones as data.
 
-    Ratings are ignored (upstream guarantees implicit data and no duplicate
-    pairs), only presence counts.
+    Row u lists user u's items in ascending item index.  Ratings are ignored
+    (upstream guarantees implicit data and no duplicate pairs), only presence
+    counts.
     """
-    per_user: list[list[int]] = [[] for _ in range(train.n_users)]
-    for r in train.interactions:
-        per_user[train.user_index.dense(r.user)].append(train.item_index.dense(r.item))
-    rows = [np.array(sorted(items), dtype=np.int64) for items in per_user]
-    return UserItemMatrix(n_users=train.n_users, n_items=train.n_items, rows=rows)
+    return sp.csr_matrix(
+        (np.ones(train.n_interactions, dtype=np.int64), (train.users, train.items)),
+        shape=(train.n_users, train.n_items),
+    )
 
 
-def cosine_similarity(m: UserItemMatrix) -> SimilarityMatrix:
+def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
     """Full-strategy cosine matrix: symmetric, zero diagonal, zeros unstored."""
-    if m.n_items < 1:
+    n_items = b.shape[1]
+    if n_items < 1:
         raise ContractError("cosine_similarity requires at least one item")
 
-    b = m.csr()
     cooc = (b.T @ b).tocoo()  # exact int64 co-occurrence counts
     off_diag = cooc.row != cooc.col
     cooc = sp.csr_matrix(
         (cooc.data[off_diag], (cooc.row[off_diag], cooc.col[off_diag])),
-        shape=(m.n_items, m.n_items),
+        shape=(n_items, n_items),
     )
     cooc.sort_indices()
 
     counts = np.asarray(b.sum(axis=0), dtype=np.float64).ravel()
-    row_of = np.repeat(np.arange(m.n_items), np.diff(cooc.indptr))
+    row_of = np.repeat(np.arange(n_items), np.diff(cooc.indptr))
     vals = cooc.data.astype(np.float64) / np.sqrt(counts[row_of] * counts[cooc.indices])
 
     return SimilarityMatrix(
-        n_items=m.n_items,
+        n_items=n_items,
         indptr=cooc.indptr.astype(np.int64),
         cols=cooc.indices.astype(np.int64),
         vals=vals,

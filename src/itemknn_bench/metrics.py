@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractError
 from .ingest import InteractionDataset
+from .knn import build_matrix
 from .recommend import RecommendationList
 
 IDCG_TRUNCATED = "truncated"
@@ -148,6 +149,27 @@ def report_from_gains(
     return report
 
 
+def user_gains(
+    test: InteractionDataset, ranked: Iterable[tuple[str, Sequence[str]]]
+) -> Iterator[tuple[str, list[float], int]]:
+    """Yield (user, gains, n_relevant) for each (user, ranked items) list.
+
+    Users and items are external ids.  A recommended item earns gain 1 when
+    it is among that user's test items.  Every list's user must hold at
+    least one test interaction (contract).
+    """
+    x = build_matrix(test)
+    test_items = {
+        user: {test.item_ids[i] for i in x.indices[x.indptr[k] : x.indptr[k + 1]]}
+        for k, user in enumerate(test.user_ids)
+    }
+    for user, items in ranked:
+        relevant = test_items.get(user)
+        if not relevant:
+            raise ContractError(f"user {user!r} has a recommendation list but no test interactions")
+        yield user, [1.0 if item in relevant else 0.0 for item in items], len(relevant)
+
+
 def evaluate(
     recs: list[RecommendationList],
     test: InteractionDataset,
@@ -156,29 +178,19 @@ def evaluate(
     preset: str | None = None,
     seed: int | None = None,
 ) -> MetricReport:
-    """Score recommendation lists against a test dataset.
+    """Score recommendation lists against a test dataset on the same id universe.
 
-    A recommended item earns gain 1 when it appears in that user's test set.
-    Every list's user must hold at least one test interaction (contract);
-    users are keyed by external id in the report.
+    Users are keyed by external id in the report; see :func:`user_gains`.
     """
-    test_sets: dict[int, set[int]] = {}
-    for r in test.interactions:
-        test_sets.setdefault(test.user_index.dense(r.user), set()).add(
-            test.item_index.dense(r.item)
+    # A user outside the universe keeps its dense index, which no test row has.
+    ranked = (
+        (
+            test.user_ids[rl.user] if 0 <= rl.user < test.n_users else rl.user,
+            [test.item_ids[item] for item, _ in rl.entries],
         )
-
-    def triples():
-        for rl in recs:
-            relevant = test_sets.get(rl.user)
-            if not relevant:
-                raise ContractError(
-                    f"user {rl.user} has a recommendation list but no test interactions"
-                )
-            gains = [1.0 if item in relevant else 0.0 for item, _ in rl.entries]
-            yield test.user_index.ext(rl.user), gains, len(relevant)
-
-    report = report_from_gains(triples(), n, mode)
+        for rl in recs
+    )
+    report = report_from_gains(user_gains(test, ranked), n, mode)
     report.preset = preset
     report.seed = seed
     return report

@@ -61,7 +61,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError
+from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset
 from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix
 from .split import SplitPair
@@ -214,13 +214,8 @@ def recommend_all(
             f"matrix has {s.n_items} items but split.train has {split.train.n_items}"
         )
 
-    x = build_matrix(split.train).csr()
-    eval_users = np.unique(
-        np.fromiter(
-            (split.test.user_index.dense(r.user) for r in split.test.interactions),
-            dtype=np.int64,
-        )
-    )
+    x = build_matrix(split.train)
+    eval_users = np.unique(split.test.users)
 
     out: list[RecommendationList] = []
     for start in range(0, len(eval_users), USER_BLOCK):
@@ -240,18 +235,21 @@ def save_recommendations(
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("user\trank\titem\tscore\n")
         for rl in recs:
-            user = ds.user_index.ext(rl.user)
+            user = ds.user_ids[rl.user]
             for rank, (item, score) in enumerate(rl.entries, start=1):
-                fh.write(f"{user}\t{rank}\t{ds.item_index.ext(item)}\t{score:.17g}\n")
+                fh.write(f"{user}\t{rank}\t{ds.item_ids[item]}\t{score:.17g}\n")
     return path
 
 
 def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Read a dump back as external-id lists, preserving rank order."""
+    """Read a dump back as external-id lists, preserving rank order.
+
+    Raises ``SchemaError`` for a file without a header row."""
     path = Path(path)
     out: dict[str, list[tuple[str, float]]] = {}
     with path.open(encoding="utf-8") as fh:
-        next(fh)  # header
+        if not fh.readline():
+            raise SchemaError(f"{path}: empty file, header row required")
         for line in fh:
             user, _rank, item, score = line.rstrip("\n").split("\t")
             out.setdefault(user, []).append((item, float(score)))

@@ -7,19 +7,34 @@ gets an independent splitmix64 stream seeded with
 stream drives a Fisher-Yates shuffle of the user's interactions in canonical
 order (timestamp ascending, ties by dense item index ascending).  The first
 ``ceil(train_ratio * n)`` shuffled interactions go to train, the rest to test.
+
+The shuffle runs for all users at once.  Draw t of a stream seeded s is
+``mix(s + (t+1) * 0x9E3779B97F4A7C15 mod 2**64)``, so step t of every
+user's shuffle is one vectorised draw and one vectorised swap.  Only the
+steps that fill the test positions are run: Fisher-Yates fixes positions
+from the end, and the later steps only permute the train positions, whose
+membership is already settled.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ContractError
-from .ingest import Interaction, InteractionDataset, save_interactions
+from .ingest import InteractionDataset, save_interactions
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """splitmix64's output mix, of a Python int or of a uint64 array."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
@@ -32,18 +47,18 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return _mix(self._state)
 
 
-def _fisher_yates(items: list, rng: SplitMix64) -> None:
-    # Modulo draw is biased in general but the bias is irrelevant at per-user
-    # list sizes; what matters here is that the sequence is pinned exactly.
-    for i in range(len(items) - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
-        items[i], items[j] = items[j], items[i]
+def splitmix64_draw(seeds: np.ndarray, t: int) -> np.ndarray:
+    """Draw ``t`` (from 0) of the splitmix64 streams seeded ``seeds`` (uint64).
+
+    Equal to the (t+1)-th ``SplitMix64(seed).next_u64()`` of each seed; the
+    uint64 arithmetic wraps modulo 2**64 as the scalar masks do.
+    """
+    step = np.uint64((t + 1) * _GOLDEN & _MASK64)
+    with np.errstate(over="ignore"):
+        return _mix(np.asarray(seeds, dtype=np.uint64) + step)
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,7 +73,7 @@ class SplitConfig:
 
 @dataclass(frozen=True)
 class SplitPair:
-    """Train/test partition sharing the source dataset's index maps."""
+    """Train/test partition sharing the source dataset's id lists."""
 
     train: InteractionDataset
     test: InteractionDataset
@@ -70,16 +85,9 @@ class SplitPair:
         Used when a persisted split is read back from disk; indices are
         rebuilt in train-first, then test-first appearance order.
         """
-        merged = InteractionDataset.from_interactions(
-            list(train.interactions) + list(test.interactions)
-        )
-        new_train = InteractionDataset(
-            list(train.interactions), merged.user_index, merged.item_index
-        )
-        new_test = InteractionDataset(
-            list(test.interactions), merged.user_index, merged.item_index
-        )
-        return cls(new_train, new_test)
+        merged = InteractionDataset.concat([train, test])
+        n = train.n_interactions
+        return cls(merged.take(slice(None, n)), merged.take(slice(n, None)))
 
 
 def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
@@ -88,36 +96,38 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
     For a user with n interactions exactly ``ceil(train_ratio * n)`` go to
     train, so every user keeps at least one training interaction; users whose
     test side is empty simply never show up in the test interactions.  Both
-    output datasets share the source index maps.
+    outputs list their rows in canonical order (user, timestamp, item
+    ascending) and share the source id lists.
 
     Raises ``ContractError`` if the dataset is not implicit.
     """
     if not ds.is_implicit():
         raise ContractError("split_holdout requires an implicit dataset (all ratings 1)")
 
-    per_user: dict[int, list[Interaction]] = {}
-    for r in ds.interactions:
-        per_user.setdefault(ds.user_index.dense(r.user), []).append(r)
-
-    train: list[Interaction] = []
-    test: list[Interaction] = []
-    for u in sorted(per_user):
-        rows = per_user[u]
-        rows.sort(key=lambda r: (r.timestamp, ds.item_index.dense(r.item)))
-        rng = SplitMix64(cfg.seed ^ ((u * _GOLDEN) & _MASK64))
-        _fisher_yates(rows, rng)
-        n_train = math.ceil(cfg.train_ratio * len(rows))
-        head, tail = rows[:n_train], rows[n_train:]
-        # Canonical output order: user ascending, then (timestamp, item) within.
-        head.sort(key=lambda r: (r.timestamp, ds.item_index.dense(r.item)))
-        tail.sort(key=lambda r: (r.timestamp, ds.item_index.dense(r.item)))
-        train.extend(head)
-        test.extend(tail)
-
-    return SplitPair(
-        train=InteractionDataset(train, ds.user_index, ds.item_index),
-        test=InteractionDataset(test, ds.user_index, ds.item_index),
+    canonical = np.lexsort((ds.items, ds.timestamps, ds.users))
+    owner = ds.users[canonical]
+    sizes = np.bincount(owner, minlength=ds.n_users)
+    starts = np.cumsum(sizes) - sizes
+    n_train = np.ceil(cfg.train_ratio * sizes).astype(np.int64)
+    n_test = sizes - n_train
+    seeds = np.uint64(cfg.seed & _MASK64) ^ (
+        np.arange(ds.n_users, dtype=np.uint64) * np.uint64(_GOLDEN)
     )
+
+    # slot[p]: the canonical row at shuffled position p.  Step t swaps
+    # position n-1-t with j = draw mod (n-t).  The modulo draw is biased in
+    # general, negligibly at per-user sizes; what matters is that it is pinned.
+    slot = np.arange(ds.n_interactions)
+    for t in range(n_test.max(initial=0)):
+        users = np.flatnonzero(n_test > t)
+        i = starts[users] + sizes[users] - 1 - t
+        draws = splitmix64_draw(seeds[users], t) % (sizes[users] - t).astype(np.uint64)
+        j = starts[users] + draws.astype(np.int64)
+        slot[i], slot[j] = slot[j], slot[i]
+
+    in_test = np.zeros(ds.n_interactions, dtype=bool)
+    in_test[slot[np.arange(ds.n_interactions) - starts[owner] >= n_train[owner]]] = True
+    return SplitPair(ds.take(canonical[~in_test]), ds.take(canonical[in_test]))
 
 
 def save_split(pair: SplitPair, out_dir: str | Path, stem: str) -> tuple[Path, Path]:

@@ -1,7 +1,9 @@
 """Shared fixtures: random implicit datasets and independent brute-force oracles.
 
-The oracles deliberately avoid the package's sparse code paths: dense double
-loops over dict-of-set structures, literal series summation for the metrics.
+The oracles deliberately avoid the package's sparse and columnar code paths:
+dense double loops over dict-of-set structures, per-row loops over plain
+tuples for binarizing and splitting, literal series summation for the
+metrics.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from itemknn_bench.ingest import Interaction, InteractionDataset
+from itemknn_bench.split import SplitMix64
 
 
 def make_implicit_dataset(
@@ -31,11 +34,90 @@ def make_implicit_dataset(
     return InteractionDataset.from_interactions(rows)
 
 
+def as_rows(ds: InteractionDataset) -> list[tuple[str, str, float, float]]:
+    """The dataset's rows as plain (user, item, rating, timestamp) tuples."""
+    return [
+        (ds.user_ids[u], ds.item_ids[i], rating, timestamp)
+        for u, i, rating, timestamp in zip(
+            ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist(), ds.timestamps.tolist()
+        )
+    ]
+
+
+def pair_set(ds: InteractionDataset) -> set[tuple[str, str]]:
+    return {(user, item) for user, item, _, _ in as_rows(ds)}
+
+
+def item_sets(ds: InteractionDataset) -> dict[int, set[int]]:
+    """Dense user -> set of dense items, for every user holding a row."""
+    out: dict[int, set[int]] = {}
+    for u, i in zip(ds.users.tolist(), ds.items.tolist()):
+        out.setdefault(u, set()).add(i)
+    return out
+
+
 def users_per_item(ds: InteractionDataset) -> dict[int, set[int]]:
     out: dict[int, set[int]] = {i: set() for i in range(ds.n_items)}
-    for r in ds.interactions:
-        out[ds.item_index.dense(r.item)].add(ds.user_index.dense(r.user))
+    for u, i in zip(ds.users.tolist(), ds.items.tolist()):
+        out[i].add(u)
     return out
+
+
+def first_appearance(values) -> list:
+    return list(dict.fromkeys(values))
+
+
+def oracle_to_implicit(data: list[tuple], passes) -> tuple[list[tuple], list[str], list[str]]:
+    """Per-row binarization: (rows, user ids, item ids) of the implicit dataset.
+
+    A passing row is kept at its pair's first position; a later duplicate
+    replaces its timestamp only when strictly earlier.
+    """
+    kept: list[tuple] = []
+    seen: dict[tuple[str, str], int] = {}
+    for user, item, rating, timestamp in data:
+        if not passes(rating):
+            continue
+        at = seen.get((user, item))
+        if at is None:
+            seen[(user, item)] = len(kept)
+            kept.append((user, item, 1.0, timestamp))
+        elif timestamp < kept[at][3]:
+            kept[at] = (user, item, 1.0, timestamp)
+    return kept, first_appearance(r[0] for r in kept), first_appearance(r[1] for r in kept)
+
+
+def oracle_split(
+    data: list[tuple], user_ids: list[str], item_ids: list[str], ratio: float, seed: int
+) -> tuple[list[tuple], list[tuple]]:
+    """Per-user Fisher-Yates holdout with one scalar SplitMix64 per user.
+
+    Each user's rows, in (timestamp, dense item) order, are shuffled by a
+    stream seeded ``seed ^ (u * golden mod 2**64)``; the first
+    ceil(ratio * n) go to train.  Both sides come back in user order, then
+    (timestamp, dense item) order.
+    """
+    user_of = {u: k for k, u in enumerate(user_ids)}
+    item_of = {i: k for k, i in enumerate(item_ids)}
+    per_user: dict[int, list[tuple]] = {}
+    for row in data:
+        per_user.setdefault(user_of[row[0]], []).append(row)
+
+    def canonical(row):
+        return row[3], item_of[row[1]]
+
+    train: list[tuple] = []
+    test: list[tuple] = []
+    for u in sorted(per_user):
+        shuffled = sorted(per_user[u], key=canonical)
+        rng = SplitMix64(seed ^ ((u * 0x9E3779B97F4A7C15) % 2**64))
+        for i in range(len(shuffled) - 1, 0, -1):
+            j = rng.next_u64() % (i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        n_train = math.ceil(ratio * len(shuffled))
+        train += sorted(shuffled[:n_train], key=canonical)
+        test += sorted(shuffled[n_train:], key=canonical)
+    return train, test
 
 
 def dense_cosine_oracle(ds: InteractionDataset) -> list[list[float]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -33,6 +34,7 @@ from conftest import (
     brute_ndcg,
     brute_scores,
     dense_cosine_oracle,
+    item_sets,
     make_implicit_dataset,
 )
 from test_knn import to_dense
@@ -140,17 +142,13 @@ def test_criterion_4_oracle_equivalence():
                 assert abs(got_topk[i] - want_topk[i]) <= 1e-12
 
             recs = preset_lists("recbole", s_full, pair, k, 10)
-            test_sets: dict[int, set[int]] = {}
-            for r in pair.test.interactions:
-                test_sets.setdefault(ds.user_index.dense(r.user), set()).add(
-                    ds.item_index.dense(r.item)
-                )
+            test_sets = item_sets(pair.test)
             for mode in (IDCG_TRUNCATED, IDCG_FIXED_K):
                 rep = evaluate(recs, pair.test, 10, mode)
                 for rl in recs:
                     n_relevant = len(test_sets[rl.user])
                     gains = [1.0 if i in test_sets[rl.user] else 0.0 for i, _ in rl.entries]
-                    got = rep.per_user[ds.user_index.ext(rl.user)]
+                    got = rep.per_user[ds.user_ids[rl.user]]
                     assert abs(got.ndcg - brute_ndcg(gains, n_relevant, 10, mode)) <= 1e-12
                     hits = sum(gains)
                     assert abs(got.precision - hits / 10) <= 1e-12
@@ -173,17 +171,10 @@ def test_criterion_5_idcg_mode_ordering():
             recs = preset_lists("recbole", s_full, pair, k, n)
             fixed = evaluate(recs, pair.test, n, IDCG_FIXED_K)
             trunc = evaluate(recs, pair.test, n, IDCG_TRUNCATED)
-            test_counts: dict[int, int] = {}
-            for r in pair.test.interactions:
-                u = ds.user_index.dense(r.user)
-                test_counts[u] = test_counts.get(u, 0) + 1
-            test_sets: dict[int, set[int]] = {}
-            for r in pair.test.interactions:
-                test_sets.setdefault(ds.user_index.dense(r.user), set()).add(
-                    ds.item_index.dense(r.item)
-                )
+            test_counts = Counter(pair.test.users.tolist())
+            test_sets = item_sets(pair.test)
             for rl in recs:
-                ext = ds.user_index.ext(rl.user)
+                ext = ds.user_ids[rl.user]
                 f, t = fixed.per_user[ext].ndcg, trunc.per_user[ext].ndcg
                 assert f <= t
                 gains = [1.0 if i in test_sets[rl.user] else 0.0 for i, _ in rl.entries]

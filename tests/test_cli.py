@@ -13,6 +13,8 @@ from itemknn_bench.ingest import (
     save_interactions,
 )
 
+from conftest import pair_set
+
 
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
@@ -58,8 +60,8 @@ def test_pipeline_chain(data_file, tmp_path, capsys):
     train_path, test_path = capsys.readouterr().out.split()
     train = load_interactions(train_path)
     test = load_interactions(test_path)
-    assert train.pair_set() | test.pair_set() == implicit.pair_set()
-    assert not (train.pair_set() & test.pair_set())
+    assert pair_set(train) | pair_set(test) == pair_set(implicit)
+    assert not (pair_set(train) & pair_set(test))
 
     assert run_cli("train", "--data", train_path, "--strategy", "topk", "--k", "3", "--out", out) == 0
     matrix_path = capsys.readouterr().out.strip()
@@ -190,3 +192,47 @@ def test_non_finite_timestamp_exits_tagged(tmp_path, capsys):
     assert "error [stats]" in err and "line 3" in err
     assert run_cli("experiment", "--data", path, "--threshold", "3") == 2
     assert "[load]" in capsys.readouterr().err
+
+
+def test_short_row_exits_tagged(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("rating,user_id,item_id\n4,u,i\n4\n", encoding="utf-8")
+    assert run_cli("stats", "--data", path, "--format", "csv") == 2
+    err = capsys.readouterr().err
+    assert "error [stats]" in err and "line 3" in err
+
+
+@pytest.fixture
+def chain_split(data_file, tmp_path, capsys):
+    """The work directory and the seed-42 train and test files."""
+    out = tmp_path / "chain"
+    run_cli("preprocess", "--data", data_file, "--threshold", "3", "--out", out)
+    implicit_path = capsys.readouterr().out.strip()
+    run_cli("split", "--data", implicit_path, "--seeds", "42", "--out", out)
+    train_path, test_path = capsys.readouterr().out.split()
+    return out, train_path, test_path
+
+
+def test_evaluate_empty_recs_file_exits_tagged(chain_split, capsys):
+    out, _, test_path = chain_split
+    empty = out / "empty.recs.tsv"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli("evaluate", "--recs", empty, "--test", test_path) == 2
+    assert "error [evaluate]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_empty_test_file_exits_tagged(chain_split, command, capsys):
+    out, train_path, _ = chain_split
+    empty_test = out / "empty.test.inter"
+    empty_test.write_text(
+        "user_id:token\titem_id:token\trating:float\ttimestamp:float\n", encoding="utf-8"
+    )
+    # The dump that recommend would make from this test file: header only.
+    no_lists = out / "no-lists.recs.tsv"
+    no_lists.write_text("user\trank\titem\tscore\n", encoding="utf-8")
+    first = ["--train", train_path] if command == "recommend" else ["--recs", no_lists]
+    assert run_cli(command, *first, "--test", empty_test, "--out", out / "empty") == 2
+    err = capsys.readouterr().err
+    assert f"error [{command}]" in err and "no test interactions" in err
+    assert not (out / "empty").exists()

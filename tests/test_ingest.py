@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from itemknn_bench.errors import RowParseError, SchemaError
@@ -14,6 +15,8 @@ from itemknn_bench.ingest import (
     stats,
     to_implicit,
 )
+
+from conftest import as_rows, pair_set
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float\n"
 
@@ -33,10 +36,14 @@ def test_load_atomic_three_rows(tmp_path):
     assert ds.n_users == 2
     assert ds.n_items == 3
     # row order preserved, indices in first-appearance order
-    assert ds.interactions[0] == Interaction("a", "x", 4.0, 10.0)
-    assert ds.user_index.dense("a") == 0
-    assert ds.user_index.dense("b") == 1
-    assert ds.item_index.dense("x") == 0
+    assert as_rows(ds)[0] == Interaction("a", "x", 4.0, 10.0)
+    assert ds.user_ids == ["a", "b"]
+    assert ds.item_ids == ["x", "y", "z"]
+    assert ds.users.tolist() == [0, 1, 0]
+    for column in (ds.users, ds.items):
+        assert column.dtype == np.int64
+    for column in (ds.ratings, ds.timestamps):
+        assert column.dtype == np.float64
 
 
 def test_load_empty_file_with_header(tmp_path):
@@ -54,7 +61,7 @@ def test_load_csv_with_column_map(tmp_path):
     )
     assert ds.n_interactions == 2
     # no timestamp column -> 0.0 everywhere
-    assert all(r.timestamp == 0.0 for r in ds.interactions)
+    assert ds.timestamps.tolist() == [0.0, 0.0]
 
 
 def test_load_missing_file(tmp_path):
@@ -82,6 +89,14 @@ def test_load_non_finite_timestamp_reports_line(tmp_path, stamp):
         load_interactions(path)
 
 
+@pytest.mark.parametrize("line", ["4", "4,7"])
+def test_load_short_row_reports_line(tmp_path, line):
+    path = tmp_path / "short.csv"
+    path.write_text(f"rating,user_id,item_id\n4,7,9\n{line}\n", encoding="utf-8")
+    with pytest.raises(RowParseError, match="line 3.*user or item"):
+        load_interactions(path, "csv")
+
+
 def test_load_unknown_format(tmp_path):
     with pytest.raises(ValueError, match="format"):
         load_interactions(tmp_path / "x", "parquet")
@@ -107,13 +122,11 @@ def test_to_implicit_filters_and_rewrites():
         [("a", "x", 4.0, 1.0), ("a", "y", 3.0, 2.0), ("b", "x", 5.0, 3.0), ("c", "y", 1.0, 4.0)]
     )
     out = to_implicit(ds, ImplicitThreshold(3, "gt"))
-    assert [(r.user, r.item) for r in out.interactions] == [("a", "x"), ("b", "x")]
-    assert all(r.rating == 1.0 for r in out.interactions)
+    assert [(r[0], r[1]) for r in as_rows(out)] == [("a", "x"), ("b", "x")]
+    assert out.ratings.tolist() == [1.0, 1.0]
     # user c and item y had no survivors: indices rebuilt without them
-    assert out.n_users == 2
-    assert out.n_items == 1
-    assert "c" not in out.user_index
-    assert "y" not in out.item_index
+    assert out.user_ids == ["a", "b"]
+    assert out.item_ids == ["x"]
 
 
 def test_to_implicit_collapses_duplicates_keeping_earliest():
@@ -122,8 +135,7 @@ def test_to_implicit_collapses_duplicates_keeping_earliest():
     )
     out = to_implicit(ds, ImplicitThreshold(3, "gt"))
     assert out.n_interactions == 2
-    first = out.interactions[0]
-    assert (first.user, first.item, first.timestamp) == ("a", "x", 2.0)
+    assert as_rows(out) == [("a", "x", 1.0, 2.0), ("a", "y", 1.0, 1.0)]
 
 
 def test_to_implicit_idempotent_for_admissible_thresholds():
@@ -157,13 +169,13 @@ def test_to_implicit_exhaustive_predicate():
         ds = make_ds(rows)
         t = ImplicitThreshold(rng.choice([1, 3, 6]), rng.choice(["gt", "ge"]))
         out = to_implicit(ds, t)
-        kept = out.pair_set()
-        for r in ds.interactions:
-            if t.passes(r.rating):
-                assert (r.user, r.item) in kept
+        kept = pair_set(out)
+        for user, item, rating, _ in as_rows(ds):
+            if t.passes(rating):
+                assert (user, item) in kept
         for u, i in kept:
             assert any(
-                r.user == u and r.item == i and t.passes(r.rating) for r in ds.interactions
+                user == u and item == i and t.passes(rating) for user, item, rating, _ in as_rows(ds)
             )
 
 
@@ -197,15 +209,16 @@ def test_stats_matches_brute_force_recount():
         ]
         ds = to_implicit(make_ds(rows), ImplicitThreshold(2, "gt"))
         s = stats(ds)
-        users = {r.user for r in ds.interactions}
-        items = {r.item for r in ds.interactions}
+        data = as_rows(ds)
+        users = {r[0] for r in data}
+        items = {r[1] for r in data}
         assert s.n_users == len(users)
         assert s.n_items == len(items)
-        assert s.n_interactions == len(ds.interactions)
+        assert s.n_interactions == len(data)
         assert 0.0 <= s.sparsity <= 1.0
         if users:
-            assert s.avg_per_user == len(ds.interactions) / len(users)
-            assert s.sparsity == 1.0 - len(ds.interactions) / (len(users) * len(items))
+            assert s.avg_per_user == len(data) / len(users)
+            assert s.sparsity == 1.0 - len(data) / (len(users) * len(items))
 
 
 def test_index_bijectivity():
@@ -215,10 +228,10 @@ def test_index_bijectivity():
         for _ in range(100)
     ]
     ds = make_ds(rows)
-    for ext in {r.user for r in ds.interactions}:
-        assert ds.user_index.ext(ds.user_index.dense(ext)) == ext
-    for dense in range(ds.n_items):
-        assert ds.item_index.dense(ds.item_index.ext(dense)) == dense
+    for ids, codes, column in ((ds.user_ids, ds.users, 0), (ds.item_ids, ds.items, 1)):
+        assert len(set(ids)) == len(ids)
+        assert [ids[c] for c in codes.tolist()] == [r[column] for r in rows]
+        assert ids == list(dict.fromkeys(r[column] for r in rows))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -57,29 +57,19 @@ def to_dense(s: SimilarityMatrix) -> list[list[float]]:
 
 
 def test_build_matrix_rows_sorted():
-    from itemknn_bench.ingest import IdIndex
-
-    ds = InteractionDataset(
-        [
-            Interaction("u0", "i0", 1.0, 0.0),
-            Interaction("u0", "i2", 1.0, 0.0),
-            Interaction("u1", "i1", 1.0, 0.0),
-        ],
-        IdIndex(["u0", "u1"]),
-        IdIndex(["i0", "i1", "i2"]),
-    )
+    # u1 meets i2 before i0, so its row must be sorted, not kept in file order.
+    ds = ds_from_pairs([("u0", "i0"), ("u1", "i1"), ("u1", "i2"), ("u1", "i0")])
     m = build_matrix(ds)
-    assert m.n_users == 2
-    assert m.n_items == 3
-    assert m.rows[0].tolist() == [0, 2]
-    assert m.rows[1].tolist() == [1]
+    assert m.shape == (2, 3)
+    assert m.indices[m.indptr[0] : m.indptr[1]].tolist() == [0]
+    assert m.indices[m.indptr[1] : m.indptr[2]].tolist() == [0, 1, 2]
+    assert m.data.tolist() == [1, 1, 1, 1]
 
 
 def test_build_matrix_empty():
     m = build_matrix(ds_from_pairs([]))
-    assert m.n_users == 0
-    assert m.n_items == 0
-    assert m.rows == []
+    assert m.shape == (0, 0)
+    assert m.nnz == 0
 
 
 def test_cosine_identical_single_user():

@@ -3,10 +3,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from itemknn_bench.errors import ContractError
-from itemknn_bench.ingest import IdIndex, Interaction, InteractionDataset
+from itemknn_bench.ingest import InteractionDataset
 from itemknn_bench.metrics import (
     IDCG_FIXED_K,
     IDCG_TRUNCATED,
@@ -79,17 +80,14 @@ def test_recall_examples():
 
 
 def three_user_fixture():
-    users = IdIndex(["a", "b", "c"])
-    items = IdIndex([f"i{j}" for j in range(10)])
+    # A universe of 10 items, most of them absent from the test rows.
     test = InteractionDataset(
-        [
-            Interaction("a", "i1", 1.0, 0.0),
-            Interaction("b", "i1", 1.0, 0.0),
-            Interaction("b", "i2", 1.0, 0.0),
-            Interaction("c", "i9", 1.0, 0.0),
-        ],
-        users,
-        items,
+        users=np.array([0, 1, 1, 2]),
+        items=np.array([1, 1, 2, 9]),
+        ratings=np.ones(4),
+        timestamps=np.zeros(4),
+        user_ids=["a", "b", "c"],
+        item_ids=[f"i{j}" for j in range(10)],
     )
     recs = [
         RecommendationList(0, [(1, 0.9), (5, 0.5)]),            # hit at 1

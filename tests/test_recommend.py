@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from itemknn_bench import recommend
 from itemknn_bench.errors import ContractError
-from itemknn_bench.ingest import IdIndex, Interaction, InteractionDataset
+from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import STRATEGY_FULL, STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
 from itemknn_bench.recommend import (
     PRESETS,
@@ -23,7 +23,7 @@ from itemknn_bench.recommend import (
 )
 from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
 
-from conftest import in_order_scores, make_implicit_dataset
+from conftest import in_order_scores, item_sets, make_implicit_dataset
 from test_knn import sim_from_dense, to_dense
 
 SUM_ALL = ScoringMode("sum-all")
@@ -104,10 +104,10 @@ def test_recommend_topn_short_list_and_positive_only():
 
 
 def worked_split():
-    universe = IdIndex(["i0", "i1", "i2"])
-    users = IdIndex(["u"])
-    train = InteractionDataset([Interaction("u", "i0", 1.0, 0.0)], users, universe)
-    test = InteractionDataset([Interaction("u", "i1", 1.0, 1.0)], users, universe)
+    # i2 occurs in neither side but belongs to the shared universe.
+    universe = ["i0", "i1", "i2"]
+    train = InteractionDataset(np.array([0]), np.array([0]), np.ones(1), np.zeros(1), ["u"], universe)
+    test = InteractionDataset(np.array([0]), np.array([1]), np.ones(1), np.ones(1), ["u"], universe)
     return SplitPair(train, test)
 
 
@@ -127,7 +127,7 @@ def test_recommend_all_skips_users_without_test_rows():
     pair = split_holdout(ds, SplitConfig(0.8, 42))
     s = cosine_similarity(build_matrix(pair.train))
     recs = recommend_all(s, pair, SUM_ALL, 5)
-    assert {rl.user for rl in recs} == {ds.user_index.dense(r.user) for r in pair.test.interactions}
+    assert {rl.user for rl in recs} == set(pair.test.users.tolist())
 
 
 def test_recommend_all_deterministic():
@@ -197,19 +197,10 @@ def test_score_user_tie_heavy_exact():
     assert order_matters  # the oracle's summation order is actually exercised
 
 
-def train_item_sets(pair) -> dict[int, set[int]]:
-    profiles: dict[int, set[int]] = {}
-    for r in pair.train.interactions:
-        profiles.setdefault(pair.train.user_index.dense(r.user), set()).add(
-            pair.train.item_index.dense(r.item)
-        )
-    return profiles
-
-
 def per_user_lists(s, pair, mode, n):
     """Reference for recommend_all: one score_user + recommend_topn per user."""
-    profiles = train_item_sets(pair)
-    users = sorted({pair.test.user_index.dense(r.user) for r in pair.test.interactions})
+    profiles = item_sets(pair.train)
+    users = sorted(item_sets(pair.test))
     return [
         recommend_topn(score_user(s, profiles.get(u, ()), mode), profiles.get(u, ()), n, user=u)
         for u in users
@@ -224,7 +215,7 @@ def test_recommend_all_crosses_user_blocks():
         for i in rng.sample(range(25), rng.randint(5, 12))  # >= 5: one test row
     ]
     pair = split_holdout(InteractionDataset.from_interactions(rows), SplitConfig(0.8, 7))
-    assert len({r.user for r in pair.test.interactions}) > 2 * recommend.USER_BLOCK
+    assert len(set(pair.test.users.tolist())) > 2 * recommend.USER_BLOCK
     s_full = cosine_similarity(build_matrix(pair.train))
     for s in (s_full, truncate_topk(s_full, 3)):
         for mode in (SUM_ALL, topk_mode(3)):
@@ -260,7 +251,7 @@ def test_property_blocked_kernel_matches_oracles(data):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recommend, "USER_BLOCK", block)
                 assert recommend_all(s, pair, mode, n) == want
-            for profile in train_item_sets(pair).values():
+            for profile in item_sets(pair.train).values():
                 assert score_user(s, profile, mode).tolist() == in_order_scores(
                     dense, profile, mode.kind, mode.k
                 )
@@ -305,11 +296,7 @@ def test_exclusion_and_order_soundness():
         ds = make_implicit_dataset(rng)
         pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 999)))
         s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 5)
-        train_items = {}
-        for r in pair.train.interactions:
-            train_items.setdefault(ds.user_index.dense(r.user), set()).add(
-                ds.item_index.dense(r.item)
-            )
+        train_items = item_sets(pair.train)
         for rl in recommend_all(s, pair, SUM_ALL, 10):
             items = [item for item, _ in rl.entries]
             scores = [score for _, score in rl.entries]
@@ -330,9 +317,9 @@ def test_save_load_recommendations(tmp_path):
     for rl in recs:
         if not rl.entries:
             continue
-        ext_user = ds.user_index.ext(rl.user)
+        ext_user = ds.user_ids[rl.user]
         assert [item for item, _ in loaded[ext_user]] == [
-            ds.item_index.ext(item) for item, _ in rl.entries
+            ds.item_ids[item] for item, _ in rl.entries
         ]
         for (_, got), (_, want) in zip(loaded[ext_user], rl.entries):
             assert got == want  # 17 significant digits round-trip

@@ -4,19 +4,35 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itemknn_bench.errors import ContractError
-from itemknn_bench.ingest import Interaction, InteractionDataset, load_interactions
+from itemknn_bench.ingest import (
+    ImplicitThreshold,
+    Interaction,
+    InteractionDataset,
+    load_interactions,
+    to_implicit,
+)
 from itemknn_bench.split import (
     SplitConfig,
     SplitMix64,
     SplitPair,
     save_split,
     split_holdout,
+    splitmix64_draw,
 )
 
-from conftest import make_implicit_dataset
+from conftest import (
+    as_rows,
+    make_implicit_dataset,
+    oracle_split,
+    oracle_to_implicit,
+    pair_set,
+)
 
 
 def single_user_ds(n: int) -> InteractionDataset:
@@ -74,8 +90,8 @@ def test_seeds_produce_different_memberships():
         for i in rng.sample(range(40), 10):
             rows.append(Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 99))))
     ds = InteractionDataset.from_interactions(rows)
-    t21 = split_holdout(ds, SplitConfig(0.8, 21)).test.pair_set()
-    t42 = split_holdout(ds, SplitConfig(0.8, 42)).test.pair_set()
+    t21 = pair_set(split_holdout(ds, SplitConfig(0.8, 21)).test)
+    t42 = pair_set(split_holdout(ds, SplitConfig(0.8, 42)).test)
     assert t21 != t42
 
 
@@ -85,24 +101,24 @@ def test_partition_and_ceiling_per_user():
         ds = make_implicit_dataset(rng)
         ratio = rng.choice([0.5, 0.8, 1.0])
         pair = split_holdout(ds, SplitConfig(ratio, rng.randint(0, 2**63)))
-        train_pairs = pair.train.pair_set()
-        test_pairs = pair.test.pair_set()
-        assert train_pairs | test_pairs == ds.pair_set()
+        train_pairs = pair_set(pair.train)
+        test_pairs = pair_set(pair.test)
+        assert train_pairs | test_pairs == pair_set(ds)
         assert not (train_pairs & test_pairs)
         # per-user counts: exactly ceil(ratio * n) in train
-        totals = Counter(r.user for r in ds.interactions)
-        trains = Counter(r.user for r in pair.train.interactions)
+        totals = Counter(r[0] for r in as_rows(ds))
+        trains = Counter(r[0] for r in as_rows(pair.train))
         for user, n in totals.items():
             assert trains[user] == math.ceil(ratio * n)
         # no test-only users
-        assert {r.user for r in pair.test.interactions} <= set(trains)
+        assert {r[0] for r in as_rows(pair.test)} <= set(trains)
 
 
 def test_shared_index_universe():
     ds = make_implicit_dataset(random.Random(2))
     pair = split_holdout(ds, SplitConfig(0.8, 84))
-    assert pair.train.user_index is ds.user_index
-    assert pair.test.item_index is ds.item_index
+    assert pair.train.user_ids is ds.user_ids
+    assert pair.test.item_ids is ds.item_ids
 
 
 def test_save_split_round_trips(tmp_path):
@@ -113,10 +129,13 @@ def test_save_split_round_trips(tmp_path):
     loaded = SplitPair.from_datasets(
         load_interactions(train_path), load_interactions(test_path)
     )
-    assert loaded.train.pair_set() == pair.train.pair_set()
-    assert loaded.test.pair_set() == pair.test.pair_set()
+    assert as_rows(loaded.train) == as_rows(pair.train)
+    assert as_rows(loaded.test) == as_rows(pair.test)
     # re-keyed universe covers both sides, train-first
-    assert loaded.train.n_users == len({r.user for r in ds.interactions})
+    assert loaded.train.user_ids is loaded.test.user_ids
+    train_first = [r[0] for r in as_rows(pair.train) + as_rows(pair.test)]
+    assert loaded.train.user_ids == list(dict.fromkeys(train_first))
+    assert loaded.train.n_users == len(set(ds.user_ids))
 
 
 def test_byte_identical_persisted_split(tmp_path):
@@ -126,3 +145,83 @@ def test_byte_identical_persisted_split(tmp_path):
     pb = save_split(split_holdout(ds, SplitConfig(0.8, 21)), b_dir, "x")
     for pth_a, pth_b in zip(pa, pb):
         assert pth_a.read_bytes() == pth_b.read_bytes()
+
+
+def test_vectorised_draws_match_scalar_stream():
+    seeds = [0, 1, 42, 2**63 + 5, 2**64 - 1] + [(u * 0x9E3779B97F4A7C15) % 2**64 ^ 84 for u in range(5)]
+    streams = [SplitMix64(seed) for seed in seeds]
+    as_array = np.array(seeds, dtype=np.uint64)
+    for t in range(1000):
+        want = [rng.next_u64() for rng in streams]
+        assert splitmix64_draw(as_array, t).tolist() == want
+
+
+def golden_dataset() -> InteractionDataset:
+    return InteractionDataset.from_interactions(
+        Interaction(*row)
+        for row in [
+            ("ann", "m3", 1.0, 5.0), ("bob", "m1", 1.0, 2.0), ("ann", "m1", 1.0, 5.0),
+            ("ann", "m7", 1.0, 1.0), ("cat", "m2", 1.0, 9.0), ("bob", "m3", 1.0, 2.0),
+            ("ann", "m2", 1.0, 3.0), ("bob", "m7", 1.0, 0.0), ("ann", "m9", 1.0, 5.0),
+            ("dan", "m1", 1.0, 4.0), ("bob", "m9", 1.0, 7.0), ("ann", "m4", 1.0, 0.5),
+            ("bob", "m2", 1.0, 2.0), ("ann", "m5", 1.0, 8.0), ("ann", "m6", 1.0, 5.0),
+            ("bob", "m4", 1.0, 1.0),
+        ]
+    )
+
+
+# Recorded with the row-at-a-time implementation this module replaced.
+GOLDEN_SPLITS = {
+    (42, 0.8): (
+        "ann m4 0.5, ann m7 1, ann m2 3, ann m3 5, ann m1 5, ann m6 5, ann m5 8, bob m7 0, "
+        "bob m3 2, bob m1 2, bob m2 2, bob m9 7, cat m2 9, dan m1 4",
+        "ann m9 5, bob m4 1",
+    ),
+    (7, 0.5): (
+        "ann m7 1, ann m2 3, ann m1 5, ann m9 5, bob m7 0, bob m4 1, bob m1 2, cat m2 9, dan m1 4",
+        "ann m4 0.5, ann m3 5, ann m6 5, ann m5 8, bob m3 2, bob m2 2, bob m9 7",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed,ratio", sorted(GOLDEN_SPLITS))
+def test_golden_split(seed, ratio):
+    ds = golden_dataset()
+    pair = split_holdout(ds, SplitConfig(ratio, seed))
+    for side, want in zip((pair.train, pair.test), GOLDEN_SPLITS[(seed, ratio)]):
+        assert ", ".join(f"{u} {i} {t:g}" for u, i, _, t in as_rows(side)) == want
+        assert side.user_ids == ["ann", "bob", "cat", "dan"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 9),
+            st.integers(0, 5),
+            st.sampled_from([0.0, -0.0, 1.0, 2.5, 3.0, 100.0]),
+        ),
+        max_size=60,
+    ),
+    ratio=st.floats(0.5, 1.0),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    threshold=st.sampled_from([ImplicitThreshold(2, "gt"), ImplicitThreshold(3, "ge")]),
+)
+def test_property_columnar_layers_match_row_oracles(data, ratio, seeds, threshold):
+    # Small id and timestamp ranges give duplicate pairs with differing
+    # timestamps, equal timestamps, and single-interaction users.
+    # Rows compare by repr, so that -0.0 and 0.0 timestamps differ.
+    raw = [(f"u{u}", f"i{i}", float(r), t) for u, i, r, t in data]
+    implicit = to_implicit(InteractionDataset.from_interactions(raw), threshold)
+    want_rows, want_users, want_items = oracle_to_implicit(raw, threshold.passes)
+    assert repr(as_rows(implicit)) == repr(want_rows)
+    assert implicit.user_ids == want_users
+    assert implicit.item_ids == want_items
+    for seed in seeds:
+        pair = split_holdout(implicit, SplitConfig(ratio, seed))
+        want_train, want_test = oracle_split(want_rows, want_users, want_items, ratio, seed)
+        assert repr(as_rows(pair.train)) == repr(want_train)
+        assert repr(as_rows(pair.test)) == repr(want_test)
+        assert pair.train.user_ids == pair.test.user_ids == want_users
+        assert pair.train.item_ids == pair.test.item_ids == want_items
