@@ -150,6 +150,13 @@ def _cmd_recommend(args) -> int:
     pair = SplitPair.from_datasets(train, _load_test(args))
     if args.matrix:
         s = load_similarity(args.matrix)
+        want_k = args.k if preset.matrix_strategy == STRATEGY_TOPK else None
+        if (s.strategy, s.k) != (preset.matrix_strategy, want_k):
+            raise ContractError(
+                f"{args.matrix} is a {s.strategy} matrix with k={s.k or 0}, but preset "
+                f"{args.preset} with --k {args.k} needs a {preset.matrix_strategy} matrix "
+                f"with k={want_k or 0}"
+            )
     else:
         s = cosine_similarity(build_matrix(pair.train))
         if preset.matrix_strategy == STRATEGY_TOPK:

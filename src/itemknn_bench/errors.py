@@ -2,7 +2,7 @@
 
 
 class SchemaError(ValueError):
-    """A required column is missing from an input file."""
+    """An input file does not follow its format, such as a missing required column."""
 
 
 class RowParseError(ValueError):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError
+from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset
 
 STRATEGY_FULL = "full"
@@ -32,6 +32,13 @@ class SimilarityMatrix:
     ``strategy`` is ``"full"`` (symmetric, every nonzero cosine stored) or
     ``"topk"`` (row i holds only the k largest entries of the full row i,
     ties resolved toward the smaller column index).
+
+    Scoring reads columns, through :meth:`csc`.  A full matrix is its own
+    transpose, so its CSC view reinterprets the CSR arrays in place and
+    copies no values; a top-k matrix is converted once.  The per-row
+    neighbour priorities that profile-topk selects by (:meth:`priorities`)
+    are built on first use.  Both are cached on the matrix itself, so they
+    live exactly as long as it does.
     """
 
     n_items: int
@@ -41,6 +48,7 @@ class SimilarityMatrix:
     strategy: str
     k: int | None = None
     _csc: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
+    _priorities: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
@@ -51,13 +59,41 @@ class SimilarityMatrix:
         return self.cols[lo:hi], self.vals[lo:hi]
 
     def csc(self) -> sp.csc_matrix:
-        """Cached scipy CSC view for fast column gathering during scoring."""
+        """Cached scipy CSC form for fast column gathering during scoring."""
         if self._csc is None:
-            m = sp.csr_matrix(
-                (self.vals, self.cols, self.indptr), shape=(self.n_items, self.n_items)
-            )
-            self._csc = m.tocsc()
+            shape = (self.n_items, self.n_items)
+            if self.strategy == STRATEGY_FULL:
+                # S == S.T: the CSR arrays of S are the CSC arrays of S.
+                self._csc = sp.csc_matrix((self.vals, self.cols, self.indptr), shape=shape)
+            else:
+                self._csc = sp.csr_matrix((self.vals, self.cols, self.indptr), shape=shape).tocsc()
         return self._csc
+
+    def priorities(self) -> sp.csc_matrix:
+        """Cached per-row neighbour priorities, laid out like :meth:`csc`.
+
+        Entry (i, j) is ``nnz_i - r``, with r the rank of j in row i's
+        (-value, j) order: unique within a row, larger is better, at least 1
+        for a stored entry, so an unstored cell (0) ranks below every stored
+        one.  The dtype is the smallest unsigned one that holds ``n_items``
+        (uint16 up to 65535 items), and ``indices``/``indptr`` are those of
+        :meth:`csc`, shared, not copied.
+        """
+        if self._priorities is None:
+            shape = (self.n_items, self.n_items)
+            by_col = sp.csr_matrix(
+                (_row_priorities(self), self.cols, self.indptr), shape=shape
+            ).tocsc()
+            values = self.csc()
+            if not (
+                np.array_equal(by_col.indptr, values.indptr)
+                and np.array_equal(by_col.indices, values.indices)
+            ):
+                raise ContractError("a full matrix must be symmetric")
+            self._priorities = sp.csc_matrix(
+                (by_col.data, values.indices, values.indptr), shape=shape
+            )
+        return self._priorities
 
     def entries_equal(self, other: "SimilarityMatrix") -> bool:
         return (
@@ -66,6 +102,28 @@ class SimilarityMatrix:
             and np.array_equal(self.cols, other.cols)
             and np.array_equal(self.vals, other.vals)
         )
+
+
+# Entries ranked per sort call in _row_priorities; bounds its temporaries.
+RANK_CHUNK = 2**18
+
+
+def _row_priorities(s: SimilarityMatrix) -> np.ndarray:
+    """Priorities of every stored entry, in CSR order (see ``priorities``)."""
+    out = np.empty(s.nnz, dtype=np.min_scalar_type(s.n_items))
+    indptr = s.indptr
+    # Whole rows per chunk, about RANK_CHUNK entries each (a longer row alone).
+    bounds = np.unique(np.searchsorted(indptr, np.arange(0, s.nnz, RANK_CHUNK), side="right") - 1)
+    for r0, r1 in zip(bounds, [*bounds[1:], s.n_items]):
+        lo, hi = indptr[r0], indptr[r1]
+        rows = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0 : r1 + 1]))
+        # Stable: equal values keep ascending column order within a row.
+        order = np.lexsort((-s.vals[lo:hi], rows))
+        # The t-th entry of the sorted chunk sits in row rows[t] (rows is
+        # already grouped), at rank t - start; its priority is end - t.
+        ends = indptr[r0 + 1 : r1 + 1] - lo
+        out[lo + order] = ends[rows] - np.arange(hi - lo)
+    return out
 
 
 def build_matrix(train: InteractionDataset) -> sp.csr_matrix:
@@ -167,34 +225,84 @@ def save_similarity(s: SimilarityMatrix, path: str | Path) -> Path:
 
 
 def load_similarity(path: str | Path) -> SimilarityMatrix:
-    """Read a matrix written by :func:`save_similarity`."""
+    """Read a matrix written by :func:`save_similarity`, checking what it promises.
+
+    Raises ``SchemaError``, with the 1-based line number where there is one,
+    for a bad header or row, an index outside ``[0, items)``, entries out of
+    ascending (row, column) order or repeated, a value that is not finite and
+    positive, a top-k row longer than k, and a full matrix that is not
+    symmetric.  Scoring relies on each of these.
+    """
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         header = fh.readline().strip()
-        fields = dict(part.split("=", 1) for part in header.split())
-        n_items = int(fields["items"])
-        strategy = fields["strategy"]
-        k = int(fields.get("k", 0)) or None
-        if strategy not in (STRATEGY_FULL, STRATEGY_TOPK):
-            raise ValueError(f"{path}: unknown strategy {strategy!r}")
+        fields = dict(part.partition("=")[::2] for part in header.split())
+        try:
+            n_items, strategy, k = int(fields["items"]), fields["strategy"], int(fields.get("k", 0))
+        except (KeyError, ValueError):
+            n_items, strategy, k = 0, None, 0
+        kinds_ok = (strategy == STRATEGY_FULL and k == 0) or (strategy == STRATEGY_TOPK and k >= 1)
+        if not (kinds_ok and 1 <= n_items < 2**31):
+            raise SchemaError(
+                f"{path}: line 1: bad header {header!r}, want items=<n> strategy=full k=0 "
+                f"or items=<n> strategy=topk k=<k >= 1>, with 1 <= n < 2**31"
+            )
 
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for line in fh:
-            r, c, v = line.rstrip("\n").split("\t")
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(float(v))
+        for line_no, line in enumerate(fh, start=2):
+            try:
+                r, c, v = line.rstrip("\n").split("\t")
+                r, c, v = int(r), int(c), float(v)
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: line {line_no}: want row<TAB>col<TAB>value, got {line.rstrip()!r}"
+                ) from None
+            if not (0 <= r < n_items and 0 <= c < n_items):
+                raise SchemaError(
+                    f"{path}: line {line_no}: entry ({r}, {c}) is outside [0, {n_items})"
+                )
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
 
-    indptr = np.zeros(n_items + 1, dtype=np.int64)
-    np.add.at(indptr, np.asarray(rows, dtype=np.int64) + 1, 1)
-    indptr = np.cumsum(indptr)
+    rows_a = np.asarray(rows, dtype=np.int64)
+    cols_a = np.asarray(cols, dtype=np.int64)
+    vals_a = np.asarray(vals, dtype=np.float64)
+
+    def check(bad: np.ndarray, message) -> None:
+        (at,) = np.nonzero(bad)
+        if len(at):
+            t = int(at[0])
+            raise SchemaError(
+                f"{path}: line {t + 2}: entry ({rows[t]}, {cols[t]}) = {vals[t]!r} {message(t)}"
+            )
+
+    check(~(np.isfinite(vals_a) & (vals_a > 0.0)), lambda t: "is not finite and positive")
+    key = rows_a * n_items + cols_a  # below 2**62
+    check(np.diff(key, prepend=-1) <= 0,
+          lambda t: f"does not follow ({rows[t - 1]}, {cols[t - 1]}): entries ascend by "
+                    f"row, then column, without repeats")
+
+    counts = np.bincount(rows_a, minlength=n_items)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    if strategy == STRATEGY_TOPK:
+        past_k = np.zeros(len(key), dtype=bool)
+        past_k[indptr[:-1][counts > k] + k] = True
+        check(past_k, lambda t: f"is past the k={k} entries a topk row may hold")
+    else:
+        mirror = cols_a * n_items + rows_a
+        at = np.minimum(np.searchsorted(key, mirror), max(len(key) - 1, 0))
+        check((key[at] != mirror) | (vals_a[at] != vals_a),
+              lambda t: f"has no equal entry ({cols[t]}, {rows[t]}): a full matrix is symmetric")
+
     return SimilarityMatrix(
         n_items=n_items,
         indptr=indptr.astype(np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        vals=np.asarray(vals, dtype=np.float64),
+        cols=cols_a,
+        vals=vals_a,
         strategy=strategy,
-        k=k,
+        k=k or None,
     )
+

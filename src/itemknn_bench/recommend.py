@@ -24,22 +24,33 @@ How each mode is computed:
   adds ``1.0 * S[i, j]`` into candidate i's accumulator, which starts at
   0.0: the same addends, in the same order, as the contract.  The tests pin
   this against an in-order oracle instead of assuming it.
-* ``profile-topk`` gathers the dense block S[:, P] (items x |P|, columns in
-  ascending j).  Only rows with more than k nonzeros need a selection.  On
-  those, ``np.partition`` finds the k-th largest value t; every value above
-  t is kept, and of the values equal to t the first k - #above in ascending
-  j, which is exactly the first k of the (-value, j) order.  The rest are
-  zeroed, and the columns are added one at a time in ascending j.  On a
-  top-k matrix no row has more than k nonzeros, so nothing is zeroed and the
-  column sum adds what the product adds: the equality with ``sum-all`` is
-  observed, not routed.
+* ``profile-topk`` gathers the sparse columns S[:, P] (ascending j, rows
+  ascending within a column).  It selects by a per-row neighbour priority
+  (:meth:`knn.SimilarityMatrix.priorities`): for row i, j's priority is
+  nnz_i minus j's rank in row i's (-value, j) order, an integer that is
+  unique within the row, larger for a better neighbour, and 0 for an
+  unstored cell.  The priorities of the same cells are laid out as a dense
+  items x |P| block of small unsigned integers; ``np.partition`` finds each
+  row's k-th largest priority t, and a cell is kept when its priority is at
+  least t (a row with fewer than k stored cells has t = 0 and keeps them
+  all).  Priorities are unique, so exactly the first k of the (-value, j)
+  order survive: no value ties are left to repair.  The other values are
+  multiplied by 0.0.  ``np.bincount`` then adds the cells into the
+  candidates' accumulators, which start at 0.0, in gather order: per
+  candidate, ascending j, as the contract says.  When every row of S holds
+  at most k entries, as on a top-k matrix, there is nothing to select, and
+  neither priorities nor the dense block are built; the cells are summed
+  as gathered.  So on a top-k matrix the two modes add the same addends by
+  two separate code paths, and their equality is observed, not routed.
+  The tests pin both accumulation orders against an in-order oracle.
 
 :func:`recommend_all` scores the evaluated users in blocks of
 ``USER_BLOCK`` rows.  A block's product holds at most
 ``USER_BLOCK x n_items`` entries whatever the number of users, so memory
 stays bounded where the whole users x items product (8.8M entries, about
-100 MB, at 1M ratings) would not; no dense users x items or items x items
-array is ever built.
+100 MB, at 1M ratings) would not; no dense users x items array is ever
+built.  The one dense array profile-topk builds is one user's items x |P|
+priority block, 2 bytes a cell up to 65535 items.
 
 Top-N keeps the candidates whose score is at least the n-th largest
 (``np.partition``), then orders only those by score descending, item
@@ -114,30 +125,17 @@ class RecommendationList:
     entries: list[tuple[int, float]]
 
 
-def _profile_topk(s: SimilarityMatrix, profile: np.ndarray, k: int) -> np.ndarray:
+def _profile_topk(s: SimilarityMatrix, profile: np.ndarray, k: int, select: bool) -> np.ndarray:
     """Profile-topk scores of every item for one sorted, unique profile."""
-    gathered = s.csc()[:, profile].toarray()  # (n_items, |profile|), ascending j
-    width = gathered.shape[1]
-    if k < width:
-        (rows,) = np.nonzero(np.count_nonzero(gathered, axis=1) > k)
-        block = gathered[rows]
-        kth = np.partition(block, width - k, axis=1)[:, width - k, None]
-        np.putmask(block, block < kth, 0.0)
-        # Rows still holding more than k values have surplus ties at kth:
-        # keep the first ones in ascending j, up to k values in all.
-        (tied,) = np.nonzero(np.count_nonzero(block, axis=1) > k)
-        sub, t = block[tied], kth[tied]
-        ties = sub == t
-        room = k - np.count_nonzero(sub > t, axis=1, keepdims=True)
-        np.putmask(sub, ties & (np.cumsum(ties, axis=1) > room), 0.0)
-        block[tied] = sub
-        gathered[rows] = block
-
-    # One column at a time keeps each candidate's sum sequential in ascending j.
-    scores = np.zeros(s.n_items, dtype=np.float64)
-    for idx in range(width):
-        scores += gathered[:, idx]
-    return scores
+    gathered = s.csc()[:, profile]  # columns in ascending j
+    rows, vals = gathered.indices, gathered.data
+    width = len(profile)
+    if select and k < width:
+        priorities = s.priorities()[:, profile]  # the same cells, in the same order
+        kth = np.partition(priorities.toarray(), width - k, axis=1)[:, width - k]
+        vals = vals * (priorities.data >= kth.take(rows))  # x * 1.0 and x * 0.0 are exact
+    # Adds the cells in gather order: per candidate, ascending j from 0.0.
+    return np.bincount(rows, weights=vals, minlength=s.n_items)
 
 
 def _score_rows(s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode) -> Iterator[np.ndarray]:
@@ -147,8 +145,11 @@ def _score_rows(s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode) -> Ite
     sorted by item index.
     """
     if mode.kind == SCORING_PROFILE_TOPK:
+        # A matrix whose rows all hold <= k entries leaves nothing to select.
+        select = int(np.diff(s.indptr).max(initial=0)) > mode.k
         for r in range(x.shape[0]):
-            yield _profile_topk(s, x.indices[x.indptr[r] : x.indptr[r + 1]], mode.k)
+            profile = x.indices[x.indptr[r] : x.indptr[r + 1]]
+            yield _profile_topk(s, profile, mode.k, select)
         return
     product = x @ s.csc().T
     for r in range(x.shape[0]):

@@ -236,3 +236,60 @@ def test_empty_test_file_exits_tagged(chain_split, command, capsys):
     err = capsys.readouterr().err
     assert f"error [{command}]" in err and "no test interactions" in err
     assert not (out / "empty").exists()
+
+
+def trained_matrix(chain_split, capsys, strategy, k=3):
+    out, train_path, _ = chain_split
+    run_cli("train", "--data", train_path, "--strategy", strategy, "--k", k, "--out", out)
+    return capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize(
+    "strategy, preset, k",
+    [("full", "recbole", 1), ("full", "lenskit-adjusted", 3), ("topk", "lenskit-original", 3),
+     ("topk", "recbole", 2)],
+)
+def test_recommend_refuses_matrix_that_does_not_fit_preset(chain_split, capsys, strategy, preset, k):
+    out, train_path, test_path = chain_split
+    matrix_path = trained_matrix(chain_split, capsys, strategy)
+    rc = run_cli(
+        "recommend", "--train", train_path, "--test", test_path, "--matrix", matrix_path,
+        "--preset", preset, "--k", k, "--out", out / "misfit",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [recommend]" in err and f"preset {preset} with --k {k} needs" in err
+    assert not (out / "misfit").exists()
+
+
+def test_recommend_accepts_fitting_full_matrix(chain_split, capsys):
+    out, train_path, test_path = chain_split
+    matrix_path = trained_matrix(chain_split, capsys, "full")
+    assert run_cli(
+        "recommend", "--train", train_path, "--test", test_path, "--matrix", matrix_path,
+        "--preset", "lenskit-original", "--k", "3", "--out", out / "fit",
+    ) == 0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines + ["999\t0\t0.5"], "line {n}: entry (999, 0)"),  # row past items
+        (lambda lines: lines + [lines[-1]], "line {n}: entry"),  # duplicate last entry
+        (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], "line 3: entry"),  # unsorted
+    ],
+    ids=["row-past-items", "duplicate", "unsorted"],
+)
+def test_recommend_refuses_malformed_matrix(chain_split, capsys, edit, message):
+    out, train_path, test_path = chain_split
+    matrix_path = trained_matrix(chain_split, capsys, "full")
+    lines = edit(open(matrix_path, encoding="utf-8").read().splitlines())
+    with open(matrix_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc = run_cli(
+        "recommend", "--train", train_path, "--test", test_path, "--matrix", matrix_path,
+        "--preset", "lenskit-original", "--k", "3", "--out", out / "bad",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error [recommend]" in err and message.format(n=len(lines)) in err

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
 
-from itemknn_bench.errors import ContractError
+from itemknn_bench import knn
+from itemknn_bench.errors import ContractError, SchemaError
 from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import (
     STRATEGY_FULL,
@@ -201,3 +204,103 @@ def test_save_header_format(tmp_path):
     path = save_similarity(truncate_topk(s, 1), tmp_path / "m.tsv")
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "items=2 strategy=topk k=1"
+
+
+def test_full_csc_is_a_view_of_the_csr_arrays():
+    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(43))))
+    assert s.strategy == STRATEGY_FULL
+    assert np.shares_memory(s.csc().data, s.vals)
+    assert np.array_equal(s.csc().toarray(), np.array(to_dense(s)))
+    topk = truncate_topk(s, 2)
+    assert np.array_equal(topk.csc().toarray(), np.array(to_dense(topk)))
+
+
+def test_priorities_rank_each_row():
+    # Row 0 in (-value, j) order: col 3 (0.9), col 1, col 2 (0.5 tie, smaller j first).
+    s = sim_from_dense(
+        [[0.0, 0.5, 0.5, 0.9], [0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.2], [0.9, 0.0, 0.2, 0.0]]
+    )
+    prio = s.priorities()
+    assert prio.dtype == np.uint8
+    assert prio.toarray().tolist() == [[0, 2, 1, 3], [1, 0, 0, 0], [2, 0, 0, 1], [2, 0, 1, 0]]
+    assert np.shares_memory(prio.indices, s.csc().indices)
+    assert s.priorities() is prio  # cached
+
+
+def test_priorities_dtype_holds_n_items():
+    s = sim_from_dense([[0.0] * 300 for _ in range(300)], strategy=STRATEGY_TOPK, k=1)
+    assert s.priorities().dtype == np.uint16
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_priorities_independent_of_rank_chunk(chunk):
+    rng = random.Random(chunk)
+    values = (0.1, 0.3, 0.3, 0.7)
+    cell = lambda: rng.choice(values) if rng.random() < 0.6 else 0.0  # noqa: E731
+    dense = [[cell() for _ in range(9)] for _ in range(9)]  # rows longer than some chunks
+    dense[4] = [0.0] * 9  # an empty row
+    want = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knn, "RANK_CHUNK", chunk)
+        got = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
+    assert np.array_equal(got, want)
+
+
+def test_priorities_refuse_asymmetric_full_matrix():
+    s = sim_from_dense([[0.0, 0.5], [0.0, 0.0]])  # labelled full, but not symmetric
+    with pytest.raises(ContractError):
+        s.priorities()
+
+
+def test_priority_cache_dies_with_its_matrix():
+    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(47))))
+    s.priorities()
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
+
+
+FULL3, TOPK3 = "items=3 strategy=full k=0", "items=3 strategy=topk k=2"
+
+
+@pytest.mark.parametrize(
+    "header, body, line",
+    [
+        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.5\n3\t0\t0.5\n", 4, id="row-past-items"),
+        pytest.param(TOPK3, "0\t3\t0.5\n", 2, id="col-past-items"),
+        pytest.param(TOPK3, "-1\t0\t0.5\n", 2, id="negative-row"),
+        pytest.param(TOPK3, "0\t1\t0.5\n0\t1\t0.5\n", 3, id="duplicate"),
+        pytest.param(TOPK3, "0\t2\t0.5\n0\t1\t0.4\n", 3, id="unsorted-cols"),
+        pytest.param(TOPK3, "1\t0\t0.5\n0\t1\t0.4\n", 3, id="unsorted-rows"),
+        pytest.param(TOPK3, "0\t1\t0\n", 2, id="zero"),
+        pytest.param(TOPK3, "0\t1\t0.5\n0\t2\t-0.5\n", 3, id="negative"),
+        pytest.param(TOPK3, "0\t1\tnan\n", 2, id="nan"),
+        pytest.param(TOPK3, "0\t1\tinf\n", 2, id="inf"),
+        pytest.param(
+            "items=3 strategy=topk k=1", "0\t1\t0.5\n0\t2\t0.4\n", 3, id="topk-row-past-k"
+        ),
+        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.25\n", 2, id="mirror-differs"),
+        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.5\n1\t2\t0.5\n", 4, id="no-mirror"),
+        pytest.param(FULL3, "0\t1\n", 2, id="short-row"),
+        pytest.param(FULL3, "0\tx\t0.5\n", 2, id="bad-integer"),
+        pytest.param("items=3 strategy=topk k=0", "", 1, id="topk-k0"),
+        pytest.param("items=3 strategy=full k=2", "", 1, id="full-with-k"),
+        pytest.param("items=0 strategy=full k=0", "", 1, id="no-items"),
+        pytest.param("items=x strategy=full k=0", "", 1, id="bad-items"),
+        pytest.param("items=3 strategy=dense k=0", "", 1, id="bad-strategy"),
+        pytest.param("", "", 1, id="empty-file"),
+    ],
+)
+def test_load_similarity_refuses_malformed_files(tmp_path, header, body, line):
+    path = tmp_path / "m.sim.tsv"
+    path.write_text(header + "\n" + body, encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"line {line}:"):
+        load_similarity(path)
+
+
+def test_load_similarity_header_k_defaults_to_zero(tmp_path):
+    path = tmp_path / "m.sim.tsv"
+    path.write_text("items=2 strategy=full\n0\t1\t0.5\n1\t0\t0.5\n", encoding="utf-8")
+    s = load_similarity(path)
+    assert (s.n_items, s.strategy, s.k, s.nnz) == (2, STRATEGY_FULL, None, 2)

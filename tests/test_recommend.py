@@ -166,7 +166,9 @@ def test_scoring_matches_dense_oracle_both_modes():
 def test_sum_all_adds_in_ascending_j():
     # (0.1 + 0.2) + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit: the
     # sparse product must add in ascending j, as the contract says.
-    s = sim_from_dense([[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4])
+    s = sim_from_dense(
+        [[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4], strategy=STRATEGY_TOPK, k=4
+    )
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert score_user(s, [1, 2, 3], SUM_ALL)[0] == (0.1 + 0.2) + 0.3
     assert score_user(s, [1, 2, 3], topk_mode(3))[0] == (0.1 + 0.2) + 0.3
@@ -184,7 +186,7 @@ def test_score_user_tie_heavy_exact():
     for _ in range(40):
         n = rng.randint(3, 12)
         dense = tie_heavy_matrix(rng, n)
-        s = sim_from_dense(dense)
+        s = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=n)  # asymmetric
         profile = set(rng.sample(range(n), rng.randint(1, n)))
         for k in range(1, len(profile) + 3):  # k < |P|, k = |P| and k > |P|
             got = score_user(s, profile, topk_mode(k))
@@ -195,6 +197,32 @@ def test_score_user_tie_heavy_exact():
         descending = [sum(sorted((row[j] for j in profile), reverse=True)) for row in dense]
         order_matters |= want != descending
     assert order_matters  # the oracle's summation order is actually exercised
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_profile_topk_tie_heavy(data):
+    """Profile-topk == the in-order oracle on tie-heavy matrices, every k to past |P|.
+
+    Symmetric matrices are scored as full ones, through the CSC view of their
+    CSR arrays; the others as top-k matrices.  The k range puts the longest
+    matrix row both above and at or below k, so selection runs and is skipped.
+    """
+    n = data.draw(st.integers(1, 9), label="n")
+    values = (0.0, 0.0, 0.1, 0.2, 0.3, 0.3, 0.7, 0.7)
+    flat = data.draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))
+    dense = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if data.draw(st.booleans(), label="symmetric"):
+        dense = [[dense[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        s = sim_from_dense(dense)
+    else:
+        s = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=n)
+    profile = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="profile")
+    for k in range(1, len(profile) + 3):
+        got = score_user(s, profile, topk_mode(k))
+        assert got.tolist() == in_order_scores(dense, profile, "profile-topk", k)
+    for j in range(n):  # single-item profiles: the column itself
+        assert score_user(s, [j], topk_mode(1)).tolist() == [row[j] for row in dense]
 
 
 def per_user_lists(s, pair, mode, n):
