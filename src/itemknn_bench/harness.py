@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration and report emission.
 
-An experiment runs, per seed: load -> implicit conversion -> holdout split ->
-user-item matrix -> full cosine matrix (computed once and shared) -> per
-preset: optional top-k truncation, recommendation, and one evaluation per
-IDCG mode.  Results are fully deterministic for a fixed config, and the JSON
-report is canonical (sorted keys, repr floats), so identical configs emit
-byte-identical files.
+An experiment loads the data and converts it to implicit feedback once, then
+runs, per seed: holdout split -> user-item matrix -> full cosine matrix ->
+top-k truncation (once, shared by the top-k presets, and only if one runs) ->
+per preset: recommendation and one evaluation per IDCG mode.  Results are
+fully deterministic for a fixed config, and the JSON report is canonical
+(sorted keys, repr floats), so identical configs emit byte-identical files.
 
 Wall-clock timings are collected but written to a separate ``timings.json``:
 they vary run to run and would break the byte-identical report guarantee.

@@ -13,7 +13,9 @@ an item never supports its own score, and exact zeros are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +32,8 @@ class SimilarityMatrix:
     """Item-item similarities in CSR arrays; rows sorted by column index.
 
     ``strategy`` is ``"full"`` (symmetric, every nonzero cosine stored) or
-    ``"topk"`` (row i holds only the k largest entries of the full row i,
-    ties resolved toward the smaller column index).
+    ``"topk"`` (row i holds only the first k entries of the full row i in
+    :func:`neighbour_orders`).
 
     Scoring reads columns, through :meth:`csc`.  A full matrix is its own
     transpose, so its CSC view reinterprets the CSR arrays in place and
@@ -73,17 +75,19 @@ class SimilarityMatrix:
         """Cached per-row neighbour priorities, laid out like :meth:`csc`.
 
         Entry (i, j) is ``nnz_i - r``, with r the rank of j in row i's
-        (-value, j) order: unique within a row, larger is better, at least 1
-        for a stored entry, so an unstored cell (0) ranks below every stored
-        one.  The dtype is the smallest unsigned one that holds ``n_items``
-        (uint16 up to 65535 items), and ``indices``/``indptr`` are those of
-        :meth:`csc`, shared, not copied.
+        :func:`neighbour_orders`: unique within a row, larger is better, at
+        least 1 for a stored entry, so an unstored cell (0) ranks below every
+        stored one.  The dtype is the smallest unsigned one that holds
+        ``n_items`` (uint16 up to 65535 items), and ``indices``/``indptr`` are
+        those of :meth:`csc`, shared, not copied.
         """
         if self._priorities is None:
             shape = (self.n_items, self.n_items)
-            by_col = sp.csr_matrix(
-                (_row_priorities(self), self.cols, self.indptr), shape=shape
-            ).tocsc()
+            ranked = np.empty(self.nnz, dtype=np.min_scalar_type(self.n_items))
+            descending = np.arange(self.n_items, 0, -1, dtype=ranked.dtype)
+            for row, order in neighbour_orders(self):
+                ranked[row][order] = descending[self.n_items - len(order) :]  # nnz_i, ..., 1
+            by_col = sp.csr_matrix((ranked, self.cols, self.indptr), shape=shape).tocsc()
             values = self.csc()
             if not (
                 np.array_equal(by_col.indptr, values.indptr)
@@ -104,26 +108,20 @@ class SimilarityMatrix:
         )
 
 
-# Entries ranked per sort call in _row_priorities; bounds its temporaries.
-RANK_CHUNK = 2**18
+def neighbour_orders(s: SimilarityMatrix) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each row's stored entries, best neighbour first: the one neighbour order.
 
-
-def _row_priorities(s: SimilarityMatrix) -> np.ndarray:
-    """Priorities of every stored entry, in CSR order (see ``priorities``)."""
-    out = np.empty(s.nnz, dtype=np.min_scalar_type(s.n_items))
-    indptr = s.indptr
-    # Whole rows per chunk, about RANK_CHUNK entries each (a longer row alone).
-    bounds = np.unique(np.searchsorted(indptr, np.arange(0, s.nnz, RANK_CHUNK), side="right") - 1)
-    for r0, r1 in zip(bounds, [*bounds[1:], s.n_items]):
-        lo, hi = indptr[r0], indptr[r1]
-        rows = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0 : r1 + 1]))
-        # Stable: equal values keep ascending column order within a row.
-        order = np.lexsort((-s.vals[lo:hi], rows))
-        # The t-th entry of the sorted chunk sits in row rows[t] (rows is
-        # already grouped), at rank t - start; its priority is end - t.
-        ends = indptr[r0 + 1 : r1 + 1] - lo
-        out[lo + order] = ends[rows] - np.arange(hi - lo)
-    return out
+    Row i's neighbours are ranked by (-value, j): larger similarity first,
+    and among equal values the smaller column index j first.  Yields, row
+    by row, row i's slice of ``s.cols``/``s.vals`` and the positions within
+    that slice in this order.  Rows are stored in ascending j, so a stable
+    sort on -value alone keeps equal values in ascending j.  Top-k truncation
+    keeps the first k of each row's order, and profile-topk's priorities are
+    ranks in it.
+    """
+    indptr = s.indptr.tolist()
+    for lo, hi in zip(indptr[:-1], indptr[1:]):
+        yield slice(lo, hi), np.argsort(-s.vals[lo:hi], kind="stable")
 
 
 def build_matrix(train: InteractionDataset) -> sp.csr_matrix:
@@ -167,13 +165,14 @@ def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
 
 
 def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
-    """Keep the k largest entries of every row; values unchanged.
+    """Keep the first k entries of each row's :func:`neighbour_orders`.
 
-    Value ties are resolved toward the smaller column index, which makes the
-    kept set unique.  Truncation nests: the top k' of a top-k matrix equals
-    the top k' of the full matrix whenever k' <= k, so re-truncating at the
-    same or a smaller k is allowed (and idempotent); a larger k is refused
-    because the discarded entries are gone.
+    Values are unchanged, the kept set is unique, and rows stay in ascending
+    column order.
+    Truncation nests: the top k' of a top-k matrix equals the top k' of the
+    full matrix whenever k' <= k, so re-truncating at the same or a smaller
+    k is allowed (and idempotent); a larger k is refused because the
+    discarded entries are gone.
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
@@ -183,25 +182,16 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
             f"the stored k are no longer available"
         )
 
+    keep = np.zeros(s.nnz, dtype=bool)
+    for row, order in neighbour_orders(s):
+        keep[row][order[:k]] = True
     indptr = np.zeros(s.n_items + 1, dtype=np.int64)
-    kept_cols: list[np.ndarray] = []
-    kept_vals: list[np.ndarray] = []
-    for i in range(s.n_items):
-        cols, vals = s.row(i)
-        if len(cols) > k:
-            # lexsort: primary key last; descending value, then ascending column.
-            order = np.lexsort((cols, -vals))[:k]
-            order.sort()  # back to ascending column for CSR storage
-            cols, vals = cols[order], vals[order]
-        kept_cols.append(cols)
-        kept_vals.append(vals)
-        indptr[i + 1] = indptr[i] + len(cols)
-
+    np.cumsum(np.minimum(np.diff(s.indptr), k), out=indptr[1:])
     return SimilarityMatrix(
         n_items=s.n_items,
         indptr=indptr,
-        cols=np.concatenate(kept_cols) if kept_cols else np.zeros(0, dtype=np.int64),
-        vals=np.concatenate(kept_vals) if kept_vals else np.zeros(0, dtype=np.float64),
+        cols=s.cols[keep],
+        vals=s.vals[keep],
         strategy=STRATEGY_TOPK,
         k=k,
     )
@@ -219,8 +209,7 @@ def save_similarity(s: SimilarityMatrix, path: str | Path) -> Path:
         fh.write(f"items={s.n_items} strategy={s.strategy} k={s.k or 0}\n")
         for i in range(s.n_items):
             cols, vals = s.row(i)
-            for c, v in zip(cols, vals):
-                fh.write(f"{i}\t{c}\t{v:.17g}\n")
+            fh.writelines(map("{}\t{}\t{:.17g}\n".format, repeat(i), cols.tolist(), vals.tolist()))
     return path
 
 

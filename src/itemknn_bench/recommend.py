@@ -5,8 +5,9 @@ train items) and a similarity matrix S whose row i holds the neighbours of
 candidate item i, every item i gets a score:
 
 * ``sum-all``: score(i) = the sum of S[i, j] over j in P.
-* ``profile-topk``: score(i) = the sum of the k largest values among
-  {S[i, j] : j in P}, value ties resolved toward the smaller j.
+* ``profile-topk``: score(i) = the sum of the values S[i, j] of the first
+  k items j in P along row i's neighbour order
+  (:func:`knn.neighbour_orders`).
 
 In both modes the selected addends are summed left to right in ascending j,
 starting from 0.0.  Stored similarities are positive, and adding 0.0 in
@@ -27,13 +28,13 @@ How each mode is computed:
 * ``profile-topk`` gathers the sparse columns S[:, P] (ascending j, rows
   ascending within a column).  It selects by a per-row neighbour priority
   (:meth:`knn.SimilarityMatrix.priorities`): for row i, j's priority is
-  nnz_i minus j's rank in row i's (-value, j) order, an integer that is
+  nnz_i minus j's rank in row i's neighbour order, an integer that is
   unique within the row, larger for a better neighbour, and 0 for an
   unstored cell.  The priorities of the same cells are laid out as a dense
   items x |P| block of small unsigned integers; ``np.partition`` finds each
   row's k-th largest priority t, and a cell is kept when its priority is at
   least t (a row with fewer than k stored cells has t = 0 and keeps them
-  all).  Priorities are unique, so exactly the first k of the (-value, j)
+  all).  Priorities are unique, so exactly the first k of the neighbour
   order survive: no value ties are left to repair.  The other values are
   multiplied by 0.0.  ``np.bincount`` then adds the cells into the
   candidates' accumulators, which start at 0.0, in gather order: per
@@ -65,6 +66,7 @@ Named presets pair a matrix strategy with a scoring mode:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -245,13 +247,43 @@ def save_recommendations(
 def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a dump back as external-id lists, preserving rank order.
 
-    Raises ``SchemaError`` for a file without a header row."""
+    Raises ``SchemaError``, with the 1-based line number where there is one,
+    for a file without a header row, a row that is not four tab-separated
+    fields, a rank that is not the next one of its user's list (1, 2, ...),
+    a score that is not a finite number, and an item repeated within one
+    user's list.  Evaluation relies on each of these.
+    """
     path = Path(path)
     out: dict[str, list[tuple[str, float]]] = {}
+    seen: dict[str, set[str]] = {}
     with path.open(encoding="utf-8") as fh:
         if not fh.readline():
             raise SchemaError(f"{path}: empty file, header row required")
-        for line in fh:
-            user, _rank, item, score = line.rstrip("\n").split("\t")
-            out.setdefault(user, []).append((item, float(score)))
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise SchemaError(
+                    f"{path}: line {line_no}: want user<TAB>rank<TAB>item<TAB>score, "
+                    f"got {line.rstrip()!r}"
+                )
+            user, rank, item, score = fields
+            entries = out.setdefault(user, [])
+            items = seen.setdefault(user, set())
+            if rank != str(len(entries) + 1):
+                raise SchemaError(
+                    f"{path}: line {line_no}: rank {rank!r} of user {user!r} is not "
+                    f"{len(entries) + 1}, the next rank of that user's list"
+                )
+            try:
+                value = float(score)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}: line {line_no}: score {score!r} is not a finite number")
+            if item in items:
+                raise SchemaError(
+                    f"{path}: line {line_no}: item {item!r} is already in user {user!r}'s list"
+                )
+            items.add(item)
+            entries.append((item, value))
     return out

@@ -148,6 +148,22 @@ def dense_truncate_oracle(sim: list[list[float]], k: int) -> list[list[float]]:
     return out
 
 
+def dense_priority_oracle(sim: list[list[float]]) -> list[list[int]]:
+    """Per-row neighbour priorities: nnz_i minus j's rank in row i's (-value, j) order.
+
+    An unstored (zero) cell gets 0.
+    """
+    n = len(sim)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        ranked = sorted(
+            (j for j in range(n) if sim[i][j] > 0.0), key=lambda j: (-sim[i][j], j)
+        )
+        for rank, j in enumerate(ranked):
+            out[i][j] = len(ranked) - rank
+    return out
+
+
 def brute_scores(
     sim: list[list[float]], profile: set[int], kind: str, k: int | None = None
 ) -> list[float]:

@@ -293,3 +293,40 @@ def test_recommend_refuses_malformed_matrix(chain_split, capsys, edit, message):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error [recommend]" in err and message.format(n=len(lines)) in err
+
+
+def _field(line, at, value):
+    fields = line.split("\t")
+    fields[at] = value
+    return "\t".join(fields)
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda lines: lines[:2] + [lines[2].rsplit("\t", 1)[0]] + lines[3:], 3),  # 3 fields
+        (lambda lines: lines[:2] + [lines[2] + "\textra"] + lines[3:], 3),  # 5 fields
+        (lambda lines: lines[:2] + [_field(lines[2], 1, "3")] + lines[3:], 3),  # rank skips 2
+        (lambda lines: lines[:1] + [_field(lines[1], 1, "0")] + lines[2:], 2),  # rank 0
+        (lambda lines: lines[:2] + [_field(lines[2], 3, "nan")] + lines[3:], 3),  # not finite
+        (lambda lines: lines[:2] + [_field(lines[2], 3, "high")] + lines[3:], 3),  # not a number
+        # The first user's second row repeats the first row's item.
+        (lambda lines: lines[:2] + [_field(lines[2], 2, lines[1].split("\t")[2])] + lines[3:], 3),
+    ],
+    ids=["short-row", "long-row", "rank-gap", "rank-zero", "nan-score", "text-score",
+         "repeated-item"],
+)
+def test_evaluate_refuses_malformed_recs(chain_split, capsys, edit, line):
+    out, train_path, test_path = chain_split
+    run_cli(
+        "recommend", "--train", train_path, "--test", test_path,
+        "--preset", "recbole", "--k", "3", "--topn", "5", "--out", out,
+    )
+    recs_path = capsys.readouterr().out.strip()
+    lines = open(recs_path, encoding="utf-8").read().splitlines()
+    assert lines[1].split("\t")[:2] == lines[2].split("\t")[:1] + ["1"]  # one user's ranks 1, 2
+    with open(recs_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+    assert run_cli("evaluate", "--recs", recs_path, "--test", test_path) == 2
+    err = capsys.readouterr().err
+    assert "error [evaluate]" in err and f"line {line}:" in err

@@ -6,8 +6,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from itemknn_bench import knn
 from itemknn_bench.errors import ContractError, SchemaError
 from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import (
@@ -21,7 +22,12 @@ from itemknn_bench.knn import (
     truncate_topk,
 )
 
-from conftest import dense_cosine_oracle, dense_truncate_oracle, make_implicit_dataset
+from conftest import (
+    dense_cosine_oracle,
+    dense_priority_oracle,
+    dense_truncate_oracle,
+    make_implicit_dataset,
+)
 
 
 def ds_from_pairs(pairs):
@@ -179,6 +185,26 @@ def test_truncate_idempotent_and_monotone():
         assert kept_k <= kept_k1
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_truncate_tie_heavy(data):
+    """truncate_topk == the dense oracle for every k to past the longest row,
+    and re-truncating the top-k matrix at any k2 <= k equals truncating the
+    full matrix at k2."""
+    n = data.draw(st.integers(1, 9), label="n")
+    values = (0.0, 0.0, 0.1, 0.3, 0.3, 0.7)
+    upper = data.draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n))
+    # Symmetric with a zero diagonal, as a full matrix is.
+    dense = [[upper[min(i, j) * n + max(i, j)] if i != j else 0.0 for j in range(n)]
+             for i in range(n)]
+    s = sim_from_dense(dense)
+    for k in range(1, int(np.diff(s.indptr).max()) + 2):
+        topk = truncate_topk(s, k)
+        assert topk.entries_equal(sim_from_dense(dense_truncate_oracle(dense, k)))
+        for k2 in range(1, k + 1):
+            assert truncate_topk(topk, k2).entries_equal(truncate_topk(s, k2))
+
+
 def test_truncate_rejects_widening():
     s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(37))))
     out = truncate_topk(s, 2)
@@ -232,18 +258,15 @@ def test_priorities_dtype_holds_n_items():
     assert s.priorities().dtype == np.uint16
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-def test_priorities_independent_of_rank_chunk(chunk):
-    rng = random.Random(chunk)
+@pytest.mark.parametrize("seed", [1, 2, 3, 7])
+def test_priorities_match_dense_oracle(seed):
+    rng = random.Random(seed)
     values = (0.1, 0.3, 0.3, 0.7)
     cell = lambda: rng.choice(values) if rng.random() < 0.6 else 0.0  # noqa: E731
-    dense = [[cell() for _ in range(9)] for _ in range(9)]  # rows longer than some chunks
+    dense = [[cell() for _ in range(9)] for _ in range(9)]
     dense[4] = [0.0] * 9  # an empty row
-    want = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(knn, "RANK_CHUNK", chunk)
-        got = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
-    assert np.array_equal(got, want)
+    got = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
+    assert got.tolist() == dense_priority_oracle(dense)
 
 
 def test_priorities_refuse_asymmetric_full_matrix():
