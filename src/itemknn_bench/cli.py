@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ContractError, ExperimentError, RowParseError, SchemaError
+from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
     DEFAULT_PRESETS,
     DEFAULT_SEEDS,
@@ -333,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExperimentError as e:
         print(f"error {e}", file=sys.stderr)
         return 2
-    except (SchemaError, RowParseError, ContractError, ValueError, OSError, KeyError) as e:
+    except (SchemaError, ContractError, ValueError, OSError, KeyError) as e:
         print(f"error [{args.command}] {e}", file=sys.stderr)
         return 2
 

@@ -5,11 +5,12 @@ class SchemaError(ValueError):
     """An input file does not follow its format, such as a missing required column."""
 
 
-class RowParseError(ValueError):
-    """A data row could not be parsed; carries the 1-based line number."""
+class RowParseError(SchemaError):
+    """A line of an input file breaks its format; carries the path and the 1-based line."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, path, line_no: int, message: str):
+        super().__init__(f"{path}: line {line_no}: {message}")
+        self.path = path
         self.line_no = line_no
 
 

@@ -18,12 +18,11 @@ and the train/test sides of a split share their source's id lists.
 
 from __future__ import annotations
 
-import csv
-import math
 from array import array
 from dataclasses import asdict, dataclass, replace
+from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,6 +36,7 @@ DEFAULT_COLUMNS = {
 }
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
+CHUNK_LINES = 4096  # lines per join-and-split in read_table; bounds its transient memory
 
 
 class Interaction(NamedTuple):
@@ -178,25 +178,65 @@ class DatasetStats:
         return asdict(self)
 
 
-def _number(row: list[str], col: int, name: str, line_no: int) -> float:
-    try:
-        value = float(row[col])
-    except (ValueError, IndexError) as e:
-        raise RowParseError(line_no, f"bad {name} field: {e}") from None
-    if not math.isfinite(value):
-        raise RowParseError(line_no, f"non-finite {name} {row[col]!r}")
-    return value
+def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dict:
+    """Read a header line, then one row of ``sep``-separated fields per line.
+
+    The one reader of interaction files, similarity matrices and dumps.
+    ``header(first_line)`` checks the header and returns one ``(name, type)``,
+    or ``None`` to skip, per field; the type is ``str`` (an id), ``int`` or
+    ``float``.  Returns by name, in field order, an id column as (int64
+    first-appearance codes, ids) and a number column as an int64 or float64
+    array.  Fields are verbatim (no quoting or trimming), every line after the
+    header is a row, and lines end in LF, CRLF or, the last, nothing.  Raises
+    ``SchemaError`` for an empty file and ``RowParseError`` for a row without
+    one field per header entry (a blank line too), a ``"``, and a number that
+    does not parse or is not finite.
+    """
+    with Path(path).open(encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
+        first = fh.readline()
+        if not first:
+            raise SchemaError(f"{path}: line 1: empty file, header row required")
+        spec = header(first.rstrip("\n"))
+        n, line = len(spec), 2  # line: the first line of the chunk
+        read = [(c, *field) for c, field in enumerate(spec) if field]
+        codes = {name: {} for _, name, kind in read if kind is str}
+        out = {name: array("d" if kind is float else "q") for _, name, kind in read}
+        while lines := list(islice(fh, CHUNK_LINES)):
+            seps = list(map(str.count, lines, repeat(sep)))
+            text = "".join(lines)
+            if seps.count(n - 1) != len(lines) or '"' in text:
+                j = next(j for j, s in enumerate(seps) if s != n - 1 or '"' in lines[j])
+                raise RowParseError(path, line + j, f"{seps[j] + 1} fields, want {n}"
+                                    if seps[j] != n - 1 else 'a ": fields are not csv-quoted')
+            fields = text.replace("\n", sep).split(sep)
+            for c, name, kind in read:
+                column = fields[c : n * len(lines) : n]
+                if kind is str:
+                    ids = codes[name]
+                    fresh = [x for x in dict.fromkeys(column) if x not in ids]
+                    ids.update(zip(fresh, count(len(ids))))
+                    out[name].extend(map(ids.__getitem__, column))
+                    continue
+                try:
+                    out[name].extend(map(kind, column))
+                except (ValueError, OverflowError):  # extend stops at the bad field
+                    at = len(out[name]) + 2
+                    raise RowParseError(path, at, f"bad {name} {column[at - line]!r}") from None
+            line += len(lines)
+
+    table = {name: np.asarray(out[name]) for _, name, _ in read}  # no copy
+    for name, values in table.items():
+        if values.dtype == np.float64:
+            check_rows(path, ~np.isfinite(values), lambda t: f"non-finite {name} {values[t]}")
+    table.update((name, (table[name], list(ids))) for name, ids in codes.items())
+    return table
 
 
-def _parse_rows(reader, u_col: int, i_col: int, r_col: int, t_col: int | None) -> Iterator[tuple]:
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) <= max(u_col, i_col):
-            raise RowParseError(line_no, f"{len(row)} fields, no user or item field")
-        rating = _number(row, r_col, "rating", line_no)
-        timestamp = 0.0 if t_col is None else _number(row, t_col, "timestamp", line_no)
-        yield row[u_col], row[i_col], rating, timestamp
+def check_rows(path: str | Path, bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``RowParseError`` at the first row of a table that ``bad`` marks."""
+    (at,) = np.nonzero(bad)
+    if len(at):
+        raise RowParseError(path, int(at[0]) + 2, message(int(at[0])))
 
 
 def load_interactions(
@@ -212,41 +252,32 @@ def load_interactions(
     (``user_id``, ``item_id``, ``rating``, ``timestamp``).  A missing
     timestamp column yields timestamp 0.0 for every row.
 
-    Raises ``FileNotFoundError``, ``SchemaError`` for missing mapped columns,
-    and ``RowParseError`` (with the 1-based file line number) for rows that
-    lack the user or item field, or whose rating or timestamp does not parse
-    as a finite number.
+    Raises ``FileNotFoundError``, ``SchemaError`` for a missing or twice
+    mapped column, and the row faults of :func:`read_table`.
     """
     atomic = format in ("atomic", "atomic-tsv")
     if not atomic and format != "csv":
         raise ValueError(f"unknown format {format!r} (expected 'atomic' or 'csv')")
+    sep = "\t" if atomic else ","
+    columns = {**DEFAULT_COLUMNS, **(column_map or {})}
 
-    columns = dict(DEFAULT_COLUMNS)
-    if column_map:
-        columns.update(column_map)
+    def header(line: str) -> list:
+        pos = {(h.split(":", 1)[0] if atomic else h): c for c, h in enumerate(line.split(sep))}
+        spec = [None] * (line.count(sep) + 1)
+        for logical, kind in zip(("user", "item", "rating", "timestamp"), (str, str, float, float)):
+            c = pos.get(name := columns[logical])
+            if c is None and logical != "timestamp":
+                raise SchemaError(f"{path}: missing column {name!r} (for {logical!r})")
+            if c is not None:
+                if spec[c]:
+                    raise SchemaError(f"{path}: column {name!r} is mapped twice")
+                spec[c] = (logical, kind)
+        return spec
 
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter="\t" if atomic else ",")
-        try:
-            raw_header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, header row required") from None
-        header = [h.split(":", 1)[0] if atomic else h for h in raw_header]
-        pos = {name: i for i, name in enumerate(header)}
-
-        for logical in ("user", "item", "rating"):
-            if columns[logical] not in pos:
-                raise SchemaError(
-                    f"{path}: missing column {columns[logical]!r} (for {logical!r})"
-                )
-        return InteractionDataset.from_interactions(_parse_rows(
-            reader,
-            pos[columns["user"]],
-            pos[columns["item"]],
-            pos[columns["rating"]],
-            pos.get(columns["timestamp"]),
-        ))
+    table = read_table(path, sep, header)
+    (users, user_ids), (items, item_ids) = table["user"], table["item"]
+    timestamps = table["timestamp"] if "timestamp" in table else np.zeros(len(users))
+    return InteractionDataset(users, items, table["rating"], timestamps, user_ids, item_ids)
 
 
 def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionDataset:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
-from .ingest import InteractionDataset
+from .ingest import InteractionDataset, check_rows, read_table
 
 STRATEGY_FULL = "full"
 STRATEGY_TOPK = "topk"
@@ -216,16 +216,17 @@ def save_similarity(s: SimilarityMatrix, path: str | Path) -> Path:
 def load_similarity(path: str | Path) -> SimilarityMatrix:
     """Read a matrix written by :func:`save_similarity`, checking what it promises.
 
-    Raises ``SchemaError``, with the 1-based line number where there is one,
-    for a bad header or row, an index outside ``[0, items)``, entries out of
-    ascending (row, column) order or repeated, a value that is not finite and
-    positive, a top-k row longer than k, and a full matrix that is not
-    symmetric.  Scoring relies on each of these.
+    Raises ``SchemaError`` for a bad header and ``RowParseError``, with the
+    1-based line number, for a row fault of :func:`read_table`, an index
+    outside ``[0, items)``, entries out of ascending (row, column) order or
+    repeated, a value that is not positive, a top-k row longer than k, and a
+    full matrix that is not symmetric.  Scoring relies on each of these.
     """
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        fields = dict(part.partition("=")[::2] for part in header.split())
+    n_items = strategy = k = None
+
+    def header(line: str) -> list:
+        nonlocal n_items, strategy, k
+        fields = dict(part.partition("=")[::2] for part in line.split())
         try:
             n_items, strategy, k = int(fields["items"]), fields["strategy"], int(fields.get("k", 0))
         except (KeyError, ValueError):
@@ -233,65 +234,42 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         kinds_ok = (strategy == STRATEGY_FULL and k == 0) or (strategy == STRATEGY_TOPK and k >= 1)
         if not (kinds_ok and 1 <= n_items < 2**31):
             raise SchemaError(
-                f"{path}: line 1: bad header {header!r}, want items=<n> strategy=full k=0 "
+                f"{path}: line 1: bad header {line!r}, want items=<n> strategy=full k=0 "
                 f"or items=<n> strategy=topk k=<k >= 1>, with 1 <= n < 2**31"
             )
+        return [("row", int), ("col", int), ("value", float)]
 
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for line_no, line in enumerate(fh, start=2):
-            try:
-                r, c, v = line.rstrip("\n").split("\t")
-                r, c, v = int(r), int(c), float(v)
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: line {line_no}: want row<TAB>col<TAB>value, got {line.rstrip()!r}"
-                ) from None
-            if not (0 <= r < n_items and 0 <= c < n_items):
-                raise SchemaError(
-                    f"{path}: line {line_no}: entry ({r}, {c}) is outside [0, {n_items})"
-                )
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-
-    rows_a = np.asarray(rows, dtype=np.int64)
-    cols_a = np.asarray(cols, dtype=np.int64)
-    vals_a = np.asarray(vals, dtype=np.float64)
+    table = read_table(path, "\t", header)
+    rows, cols, vals = table["row"], table["col"], table["value"]
 
     def check(bad: np.ndarray, message) -> None:
-        (at,) = np.nonzero(bad)
-        if len(at):
-            t = int(at[0])
-            raise SchemaError(
-                f"{path}: line {t + 2}: entry ({rows[t]}, {cols[t]}) = {vals[t]!r} {message(t)}"
-            )
+        check_rows(path, bad, lambda t: f"entry ({rows[t]}, {cols[t]}) = {vals[t]} {message(t)}")
 
-    check(~(np.isfinite(vals_a) & (vals_a > 0.0)), lambda t: "is not finite and positive")
-    key = rows_a * n_items + cols_a  # below 2**62
+    check((rows < 0) | (rows >= n_items) | (cols < 0) | (cols >= n_items),
+          lambda t: f"is outside [0, {n_items})")
+    check(vals <= 0.0, lambda t: "is not positive")
+    key = rows * n_items + cols  # below 2**62
     check(np.diff(key, prepend=-1) <= 0,
           lambda t: f"does not follow ({rows[t - 1]}, {cols[t - 1]}): entries ascend by "
                     f"row, then column, without repeats")
 
-    counts = np.bincount(rows_a, minlength=n_items)
+    counts = np.bincount(rows, minlength=n_items)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     if strategy == STRATEGY_TOPK:
         past_k = np.zeros(len(key), dtype=bool)
         past_k[indptr[:-1][counts > k] + k] = True
         check(past_k, lambda t: f"is past the k={k} entries a topk row may hold")
     else:
-        mirror = cols_a * n_items + rows_a
+        mirror = cols * n_items + rows
         at = np.minimum(np.searchsorted(key, mirror), max(len(key) - 1, 0))
-        check((key[at] != mirror) | (vals_a[at] != vals_a),
+        check((key[at] != mirror) | (vals[at] != vals),
               lambda t: f"has no equal entry ({cols[t]}, {rows[t]}): a full matrix is symmetric")
 
     return SimilarityMatrix(
         n_items=n_items,
         indptr=indptr.astype(np.int64),
-        cols=cols_a,
-        vals=vals_a,
+        cols=cols,
+        vals=vals,
         strategy=strategy,
         k=k or None,
     )
-

@@ -66,8 +66,8 @@ Named presets pair a matrix strategy with a scoring mode:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -75,12 +75,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
-from .ingest import InteractionDataset
+from .ingest import InteractionDataset, check_rows, read_table
 from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix
 from .split import SplitPair
 
 SCORING_SUM_ALL = "sum-all"
 SCORING_PROFILE_TOPK = "profile-topk"
+RECS_HEADER = "user\trank\titem\tscore"
 
 # Evaluated users scored per sparse product; bounds its memory (see above).
 USER_BLOCK = 256
@@ -233,10 +234,10 @@ def recommend_all(
 def save_recommendations(
     recs: list[RecommendationList], ds: InteractionDataset, path: str | Path
 ) -> Path:
-    """Dump lists as ``user<TAB>rank<TAB>item<TAB>score`` with external ids."""
+    """Dump lists under :data:`RECS_HEADER`, one entry per line, with external ids."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user\trank\titem\tscore\n")
+        fh.write(RECS_HEADER + "\n")
         for rl in recs:
             user = ds.user_ids[rl.user]
             for rank, (item, score) in enumerate(rl.entries, start=1):
@@ -247,43 +248,32 @@ def save_recommendations(
 def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]:
     """Read a dump back as external-id lists, preserving rank order.
 
-    Raises ``SchemaError``, with the 1-based line number where there is one,
-    for a file without a header row, a row that is not four tab-separated
-    fields, a rank that is not the next one of its user's list (1, 2, ...),
-    a score that is not a finite number, and an item repeated within one
-    user's list.  Evaluation relies on each of these.
+    Raises ``SchemaError`` for a first line other than :data:`RECS_HEADER`,
+    and ``RowParseError``, with the line, for a row fault of :func:`read_table`
+    (a score that is not a finite number too), a rank that is not the next of
+    its user's list (``1``, ``2``, ... as text), and an item repeated within
+    one user's list.  Evaluation relies on each of these.
     """
-    path = Path(path)
-    out: dict[str, list[tuple[str, float]]] = {}
-    seen: dict[str, set[str]] = {}
-    with path.open(encoding="utf-8") as fh:
-        if not fh.readline():
-            raise SchemaError(f"{path}: empty file, header row required")
-        for line_no, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise SchemaError(
-                    f"{path}: line {line_no}: want user<TAB>rank<TAB>item<TAB>score, "
-                    f"got {line.rstrip()!r}"
-                )
-            user, rank, item, score = fields
-            entries = out.setdefault(user, [])
-            items = seen.setdefault(user, set())
-            if rank != str(len(entries) + 1):
-                raise SchemaError(
-                    f"{path}: line {line_no}: rank {rank!r} of user {user!r} is not "
-                    f"{len(entries) + 1}, the next rank of that user's list"
-                )
-            try:
-                value = float(score)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise SchemaError(f"{path}: line {line_no}: score {score!r} is not a finite number")
-            if item in items:
-                raise SchemaError(
-                    f"{path}: line {line_no}: item {item!r} is already in user {user!r}'s list"
-                )
-            items.add(item)
-            entries.append((item, value))
-    return out
+
+    def header(line: str) -> list:
+        if line != RECS_HEADER:
+            raise SchemaError(f"{path}: line 1: header {line!r} is not {RECS_HEADER!r}")
+        return [("user", str), ("rank", str), ("item", str), ("score", float)]
+
+    table = read_table(path, "\t", header)
+    (users, user_ids), (ranks, rank_ids), (items, item_ids), scores = table.values()
+    order = np.argsort(users, kind="stable")  # each user's rows, in file order
+    sizes = np.bincount(users, minlength=len(user_ids))
+    want = np.empty(len(users), dtype=np.int64)
+    want[order] = np.arange(1, len(users) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    number = {str(r): r for r in range(1, sizes.max(initial=0) + 1)}  # the rank texts allowed
+    rank_of = np.array([number.get(rank, 0) for rank in rank_ids], dtype=np.int64)
+    check_rows(path, rank_of[ranks] != want, lambda t: (
+        f"rank {rank_ids[ranks[t]]!r} of user {user_ids[users[t]]!r} is not {want[t]}, "
+        f"the next rank of that user's list"))
+    repeated = np.ones(len(users), dtype=bool)
+    repeated[np.unique(users * len(item_ids) + items, return_index=True)[1]] = False
+    check_rows(path, repeated, lambda t: (
+        f"item {item_ids[items[t]]!r} is already in user {user_ids[users[t]]!r}'s list"))
+    entries = zip(map(item_ids.__getitem__, items[order].tolist()), scores[order].tolist())
+    return {user: list(islice(entries, size)) for user, size in zip(user_ids, sizes.tolist())}

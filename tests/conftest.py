@@ -1,9 +1,9 @@
 """Shared fixtures: random implicit datasets and independent brute-force oracles.
 
 The oracles deliberately avoid the package's sparse and columnar code paths:
-dense double loops over dict-of-set structures, per-row loops over plain
-tuples for binarizing and splitting, literal series summation for the
-metrics.
+dense double loops over dict-of-set structures, a per-line ``str.split``
+loader, per-row loops over plain tuples for binarizing and splitting,
+literal series summation for the metrics.
 """
 
 from __future__ import annotations
@@ -65,6 +65,51 @@ def users_per_item(ds: InteractionDataset) -> dict[int, set[int]]:
 
 def first_appearance(values) -> list:
     return list(dict.fromkeys(values))
+
+
+class OracleLineError(ValueError):
+    """The oracle loader's refusal of a file, at a 1-based line."""
+
+    def __init__(self, line_no: int):
+        super().__init__(f"line {line_no}")
+        self.line_no = line_no
+
+
+def oracle_load_interactions(
+    path, format: str = "atomic", column_map: dict | None = None
+) -> tuple[list[tuple], list[str], list[str]]:
+    """Per-line reference loader: (rows, user ids, item ids) of an interaction file.
+
+    Reads line by line with ``str.split``, in universal-newline text mode.
+    Every line after the header is a row that must hold exactly one field
+    per header field and no ``"``; its rating and timestamp go through
+    ``float`` and must be finite.  Raises :class:`OracleLineError` at the
+    first line that breaks a rule.
+    """
+    sep = "\t" if format == "atomic" else ","
+    columns = {"user": "user_id", "item": "item_id", "rating": "rating",
+               "timestamp": "timestamp", **(column_map or {})}
+    with open(path, encoding="utf-8") as fh:
+        names = [h.split(":", 1)[0] if format == "atomic" else h
+                 for h in fh.readline().rstrip("\n").split(sep)]
+        at = {logical: names.index(columns[logical]) for logical in columns
+              if columns[logical] in names}
+        rows = []
+        for line_no, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(sep)
+            if len(fields) != len(names) or '"' in line:
+                raise OracleLineError(line_no)
+            numbers = []
+            for logical in ("rating", "timestamp"):
+                try:
+                    value = float(fields[at[logical]]) if logical in at else 0.0
+                except ValueError:
+                    raise OracleLineError(line_no) from None
+                if not math.isfinite(value):
+                    raise OracleLineError(line_no)
+                numbers.append(value)
+            rows.append((fields[at["user"]], fields[at["item"]], *numbers))
+    return rows, first_appearance(r[0] for r in rows), first_appearance(r[1] for r in rows)
 
 
 def oracle_to_implicit(data: list[tuple], passes) -> tuple[list[tuple], list[str], list[str]]:

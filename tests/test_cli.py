@@ -202,6 +202,18 @@ def test_short_row_exits_tagged(tmp_path, capsys):
     assert "error [stats]" in err and "line 3" in err
 
 
+def test_extra_field_exits_tagged(tmp_path, capsys):
+    path = tmp_path / "extra.inter"
+    path.write_text(
+        "user_id:token\titem_id:token\trating:float\ttimestamp:float\n"
+        "a\tx\t4.0\t1\nb\ty\t4.0\t2\tsurplus\n",
+        encoding="utf-8",
+    )
+    assert run_cli("stats", "--data", path) == 2
+    err = capsys.readouterr().err
+    assert "error [stats]" in err and "line 3: 5 fields, want 4" in err
+
+
 @pytest.fixture
 def chain_split(data_file, tmp_path, capsys):
     """The work directory and the seed-42 train and test files."""
@@ -308,13 +320,14 @@ def _field(line, at, value):
         (lambda lines: lines[:2] + [lines[2] + "\textra"] + lines[3:], 3),  # 5 fields
         (lambda lines: lines[:2] + [_field(lines[2], 1, "3")] + lines[3:], 3),  # rank skips 2
         (lambda lines: lines[:1] + [_field(lines[1], 1, "0")] + lines[2:], 2),  # rank 0
+        (lambda lines: lines[:1] + [_field(lines[1], 1, "01")] + lines[2:], 2),  # rank text 01
         (lambda lines: lines[:2] + [_field(lines[2], 3, "nan")] + lines[3:], 3),  # not finite
         (lambda lines: lines[:2] + [_field(lines[2], 3, "high")] + lines[3:], 3),  # not a number
         # The first user's second row repeats the first row's item.
         (lambda lines: lines[:2] + [_field(lines[2], 2, lines[1].split("\t")[2])] + lines[3:], 3),
     ],
-    ids=["short-row", "long-row", "rank-gap", "rank-zero", "nan-score", "text-score",
-         "repeated-item"],
+    ids=["short-row", "long-row", "rank-gap", "rank-zero", "rank-leading-zero", "nan-score",
+         "text-score", "repeated-item"],
 )
 def test_evaluate_refuses_malformed_recs(chain_split, capsys, edit, line):
     out, train_path, test_path = chain_split
@@ -330,3 +343,14 @@ def test_evaluate_refuses_malformed_recs(chain_split, capsys, edit, line):
     assert run_cli("evaluate", "--recs", recs_path, "--test", test_path) == 2
     err = capsys.readouterr().err
     assert "error [evaluate]" in err and f"line {line}:" in err
+
+
+def test_evaluate_refuses_headerless_dump(chain_split, capsys):
+    # Without the header check, line 1 was skipped as the header: the first
+    # user's only row was lost and evaluate exited 0.
+    out, _, test_path = chain_split
+    headerless = out / "headerless.recs.tsv"
+    headerless.write_text("u1\t1\tm1\t0.5\nu2\t1\tm2\t0.25\n", encoding="utf-8")
+    assert run_cli("evaluate", "--recs", headerless, "--test", test_path) == 2
+    err = capsys.readouterr().err
+    assert "error [evaluate]" in err and "line 1: header" in err

@@ -4,7 +4,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from itemknn_bench import ingest
 from itemknn_bench.errors import RowParseError, SchemaError
 from itemknn_bench.ingest import (
     ImplicitThreshold,
@@ -16,7 +19,7 @@ from itemknn_bench.ingest import (
     to_implicit,
 )
 
-from conftest import as_rows, pair_set
+from conftest import OracleLineError, as_rows, oracle_load_interactions, pair_set
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float\n"
 
@@ -76,6 +79,12 @@ def test_load_missing_column(tmp_path):
         load_interactions(path)
 
 
+def test_load_column_mapped_twice(tmp_path):
+    path = write_atomic(tmp_path / "twice.inter", ["a\tx\t4.0\t1\n"])
+    with pytest.raises(SchemaError, match="'user_id' is mapped twice"):
+        load_interactions(path, "atomic", {"item": "user_id"})
+
+
 def test_load_bad_rating_reports_line(tmp_path):
     path = write_atomic(tmp_path / "bad.inter", ["a\tx\t4.0\t1\n", "b\ty\tNOPE\t2\n"])
     with pytest.raises(RowParseError, match="line 3"):
@@ -93,8 +102,111 @@ def test_load_non_finite_timestamp_reports_line(tmp_path, stamp):
 def test_load_short_row_reports_line(tmp_path, line):
     path = tmp_path / "short.csv"
     path.write_text(f"rating,user_id,item_id\n4,7,9\n{line}\n", encoding="utf-8")
-    with pytest.raises(RowParseError, match="line 3.*user or item"):
+    with pytest.raises(RowParseError, match="line 3: .*fields, want 3"):
         load_interactions(path, "csv")
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(["a\tx\t4.0\t1\n", "b\ty\t2.0\t2\textra\n"], id="extra-field"),
+        pytest.param(["a\tx\t4.0\t1\n", '"c"\ty\t2.0\t2\n'], id="quote"),
+        pytest.param(["a\tx\t4.0\t1\n", "\n", "b\ty\t2.0\t2\n"], id="blank-line"),
+        # A short and a long row whose fields would parse as two full rows.
+        pytest.param(["a\tx\t4.0\t1\n", "b\ty\t2.0\n", "3\tc\tz\t1.0\t9\n"], id="short-long"),
+    ],
+)
+def test_load_refuses_rows_it_would_otherwise_reinterpret(tmp_path, rows):
+    # csv.reader used to drop the extra field, unquote "c" and skip the blank line.
+    with pytest.raises(RowParseError, match="line 3: ") as e:
+        load_interactions(write_atomic(tmp_path / "bad.inter", rows))
+    assert e.value.line_no == 3
+
+
+def test_crlf_and_unterminated_files_load_equal(tmp_path):
+    text = "uid,item_id,rating\nu1,x,4.0\nu2,y,2.5\nu1,y,1\n"
+    variants = {"lf": text, "crlf": text.replace("\n", "\r\n"), "bare": text[:-1]}
+    loaded = {}
+    for name, body in variants.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(body.encode("utf-8"))
+        loaded[name] = load_interactions(path, "csv", {"user": "uid"})
+    assert loaded["lf"].n_interactions == 3
+    assert loaded["crlf"] == loaded["lf"]
+    assert loaded["bare"] == loaded["lf"]
+
+
+ID_TEXT = st.text(alphabet="abz09:_-. éü日本", max_size=4)
+NUMBER_TEXT = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "0", "+4", ".5", "5.", "1e3", "2.5E-3", "-7e-310"]),
+)
+BAD_NUMBERS = {
+    "bad-number": st.sampled_from(["four", "", "1.2.3", "0x10"]),
+    "non-finite": st.sampled_from(["nan", "inf", "-Infinity", "1e999"]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_load_interactions_matches_oracle(tmp_path_factory, data):
+    atomic = data.draw(st.booleans(), label="atomic")
+    sep = "\t" if atomic else ","
+    logical = ["user", "item", "rating"] + (["timestamp"] if data.draw(st.booleans()) else [])
+    renamed = data.draw(st.booleans(), label="renamed")
+    names = {f: (f"my{f}" if renamed else ingest.DEFAULT_COLUMNS[f]) for f in logical}
+    extras = [f"extra{e}" for e in range(data.draw(st.integers(0, 2), label="extras"))]
+    fields = data.draw(st.permutations(logical + extras), label="fields")
+    kinds = {"user": ID_TEXT, "item": ID_TEXT, "rating": NUMBER_TEXT, "timestamp": NUMBER_TEXT}
+    rows = [
+        [data.draw(kinds.get(f, ID_TEXT)) for f in fields]
+        for _ in range(data.draw(st.integers(0, 12), label="n_rows"))
+    ]
+    suffix = {"user": ":token", "item": ":token", "rating": ":float", "timestamp": ":float"}
+    header = [
+        names.get(f, f) + (suffix.get(f, ":token") if atomic else "") for f in fields
+    ]
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    final = data.draw(st.booleans(), label="final newline")
+    column_map = {f: names[f] for f in logical} if renamed else None
+    chunk = data.draw(st.integers(1, 5), label="chunk")
+
+    # At most one fault, planted in row r: the oracle names its line, r + 2.
+    fault = data.draw(
+        st.sampled_from([None, "ragged", "blank", "quote", *BAD_NUMBERS]), label="fault"
+    )
+    lines = [sep.join(row) for row in rows]
+    if fault and rows:
+        r = data.draw(st.integers(0, len(rows) - 1), label="faulty row")
+        if fault == "ragged":
+            lines[r] = sep.join(rows[r] + ["x"] if data.draw(st.booleans()) else rows[r][:-1])
+        elif fault == "blank":
+            lines.insert(r, "")
+        else:
+            numbers = [f for f in logical if f in ("rating", "timestamp")]
+            at = fields.index(data.draw(st.sampled_from(logical if fault == "quote" else numbers)))
+            row = list(rows[r])
+            row[at] = f'"{row[at]}"' if fault == "quote" else data.draw(BAD_NUMBERS[fault])
+            lines[r] = sep.join(row)
+    text = newline.join([sep.join(header), *lines]) + (newline if final else "")
+    path = tmp_path_factory.mktemp("prop") / ("t.inter" if atomic else "t.csv")
+    path.write_bytes(text.encode("utf-8"))
+
+    fmt = "atomic" if atomic else "csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CHUNK_LINES", chunk)
+        if fault and rows:
+            with pytest.raises(OracleLineError) as want:
+                oracle_load_interactions(path, fmt, column_map)
+            assert want.value.line_no == r + 2
+            with pytest.raises(RowParseError) as got:
+                load_interactions(path, fmt, column_map)
+            assert got.value.line_no == want.value.line_no
+        else:
+            ds = load_interactions(path, fmt, column_map)
+            want = oracle_load_interactions(path, fmt, column_map)
+            assert (as_rows(ds), ds.user_ids, ds.item_ids) == want
 
 
 def test_load_unknown_format(tmp_path):

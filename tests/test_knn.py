@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itemknn_bench.errors import ContractError, SchemaError
+from itemknn_bench import ingest
+from itemknn_bench.errors import ContractError, RowParseError, SchemaError
 from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import (
     STRATEGY_FULL,
@@ -225,6 +226,20 @@ def test_save_load_round_trip_exact(tmp_path):
         assert back.entries_equal(mat)  # 17 significant digits round-trip doubles
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), k=st.integers(1, 4), chunk=st.integers(1, 5))
+def test_property_save_load_round_trip_in_chunks(tmp_path_factory, seed, k, chunk):
+    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(seed), 8, 7)))
+    out = tmp_path_factory.mktemp("sim")
+    for mat in (s, truncate_topk(s, k)):
+        path = save_similarity(mat, out / f"{mat.strategy}.sim.tsv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "CHUNK_LINES", chunk)
+            back = load_similarity(path)
+        assert (back.strategy, back.k) == (mat.strategy, mat.k)
+        assert back.entries_equal(mat)
+
+
 def test_save_header_format(tmp_path):
     s = cosine_similarity(build_matrix(ds_from_pairs([("u", "i"), ("u", "j")])))
     path = save_similarity(truncate_topk(s, 1), tmp_path / "m.tsv")
@@ -306,6 +321,10 @@ FULL3, TOPK3 = "items=3 strategy=full k=0", "items=3 strategy=topk k=2"
         pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.25\n", 2, id="mirror-differs"),
         pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.5\n1\t2\t0.5\n", 4, id="no-mirror"),
         pytest.param(FULL3, "0\t1\n", 2, id="short-row"),
+        pytest.param(TOPK3, "0\t1\t0.5\t7\n", 2, id="long-row"),
+        pytest.param(TOPK3, "0\t1\t0.5\n\n", 3, id="blank-line"),
+        pytest.param(TOPK3, '0\t1\t"0.5"\n', 2, id="quote"),
+        pytest.param(TOPK3, "0\t99999999999999999999\t0.5\n", 2, id="col-past-int64"),
         pytest.param(FULL3, "0\tx\t0.5\n", 2, id="bad-integer"),
         pytest.param("items=3 strategy=topk k=0", "", 1, id="topk-k0"),
         pytest.param("items=3 strategy=full k=2", "", 1, id="full-with-k"),
@@ -327,3 +346,14 @@ def test_load_similarity_header_k_defaults_to_zero(tmp_path):
     path.write_text("items=2 strategy=full\n0\t1\t0.5\n1\t0\t0.5\n", encoding="utf-8")
     s = load_similarity(path)
     assert (s.n_items, s.strategy, s.k, s.nnz) == (2, STRATEGY_FULL, None, 2)
+
+
+def test_load_similarity_message_shows_plain_numbers(tmp_path):
+    path = tmp_path / "m.sim.tsv"
+    path.write_text(FULL3 + "\n0\t1\t0.5\n1\t0\t0.25\n", encoding="utf-8")
+    with pytest.raises(RowParseError) as e:
+        load_similarity(path)
+    assert str(e.value) == (
+        f"{path}: line 2: entry (0, 1) = 0.5 has no equal entry (1, 0): a full matrix is symmetric"
+    )
+    assert (e.value.path, e.value.line_no) == (path, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itemknn_bench import recommend
+from itemknn_bench import ingest, recommend
 from itemknn_bench.errors import ContractError
 from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import STRATEGY_FULL, STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
@@ -351,3 +351,20 @@ def test_save_load_recommendations(tmp_path):
         ]
         for (_, got), (_, want) in zip(loaded[ext_user], rl.entries):
             assert got == want  # 17 significant digits round-trip
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), chunk=st.integers(1, 5))
+def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n, chunk):
+    ds = make_implicit_dataset(random.Random(seed), 12, 9)
+    pair = split_holdout(ds, SplitConfig(0.6, seed))
+    recs = recommend_all(cosine_similarity(build_matrix(pair.train)), pair, SUM_ALL, n)
+    path = save_recommendations(recs, pair.train, tmp_path_factory.mktemp("recs") / "r.tsv")
+    want = {
+        ds.user_ids[rl.user]: [(ds.item_ids[item], score) for item, score in rl.entries]
+        for rl in recs
+        if rl.entries
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CHUNK_LINES", chunk)
+        assert load_recommendations(path) == want
