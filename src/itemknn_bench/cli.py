@@ -67,16 +67,22 @@ def _parse_column_map(text: str) -> dict[str, str]:
     return out
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
+    """The key=value lines of a config file; each key is one of ``keys``, once."""
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise ValueError(f"{path}: bad config line {raw!r} (want key=value)")
-        values[key.strip()] = value.strip()
+        if key not in keys:
+            raise ValueError(f"{path}: line {line_no}: unknown key {key!r} "
+                             f"(known: {', '.join(sorted(keys))})")
+        if key in values:
+            raise ValueError(f"{path}: line {line_no}: key {key!r} is repeated")
+        values[key] = value
     return values
 
 
@@ -187,7 +193,9 @@ def _cmd_evaluate(args) -> int:
 
 def _experiment_config(args) -> ExperimentConfig:
     """Merge CLI flags over config-file values over built-in defaults."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    # A config key is an experiment flag's name, as pick reads it.
+    keys = {name.replace("_", "-") for name in vars(args)} - {"command", "func", "config"}
+    file_values = _read_config_file(args.config, keys) if args.config else {}
 
     def pick(flag: str, parser, default):
         cli_value = getattr(args, flag.replace("-", "_"))

@@ -60,12 +60,13 @@ class ExperimentConfig:
         return Path(self.data).stem
 
     def validate(self) -> None:
-        if not self.seeds:
-            raise ValueError("at least one seed required")
-        if not self.presets:
-            raise ValueError("at least one preset required")
-        if not self.idcg_modes:
-            raise ValueError("at least one IDCG mode required")
+        for name, values in (("seed", self.seeds), ("preset", self.presets),
+                             ("IDCG mode", self.idcg_modes)):
+            if not values:
+                raise ValueError(f"at least one {name} required")
+            if len(set(values)) < len(values):
+                repeated = next(v for v in values if values.count(v) > 1)
+                raise ValueError(f"{name} {repeated!r} is repeated")
         if self.k < 1 or self.n < 1:
             raise ValueError("k and n must be >= 1")
         SplitConfig(self.train_ratio)  # checks the ratio

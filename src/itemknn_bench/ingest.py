@@ -36,7 +36,9 @@ DEFAULT_COLUMNS = {
 }
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
-CHUNK_LINES = 4096  # lines per join-and-split in read_table; bounds its transient memory
+# read_table splits and write_table formats this many lines at a time, which
+# bounds their transient memory.
+CHUNK_LINES = 4096
 
 
 class Interaction(NamedTuple):
@@ -232,6 +234,37 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
     return table
 
 
+def write_table(path: str | Path, header: str, columns: list) -> Path:
+    """Write ``header``, then one tab-separated line per row of ``columns``.
+
+    The one writer of interaction files, similarity matrices and dumps, and
+    the inverse of :func:`read_table`: a column is an id column as (int64
+    codes, ids), written as the ids, or an int64 or float64 array.  Ints are
+    written in full and floats with 17 significant digits, which round-trips
+    every double.  Lines end in LF and the file is UTF-8.  Rows are formatted
+    ``CHUNK_LINES`` at a time, so no whole column becomes a Python list.
+    Raises ``SchemaError``, naming the path and the id, for an id holding a
+    tab, which would read back as two fields.
+    """
+    path = Path(path)
+    pairs = [column if isinstance(column, tuple) else (column, None) for column in columns]
+    for _, ids in pairs:
+        tabbed = [x for x in ids or () if "\t" in x]
+        if tabbed:
+            raise SchemaError(f"{path}: id {tabbed[0]!r} holds a tab, the field separator")
+    line = "\t".join(
+        "{:.17g}" if ids is None and values.dtype.kind == "f" else "{}" for values, ids in pairs
+    ) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(pairs[0][0]), CHUNK_LINES):
+            fields = [(values[lo : lo + CHUNK_LINES].tolist(), ids) for values, ids in pairs]
+            fh.writelines(map(line.format, *(
+                part if ids is None else map(ids.__getitem__, part) for part, ids in fields
+            )))
+    return path
+
+
 def check_rows(path: str | Path, bad: np.ndarray, message: Callable[[int], str]) -> None:
     """Raise ``RowParseError`` at the first row of a table that ``bad`` marks."""
     (at,) = np.nonzero(bad)
@@ -316,15 +349,5 @@ def stats(ds: InteractionDataset) -> DatasetStats:
 
 def save_interactions(ds: InteractionDataset, path: str | Path) -> Path:
     """Write a dataset as an atomic-format TSV (typed headers, external ids)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ATOMIC_HEADER + "\n")
-        # tolist() gives Python floats, whose repr is the shortest round trip.
-        fh.writelines(map(
-            "{}\t{}\t{!r}\t{!r}\n".format,
-            (ds.user_ids[u] for u in ds.users.tolist()),
-            (ds.item_ids[i] for i in ds.items.tolist()),
-            ds.ratings.tolist(),
-            ds.timestamps.tolist(),
-        ))
-    return path
+    columns = [(ds.users, ds.user_ids), (ds.items, ds.item_ids), ds.ratings, ds.timestamps]
+    return write_table(path, ATOMIC_HEADER, columns)

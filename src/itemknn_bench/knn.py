@@ -13,7 +13,6 @@ an item never supports its own score, and exact zeros are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
-from .ingest import InteractionDataset, check_rows, read_table
+from .ingest import InteractionDataset, check_rows, read_table, write_table
 
 STRATEGY_FULL = "full"
 STRATEGY_TOPK = "topk"
@@ -204,13 +203,9 @@ def save_similarity(s: SimilarityMatrix, path: str | Path) -> Path:
     "no truncation" on full-strategy matrices.  Values carry 17 significant
     digits, enough to round-trip a double exactly.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"items={s.n_items} strategy={s.strategy} k={s.k or 0}\n")
-        for i in range(s.n_items):
-            cols, vals = s.row(i)
-            fh.writelines(map("{}\t{}\t{:.17g}\n".format, repeat(i), cols.tolist(), vals.tolist()))
-    return path
+    rows = np.repeat(np.arange(s.n_items), np.diff(s.indptr))
+    header = f"items={s.n_items} strategy={s.strategy} k={s.k or 0}"
+    return write_table(path, header, [rows, s.cols, s.vals])
 
 
 def load_similarity(path: str | Path) -> SimilarityMatrix:

@@ -75,7 +75,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
-from .ingest import InteractionDataset, check_rows, read_table
+from .ingest import InteractionDataset, check_rows, read_table, write_table
 from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix
 from .split import SplitPair
 
@@ -231,18 +231,22 @@ def recommend_all(
     return out
 
 
+def _ranks(sizes: np.ndarray) -> np.ndarray:
+    """The ranks 1, 2, ..., size of the entries of lists of ``sizes``, list after list."""
+    return np.arange(1, sizes.sum() + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
 def save_recommendations(
     recs: list[RecommendationList], ds: InteractionDataset, path: str | Path
 ) -> Path:
     """Dump lists under :data:`RECS_HEADER`, one entry per line, with external ids."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RECS_HEADER + "\n")
-        for rl in recs:
-            user = ds.user_ids[rl.user]
-            for rank, (item, score) in enumerate(rl.entries, start=1):
-                fh.write(f"{user}\t{rank}\t{ds.item_ids[item]}\t{score:.17g}\n")
-    return path
+    sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
+    users = np.repeat(np.array([rl.user for rl in recs], dtype=np.int64), sizes)
+    entries = [entry for rl in recs for entry in rl.entries]
+    items = np.array([item for item, _ in entries], dtype=np.int64)
+    scores = np.array([score for _, score in entries], dtype=np.float64)
+    columns = [(users, ds.user_ids), _ranks(sizes), (items, ds.item_ids), scores]
+    return write_table(path, RECS_HEADER, columns)
 
 
 def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]:
@@ -265,7 +269,7 @@ def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]
     order = np.argsort(users, kind="stable")  # each user's rows, in file order
     sizes = np.bincount(users, minlength=len(user_ids))
     want = np.empty(len(users), dtype=np.int64)
-    want[order] = np.arange(1, len(users) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    want[order] = _ranks(sizes)
     number = {str(r): r for r in range(1, sizes.max(initial=0) + 1)}  # the rank texts allowed
     rank_of = np.array([number.get(rank, 0) for rank in rank_ids], dtype=np.int64)
     check_rows(path, rank_of[ranks] != want, lambda t: (

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -65,14 +66,14 @@ def test_pipeline_chain(data_file, tmp_path, capsys):
 
     assert run_cli("train", "--data", train_path, "--strategy", "topk", "--k", "3", "--out", out) == 0
     matrix_path = capsys.readouterr().out.strip()
-    assert "strategy=topk k=3" in open(matrix_path).readline()
+    assert "strategy=topk k=3" in Path(matrix_path).read_text(encoding="utf-8").splitlines()[0]
 
     assert run_cli(
         "recommend", "--train", train_path, "--test", test_path,
         "--preset", "recbole", "--k", "3", "--topn", "5", "--out", out,
     ) == 0
     recs_path = capsys.readouterr().out.strip()
-    lines = open(recs_path).read().splitlines()
+    lines = Path(recs_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "user\trank\titem\tscore"
     assert len(lines) > 1
 
@@ -151,6 +152,27 @@ def test_experiment_config_file_and_precedence(data_file, tmp_path, capsys):
     assert payload["config"]["k"] == 3
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("seed = 1", "unknown key 'seed'"),
+        ("topN = 5", "unknown key 'topN'"),
+        ("column_map = user=u", "unknown key 'column_map'"),
+        ("config = x", "unknown key 'config'"),
+        ("threshold = 4", "key 'threshold' is repeated"),
+    ],
+)
+def test_experiment_config_file_refuses_bad_key(data_file, tmp_path, capsys, line, message):
+    # Unknown keys were ignored (seed=1 and topN=5 ran the default seeds and
+    # N), and a repeated key silently replaced the first.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"data = {data_file}\nthreshold = 3\n{line}\n", encoding="utf-8")
+    assert run_cli("experiment", "--config", cfg, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "error [experiment]" in err and f"exp.cfg: line 3: {message}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_requires_data(capsys):
     assert run_cli("experiment", "--threshold", "3") == 2
     assert "requires --data" in capsys.readouterr().err
@@ -212,6 +234,18 @@ def test_extra_field_exits_tagged(tmp_path, capsys):
     assert run_cli("stats", "--data", path) == 2
     err = capsys.readouterr().err
     assert "error [stats]" in err and "line 3: 5 fields, want 4" in err
+
+
+def test_preprocess_refuses_id_with_tab(tmp_path, capsys):
+    # A csv id may hold a tab; written into the atomic file, it was refused
+    # only by the next step ("line 2: 5 fields, want 4").
+    path = tmp_path / "tab.csv"
+    path.write_text("user_id,item_id,rating\nu,a\tb,4\n", encoding="utf-8")
+    assert run_cli("preprocess", "--data", path, "--format", "csv", "--threshold", "3",
+                   "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "error [preprocess]" in err and "tab.implicit.inter: id 'a\\tb' holds a tab" in err
+    assert not (tmp_path / "out" / "tab.implicit.inter").exists()
 
 
 @pytest.fixture
@@ -295,7 +329,7 @@ def test_recommend_accepts_fitting_full_matrix(chain_split, capsys):
 def test_recommend_refuses_malformed_matrix(chain_split, capsys, edit, message):
     out, train_path, test_path = chain_split
     matrix_path = trained_matrix(chain_split, capsys, "full")
-    lines = edit(open(matrix_path, encoding="utf-8").read().splitlines())
+    lines = edit(Path(matrix_path).read_text(encoding="utf-8").splitlines())
     with open(matrix_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     rc = run_cli(
@@ -336,7 +370,7 @@ def test_evaluate_refuses_malformed_recs(chain_split, capsys, edit, line):
         "--preset", "recbole", "--k", "3", "--topn", "5", "--out", out,
     )
     recs_path = capsys.readouterr().out.strip()
-    lines = open(recs_path, encoding="utf-8").read().splitlines()
+    lines = Path(recs_path).read_text(encoding="utf-8").splitlines()
     assert lines[1].split("\t")[:2] == lines[2].split("\t")[:1] + ["1"]  # one user's ranks 1, 2
     with open(recs_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(edit(lines)) + "\n")

@@ -217,6 +217,13 @@ def test_config_validation(ratings_file, tmp_path):
         toy_config(ratings_file, tmp_path, formats=("pdf",)).validate()
     with pytest.raises(ValueError, match="k and n"):
         toy_config(ratings_file, tmp_path, k=0).validate()
+    # A repeated seed was run and averaged twice.
+    with pytest.raises(ValueError, match="seed 42 is repeated"):
+        toy_config(ratings_file, tmp_path, seeds=(21, 42, 42)).validate()
+    with pytest.raises(ValueError, match="preset 'recbole' is repeated"):
+        toy_config(ratings_file, tmp_path, presets=("recbole", "recbole")).validate()
+    with pytest.raises(ValueError, match="IDCG mode 'truncated' is repeated"):
+        toy_config(ratings_file, tmp_path, idcg_modes=("truncated", "truncated")).validate()
 
 
 def test_emit_rejects_unknown_format(ratings_file, tmp_path):

@@ -351,3 +351,49 @@ def test_save_load_round_trip(tmp_path):
     path = save_interactions(ds, tmp_path / "rt.inter")
     back = load_interactions(path, "atomic")
     assert back == ds
+
+
+IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='\t\n\r"'))
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.225073858507201e-308, 1e308, 0.1 + 0.2, 1 / 3]),
+)
+
+
+@st.composite
+def tables(draw):
+    """Columns for write_table: (codes, ids) id columns, int64 and float64 arrays."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from([str, int, float]), min_size=1, max_size=4)):
+        if kind is str:
+            ids = draw(st.lists(IDS | st.sampled_from(["a:b", "a,b", "é\x85 ", ""]),
+                                min_size=1, max_size=5, unique=True))
+            codes = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n))
+            columns.append((np.array(codes, dtype=np.int64), ids))
+        else:
+            values = st.integers(-(2**63), 2**63 - 1) if kind is int else FLOATS
+            dtype = np.int64 if kind is int else np.float64
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=tables(), chunk=st.integers(1, 5))
+def test_property_write_table_read_table_round_trip(tmp_path_factory, columns, chunk):
+    kinds = [str if isinstance(c, tuple) else {"i": int, "f": float}[c.dtype.kind] for c in columns]
+    header = "\t".join(f"c{i}" for i in range(len(columns)))
+    path = tmp_path_factory.mktemp("table") / "t.tsv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CHUNK_LINES", chunk)
+        ingest.write_table(path, header, columns)
+        back = ingest.read_table(path, "\t", lambda line: [
+            (name, kind) for name, kind in zip(line.split("\t"), kinds)
+        ])
+    assert list(back) == header.split("\t")
+    for want, got in zip(columns, back.values()):
+        if isinstance(want, tuple):
+            assert [got[1][c] for c in got[0].tolist()] == [want[1][c] for c in want[0].tolist()]
+        else:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit

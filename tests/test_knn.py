@@ -29,6 +29,7 @@ from conftest import (
     dense_truncate_oracle,
     make_implicit_dataset,
 )
+from test_ingest import FLOATS
 
 
 def ds_from_pairs(pairs):
@@ -245,6 +246,34 @@ def test_save_header_format(tmp_path):
     path = save_similarity(truncate_topk(s, 1), tmp_path / "m.tsv")
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "items=2 strategy=topk k=1"
+
+
+def oracle_similarity_text(s: SimilarityMatrix) -> str:
+    """The matrix file as the per-line f-string writer before write_table made it."""
+    lines = [f"items={s.n_items} strategy={s.strategy} k={s.k or 0}\n"]
+    for i in range(s.n_items):
+        lo, hi = s.indptr[i], s.indptr[i + 1]
+        for j, v in zip(s.cols[lo:hi].tolist(), s.vals[lo:hi].tolist()):
+            lines.append(f"{i}\t{j}\t{v:.17g}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), topk=st.booleans())
+def test_property_save_similarity_bytes_match_oracle(tmp_path_factory, data, n, topk):
+    rows = [sorted(data.draw(st.sets(st.integers(0, n - 1)))) for _ in range(n)]
+    cols = [j for row in rows for j in row]
+    vals = data.draw(st.lists(FLOATS, min_size=len(cols), max_size=len(cols)))
+    s = SimilarityMatrix(
+        n_items=n,
+        indptr=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+        cols=np.array(cols, dtype=np.int64),
+        vals=np.array(vals, dtype=np.float64),
+        strategy=STRATEGY_TOPK if topk else STRATEGY_FULL,
+        k=n if topk else None,
+    )
+    path = save_similarity(s, tmp_path_factory.mktemp("sim") / "m.tsv")
+    assert path.read_bytes() == oracle_similarity_text(s).encode("utf-8")
 
 
 def test_full_csc_is_a_view_of_the_csr_arrays():

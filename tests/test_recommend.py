@@ -24,6 +24,7 @@ from itemknn_bench.recommend import (
 from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
 
 from conftest import in_order_scores, item_sets, make_implicit_dataset
+from test_ingest import FLOATS, IDS
 from test_knn import sim_from_dense, to_dense
 
 SUM_ALL = ScoringMode("sum-all")
@@ -368,3 +369,35 @@ def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CHUNK_LINES", chunk)
         assert load_recommendations(path) == want
+
+
+def oracle_recs_text(recs: list[RecommendationList], ds: InteractionDataset) -> str:
+    """The dump as the per-line f-string writer before write_table made it."""
+    lines = ["user\trank\titem\tscore\n"]
+    for rl in recs:
+        user = ds.user_ids[rl.user]
+        for rank, (item, score) in enumerate(rl.entries, start=1):
+            lines.append(f"{user}\t{rank}\t{ds.item_ids[item]}\t{score:.17g}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), user_ids=st.lists(IDS, min_size=1, max_size=5, unique=True),
+       item_ids=st.lists(IDS, min_size=1, max_size=6, unique=True))
+def test_property_save_recommendations_bytes_match_oracle(
+    tmp_path_factory, data, user_ids, item_ids
+):
+    users = data.draw(st.lists(st.integers(0, len(user_ids) - 1), unique=True), label="users")
+    recs = [
+        RecommendationList(user, data.draw(st.lists(
+            st.tuples(st.integers(0, len(item_ids) - 1), FLOATS), max_size=4
+        ), label="entries"))
+        for user in users
+    ]
+    recs += data.draw(st.sampled_from([[], [RecommendationList(0, [])]]), label="empty list")
+    ds = InteractionDataset(
+        *(np.zeros(0, dtype=t) for t in (np.int64, np.int64, np.float64, np.float64)),
+        user_ids, item_ids,
+    )
+    path = save_recommendations(recs, ds, tmp_path_factory.mktemp("recs") / "r.tsv")
+    assert path.read_bytes() == oracle_recs_text(recs, ds).encode("utf-8")
