@@ -239,7 +239,7 @@ def write_table(path: str | Path, header: str, columns: list) -> Path:
 
     The one writer of interaction files, similarity matrices and dumps, and
     the inverse of :func:`read_table`: a column is an id column as (int64
-    codes, ids), written as the ids, or an int64 or float64 array.  Ints are
+    codes, ids), written as the ids, or an integer or float64 array.  Ints are
     written in full and floats with 17 significant digits, which round-trips
     every double.  Lines end in LF and the file is UTF-8.  Rows are formatted
     ``CHUNK_LINES`` at a time, so no whole column becomes a Python list.

@@ -2,8 +2,8 @@
 
 On binary (implicit) data the cosine of items i and j reduces to
 ``|U_i ∩ U_j| / (sqrt(|U_i|) * sqrt(|U_j|))`` with U_x the set of users who
-interacted with item x.  Co-occurrence counts are computed exactly in integer
-arithmetic, so the matrix is bit-deterministic regardless of threading.
+interacted with item x.  Co-occurrence counts are float64 sums of ones, exact
+below 2**53, so the matrix is bit-deterministic regardless of threading.
 
 Storage is row-oriented CSR: row i holds the neighbors of candidate item i,
 and scoring reads row i.  The diagonal is dropped before any truncation, so
@@ -24,6 +24,7 @@ from .ingest import InteractionDataset, check_rows, read_table, write_table
 
 STRATEGY_FULL = "full"
 STRATEGY_TOPK = "topk"
+COSINE_CHUNK = 2**20  # entries per step of the in-place cosine division
 
 
 @dataclass
@@ -34,9 +35,12 @@ class SimilarityMatrix:
     ``"topk"`` (row i holds only the first k entries of the full row i in
     :func:`neighbour_orders`).
 
+    ``cols`` and ``indptr`` share one index dtype, :func:`index_dtype` of
+    the entry count: int32 below 2**31 entries.
+
     Scoring reads columns, through :meth:`csc`.  A full matrix is its own
     transpose, so its CSC view reinterprets the CSR arrays in place and
-    copies no values; a top-k matrix is converted once.  The per-row
+    copies none of them; a top-k matrix is converted once.  The per-row
     neighbour priorities that profile-topk selects by (:meth:`priorities`)
     are built on first use.  Both are cached on the matrix itself, so they
     live exactly as long as it does.
@@ -55,12 +59,12 @@ class SimilarityMatrix:
     def nnz(self) -> int:
         return len(self.cols)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.cols[lo:hi], self.vals[lo:hi]
-
     def csc(self) -> sp.csc_matrix:
-        """Cached scipy CSC form for fast column gathering during scoring."""
+        """Cached scipy CSC form for fast column gathering during scoring.
+
+        For a full matrix its ``data``, ``indices`` and ``indptr`` are
+        ``vals``, ``cols`` and ``indptr`` themselves, shared, not copied.
+        """
         if self._csc is None:
             shape = (self.n_items, self.n_items)
             if self.strategy == STRATEGY_FULL:
@@ -136,29 +140,42 @@ def build_matrix(train: InteractionDataset) -> sp.csr_matrix:
     )
 
 
+def index_dtype(nnz: int) -> type:
+    """The ``cols``/``indptr`` dtype of ``nnz`` entries, as scipy picks it: int32 below 2**31."""
+    return np.int32 if nnz < 2**31 else np.int64
+
+
 def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
-    """Full-strategy cosine matrix: symmetric, zero diagonal, zeros unstored."""
+    """Full-strategy cosine matrix: symmetric, zero diagonal, zeros unstored.
+
+    The co-occurrence counts are the product of a float64-ones copy of ``b``
+    with its transpose, and the cosine is computed in that product's own
+    arrays, ``COSINE_CHUNK`` entries at a time, so no full-length temporary
+    is held beside it.  The diagonal is zeroed in the same pass and dropped
+    with the zeros; an item without users has no diagonal entry at all.
+    """
     n_items = b.shape[1]
     if n_items < 1:
         raise ContractError("cosine_similarity requires at least one item")
 
-    cooc = (b.T @ b).tocoo()  # exact int64 co-occurrence counts
-    off_diag = cooc.row != cooc.col
-    cooc = sp.csr_matrix(
-        (cooc.data[off_diag], (cooc.row[off_diag], cooc.col[off_diag])),
-        shape=(n_items, n_items),
-    )
+    ones = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr), shape=b.shape)
+    cooc = (ones.T @ ones).tocsr()
+    counts = cooc.diagonal()  # n_i, the number of users of item i
+    vals, cols, indptr = cooc.data, cooc.indices, cooc.indptr
+    for lo in range(0, len(vals), COSINE_CHUNK):
+        hi = min(lo + COSINE_CHUNK, len(vals))
+        row_of = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+        chunk = vals[lo:hi]
+        chunk /= np.sqrt(counts[row_of] * counts[cols[lo:hi]])
+        chunk[cols[lo:hi] == row_of] = 0.0
+    cooc.eliminate_zeros()
     cooc.sort_indices()
-
-    counts = np.asarray(b.sum(axis=0), dtype=np.float64).ravel()
-    row_of = np.repeat(np.arange(n_items), np.diff(cooc.indptr))
-    vals = cooc.data.astype(np.float64) / np.sqrt(counts[row_of] * counts[cooc.indices])
 
     return SimilarityMatrix(
         n_items=n_items,
-        indptr=cooc.indptr.astype(np.int64),
-        cols=cooc.indices.astype(np.int64),
-        vals=vals,
+        indptr=cooc.indptr,
+        cols=cooc.indices,
+        vals=cooc.data,
         strategy=STRATEGY_FULL,
     )
 
@@ -184,12 +201,14 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
     keep = np.zeros(s.nnz, dtype=bool)
     for row, order in neighbour_orders(s):
         keep[row][order[:k]] = True
-    indptr = np.zeros(s.n_items + 1, dtype=np.int64)
-    np.cumsum(np.minimum(np.diff(s.indptr), k), out=indptr[1:])
+    lengths = np.minimum(np.diff(s.indptr), k)
+    dtype = index_dtype(int(lengths.sum()))
+    indptr = np.zeros(s.n_items + 1, dtype=dtype)
+    np.cumsum(lengths, out=indptr[1:])
     return SimilarityMatrix(
         n_items=s.n_items,
         indptr=indptr,
-        cols=s.cols[keep],
+        cols=s.cols[keep].astype(dtype, copy=False),
         vals=s.vals[keep],
         strategy=STRATEGY_TOPK,
         k=k,
@@ -243,7 +262,7 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
     check((rows < 0) | (rows >= n_items) | (cols < 0) | (cols >= n_items),
           lambda t: f"is outside [0, {n_items})")
     check(vals <= 0.0, lambda t: "is not positive")
-    key = rows * n_items + cols  # below 2**62
+    key = rows * n_items + cols  # int64, below 2**62
     check(np.diff(key, prepend=-1) <= 0,
           lambda t: f"does not follow ({rows[t - 1]}, {cols[t - 1]}): entries ascend by "
                     f"row, then column, without repeats")
@@ -260,10 +279,11 @@ def load_similarity(path: str | Path) -> SimilarityMatrix:
         check((key[at] != mirror) | (vals[at] != vals),
               lambda t: f"has no equal entry ({cols[t]}, {rows[t]}): a full matrix is symmetric")
 
+    dtype = index_dtype(len(cols))
     return SimilarityMatrix(
         n_items=n_items,
-        indptr=indptr.astype(np.int64),
-        cols=cols,
+        indptr=indptr.astype(dtype),
+        cols=cols.astype(dtype),
         vals=vals,
         strategy=strategy,
         k=k or None,

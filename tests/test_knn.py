@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itemknn_bench import ingest
+from itemknn_bench import ingest, knn
 from itemknn_bench.errors import ContractError, RowParseError, SchemaError
 from itemknn_bench.ingest import Interaction, InteractionDataset
 from itemknn_bench.knn import (
@@ -22,6 +22,7 @@ from itemknn_bench.knn import (
     save_similarity,
     truncate_topk,
 )
+from itemknn_bench.split import SplitConfig, split_holdout
 
 from conftest import (
     dense_cosine_oracle,
@@ -50,18 +51,24 @@ def sim_from_dense(dense, strategy=STRATEGY_FULL, k=None) -> SimilarityMatrix:
         indptr.append(len(cols))
     return SimilarityMatrix(
         n_items=n,
-        indptr=np.array(indptr, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
+        indptr=np.array(indptr, dtype=np.int32),
+        cols=np.array(cols, dtype=np.int32),
         vals=np.array(vals, dtype=np.float64),
         strategy=strategy,
         k=k,
     )
 
 
+def row(s: SimilarityMatrix, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's stored columns and values."""
+    lo, hi = s.indptr[i], s.indptr[i + 1]
+    return s.cols[lo:hi], s.vals[lo:hi]
+
+
 def to_dense(s: SimilarityMatrix) -> list[list[float]]:
     dense = [[0.0] * s.n_items for _ in range(s.n_items)]
     for i in range(s.n_items):
-        cols, vals = s.row(i)
+        cols, vals = row(s, i)
         for c, v in zip(cols, vals):
             dense[i][c] = v
     return dense
@@ -110,16 +117,39 @@ def test_cosine_requires_items():
         cosine_similarity(build_matrix(ds_from_pairs([])))
 
 
+def with_unused_items(rng: random.Random) -> list[InteractionDataset]:
+    """A random dataset and a split train of it, whose test-only items have no users."""
+    ds = make_implicit_dataset(rng)
+    return [ds, split_holdout(ds, SplitConfig(0.5, rng.randint(0, 99))).train]
+
+
 def test_cosine_matches_dense_oracle():
     rng = random.Random(42)
     for _ in range(30):
-        ds = make_implicit_dataset(rng)
-        s = cosine_similarity(build_matrix(ds))
-        expected = dense_cosine_oracle(ds)
-        got = to_dense(s)
-        for i in range(ds.n_items):
-            for j in range(ds.n_items):
-                assert got[i][j] == pytest.approx(expected[i][j], abs=1e-12)
+        for ds in with_unused_items(rng):
+            # The same expression, shared / sqrt(n_i * n_j), so equal bits.
+            assert to_dense(cosine_similarity(build_matrix(ds))) == dense_cosine_oracle(ds)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_cosine_chunk_boundaries(monkeypatch, chunk):
+    rng = random.Random(53)
+    datasets = [ds for _ in range(10) for ds in with_unused_items(rng)]
+    default = [cosine_similarity(build_matrix(ds)) for ds in datasets]
+    monkeypatch.setattr(knn, "COSINE_CHUNK", chunk)
+    for ds, expected in zip(datasets, default):
+        assert cosine_similarity(build_matrix(ds)).entries_equal(expected)
+
+
+def test_index_dtype_is_int32():
+    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(59))))
+    assert (s.cols.dtype, s.indptr.dtype) == (np.int32, np.int32)
+    wide = SimilarityMatrix(s.n_items, s.indptr.astype(np.int64), s.cols.astype(np.int64),
+                            s.vals, STRATEGY_FULL)
+    for topk in (truncate_topk(s, 2), truncate_topk(wide, 2)):
+        assert (topk.cols.dtype, topk.indptr.dtype) == (np.int32, np.int32)
+    assert knn.index_dtype(2**31 - 1) == np.int32
+    assert knn.index_dtype(2**31) == np.int64
 
 
 def test_cosine_symmetry_and_range():
@@ -164,8 +194,8 @@ def test_truncate_soundness_and_oracle():
         # matches the dense oracle exactly (values unchanged, same kept set)
         assert to_dense(out) == dense_truncate_oracle(to_dense(s), k)
         for i in range(s.n_items):
-            _, full_vals = s.row(i)
-            kept_cols, kept_vals = out.row(i)
+            _, full_vals = row(s, i)
+            kept_cols, kept_vals = row(out, i)
             assert len(kept_cols) <= k
             removed = sorted(full_vals.tolist())
             for v in kept_vals:
@@ -181,9 +211,9 @@ def test_truncate_idempotent_and_monotone():
         k = rng.choice([1, 2, 5])
         once = truncate_topk(s, k)
         assert truncate_topk(once, k).entries_equal(once)
-        kept_k = {(i, c) for i in range(s.n_items) for c in once.row(i)[0]}
+        kept_k = {(i, c) for i in range(s.n_items) for c in row(once, i)[0]}
         bigger = truncate_topk(s, k + 1)
-        kept_k1 = {(i, c) for i in range(s.n_items) for c in bigger.row(i)[0]}
+        kept_k1 = {(i, c) for i in range(s.n_items) for c in row(bigger, i)[0]}
         assert kept_k <= kept_k1
 
 
@@ -225,6 +255,7 @@ def test_save_load_round_trip_exact(tmp_path):
         assert back.k == mat.k
         assert back.n_items == mat.n_items
         assert back.entries_equal(mat)  # 17 significant digits round-trip doubles
+        assert (back.cols.dtype, back.indptr.dtype) == (np.int32, np.int32)
 
 
 @settings(max_examples=40, deadline=None)
@@ -280,6 +311,9 @@ def test_full_csc_is_a_view_of_the_csr_arrays():
     s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(43))))
     assert s.strategy == STRATEGY_FULL
     assert np.shares_memory(s.csc().data, s.vals)
+    assert np.shares_memory(s.csc().indices, s.cols)
+    assert np.shares_memory(s.csc().indptr, s.indptr)
+    assert np.shares_memory(s.priorities().indices, s.cols)
     assert np.array_equal(s.csc().toarray(), np.array(to_dense(s)))
     topk = truncate_topk(s, 2)
     assert np.array_equal(topk.csc().toarray(), np.array(to_dense(topk)))
