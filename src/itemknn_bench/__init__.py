@@ -11,7 +11,6 @@ from .harness import (
 from .ingest import (
     DatasetStats,
     ImplicitThreshold,
-    Interaction,
     InteractionDataset,
     load_interactions,
     save_interactions,

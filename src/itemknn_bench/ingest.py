@@ -22,7 +22,7 @@ from array import array
 from dataclasses import asdict, dataclass, replace
 from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -39,15 +39,6 @@ ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
 # read_table splits and write_table formats this many lines at a time, which
 # bounds their transient memory.
 CHUNK_LINES = 4096
-
-
-class Interaction(NamedTuple):
-    """One input row for :meth:`InteractionDataset.from_interactions`."""
-
-    user: str
-    item: str
-    rating: float
-    timestamp: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,23 +77,6 @@ class InteractionDataset:
     timestamps: np.ndarray
     user_ids: list[str]
     item_ids: list[str]
-
-    @classmethod
-    def from_interactions(cls, interactions: Iterable[Interaction]) -> "InteractionDataset":
-        """Build a dataset from (user, item, rating, timestamp) rows.
-
-        Dense codes are assigned in first-appearance order.
-        """
-        user_codes: dict[str, int] = {}
-        item_codes: dict[str, int] = {}
-        users, items, ratings, timestamps = array("q"), array("q"), array("d"), array("d")
-        for user, item, rating, timestamp in interactions:
-            users.append(user_codes.setdefault(user, len(user_codes)))
-            items.append(item_codes.setdefault(item, len(item_codes)))
-            ratings.append(rating)
-            timestamps.append(timestamp)
-        columns = map(np.asarray, (users, items, ratings, timestamps))  # no copy
-        return cls(*columns, list(user_codes), list(item_codes))
 
     @classmethod
     def concat(cls, parts: Iterable["InteractionDataset"]) -> "InteractionDataset":

@@ -111,20 +111,42 @@ class SimilarityMatrix:
         )
 
 
-def neighbour_orders(s: SimilarityMatrix) -> Iterator[tuple[slice, np.ndarray]]:
+def first_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the first k entries of ``values`` in (-value, position) order.
+
+    Larger values come first, and among equal values the smaller position;
+    the positions come back in that order, ``min(k, len(values))`` of them
+    (k >= 0).  This is the one (-value, index) order of the package: matrix
+    rows rank their neighbours by it, and top-N lists their candidates.
+    When k is below the length, ``np.partition`` finds the k-th largest
+    value and only the entries at or above it, ties included, are sorted;
+    the sort is stable, so equal values keep ascending position.
+    """
+    if 0 < k < len(values):
+        kth = np.partition(values, len(values) - k)[len(values) - k]
+        (positions,) = np.nonzero(values >= kth)
+    else:
+        positions = np.arange(len(values))
+    return positions[np.argsort(-values[positions], kind="stable")][:k]
+
+
+def neighbour_orders(
+    s: SimilarityMatrix, k: int | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
     """Each row's stored entries, best neighbour first: the one neighbour order.
 
     Row i's neighbours are ranked by (-value, j): larger similarity first,
     and among equal values the smaller column index j first.  Yields, row
-    by row, row i's slice of ``s.cols``/``s.vals`` and the positions within
-    that slice in this order.  Rows are stored in ascending j, so a stable
-    sort on -value alone keeps equal values in ascending j.  Top-k truncation
+    by row, row i's slice of ``s.cols``/``s.vals`` and :func:`first_k` of
+    that slice's values: the positions within the slice of its first k
+    entries in this order, or of all of them when k is None.  Rows are
+    stored in ascending j, so position order is j order.  Top-k truncation
     keeps the first k of each row's order, and profile-topk's priorities are
-    ranks in it.
+    ranks in the whole order.
     """
     indptr = s.indptr.tolist()
     for lo, hi in zip(indptr[:-1], indptr[1:]):
-        yield slice(lo, hi), np.argsort(-s.vals[lo:hi], kind="stable")
+        yield slice(lo, hi), first_k(s.vals[lo:hi], hi - lo if k is None else k)
 
 
 def build_matrix(train: InteractionDataset) -> sp.csr_matrix:
@@ -151,8 +173,10 @@ def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
     The co-occurrence counts are the product of a float64-ones copy of ``b``
     with its transpose, and the cosine is computed in that product's own
     arrays, ``COSINE_CHUNK`` entries at a time, so no full-length temporary
-    is held beside it.  The diagonal is zeroed in the same pass and dropped
-    with the zeros; an item without users has no diagonal entry at all.
+    is held beside it.  A chunk's row ids are read off ``indptr`` by
+    repeating each row id once per entry of that row inside the chunk, with
+    no search.  The diagonal is zeroed in the same pass and dropped with the
+    zeros; an item without users has no diagonal entry at all.
     """
     n_items = b.shape[1]
     if n_items < 1:
@@ -162,9 +186,10 @@ def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
     cooc = (ones.T @ ones).tocsr()
     counts = cooc.diagonal()  # n_i, the number of users of item i
     vals, cols, indptr = cooc.data, cooc.indices, cooc.indptr
+    rows = np.arange(n_items)
     for lo in range(0, len(vals), COSINE_CHUNK):
         hi = min(lo + COSINE_CHUNK, len(vals))
-        row_of = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+        row_of = np.repeat(rows, np.diff(np.clip(indptr, lo, hi)))
         chunk = vals[lo:hi]
         chunk /= np.sqrt(counts[row_of] * counts[cols[lo:hi]])
         chunk[cols[lo:hi] == row_of] = 0.0
@@ -184,7 +209,9 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
     """Keep the first k entries of each row's :func:`neighbour_orders`.
 
     Values are unchanged, the kept set is unique, and rows stay in ascending
-    column order.
+    column order.  Each row is ranked only as far as :func:`first_k` needs:
+    a partition finds its k-th largest value, and only the entries at or
+    above it are sorted, so no row longer than k is fully sorted.
     Truncation nests: the top k' of a top-k matrix equals the top k' of the
     full matrix whenever k' <= k, so re-truncating at the same or a smaller
     k is allowed (and idempotent); a larger k is refused because the
@@ -199,8 +226,8 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
         )
 
     keep = np.zeros(s.nnz, dtype=bool)
-    for row, order in neighbour_orders(s):
-        keep[row][order[:k]] = True
+    for row, order in neighbour_orders(s, k):
+        keep[row][order] = True
     lengths = np.minimum(np.diff(s.indptr), k)
     dtype = index_dtype(int(lengths.sum()))
     indptr = np.zeros(s.n_items + 1, dtype=dtype)

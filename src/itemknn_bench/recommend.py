@@ -53,9 +53,10 @@ stays bounded where the whole users x items product (8.8M entries, about
 built.  The one dense array profile-topk builds is one user's items x |P|
 priority block, 2 bytes a cell up to 65535 items.
 
-Top-N keeps the candidates whose score is at least the n-th largest
-(``np.partition``), then orders only those by score descending, item
-ascending.
+Top-N ranks the positive, unseen candidates by :func:`knn.first_k`, the
+same (-value, index) order that ranks a matrix row's neighbours: score
+descending, item ascending, first n.  Only the candidates whose score is at
+least the n-th largest (``np.partition``) are sorted.
 
 Named presets pair a matrix strategy with a scoring mode:
 
@@ -76,7 +77,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset, check_rows, read_table, write_table
-from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix
+from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix, first_k
 from .split import SplitPair
 
 SCORING_SUM_ALL = "sum-all"
@@ -185,22 +186,21 @@ def score_user(
 def recommend_topn(
     scores: np.ndarray, seen: Iterable[int], n: int, user: int = 0
 ) -> RecommendationList:
-    """Top-n unseen positively scored items, by score descending then item ascending."""
+    """Top-n unseen positively scored items, by score descending then item ascending.
+
+    ``seen`` may be any iterable of item indices; an ndarray is used as it is.
+    """
     if n < 1:
         raise ContractError(f"n must be >= 1, got {n}")
     candidates = scores > 0.0
-    seen = np.asarray(list(seen), dtype=np.int64)
-    if len(seen):
-        candidates[seen] = False
+    if not isinstance(seen, np.ndarray):
+        seen = np.fromiter(seen, dtype=np.int64)
+    candidates[seen] = False
     (items,) = np.nonzero(candidates)
     vals = scores[items]
-    if len(items) > n:
-        # Everything tied with the n-th largest survives; lexsort settles ties.
-        keep = vals >= np.partition(vals, len(vals) - n)[len(vals) - n]
-        items, vals = items[keep], vals[keep]
-    order = np.lexsort((items, -vals))[:n]
+    order = first_k(vals, n)
     return RecommendationList(
-        user=user, entries=[(int(items[o]), float(vals[o])) for o in order]
+        user=user, entries=list(zip(items[order].tolist(), vals[order].tolist()))
     )
 
 

@@ -12,11 +12,39 @@ import math
 import os
 import random
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
+import numpy as np
 import pytest
 
-from itemknn_bench.ingest import Interaction, InteractionDataset
+from itemknn_bench.ingest import InteractionDataset
 from itemknn_bench.split import SplitMix64
+
+
+class Interaction(NamedTuple):
+    """One (user, item, rating, timestamp) row for :func:`dataset_from_rows`."""
+
+    user: str
+    item: str
+    rating: float
+    timestamp: float = 0.0
+
+
+def dataset_from_rows(rows: Iterable[tuple]) -> InteractionDataset:
+    """A dataset of (user, item, rating, timestamp) rows, dense codes in first-appearance order."""
+    rows = list(rows)
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    users = [user_codes.setdefault(row[0], len(user_codes)) for row in rows]
+    items = [item_codes.setdefault(row[1], len(item_codes)) for row in rows]
+    return InteractionDataset(
+        np.array(users, dtype=np.int64),
+        np.array(items, dtype=np.int64),
+        np.array([row[2] for row in rows], dtype=np.float64),
+        np.array([row[3] for row in rows], dtype=np.float64),
+        list(user_codes),
+        list(item_codes),
+    )
 
 
 def make_implicit_dataset(
@@ -31,7 +59,7 @@ def make_implicit_dataset(
         for i in rng.sample(range(n_items), size):
             rows.append(Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 50))))
     rng.shuffle(rows)
-    return InteractionDataset.from_interactions(rows)
+    return dataset_from_rows(rows)
 
 
 def as_rows(ds: InteractionDataset) -> list[tuple[str, str, float, float]]:

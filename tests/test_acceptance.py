@@ -18,8 +18,6 @@ import pytest
 from itemknn_bench.harness import ExperimentConfig, emit_report, run_experiment
 from itemknn_bench.ingest import (
     ImplicitThreshold,
-    Interaction,
-    InteractionDataset,
     load_interactions,
     save_interactions,
     stats,
@@ -31,8 +29,10 @@ from itemknn_bench.recommend import PRESETS, recommend_all, score_user
 from itemknn_bench.split import SplitConfig, split_holdout
 
 from conftest import (
+    Interaction,
     brute_ndcg,
     brute_scores,
+    dataset_from_rows,
     dense_cosine_oracle,
     item_sets,
     make_implicit_dataset,
@@ -230,7 +230,7 @@ def synthetic_file(tmp_path_factory):
             rows.append(
                 Interaction(f"u{u}", f"m{i}", float(rng.randint(1, 5)), float(rng.randint(0, 999)))
             )
-    ds = InteractionDataset.from_interactions(rows)
+    ds = dataset_from_rows(rows)
     return save_interactions(ds, tmp_path_factory.mktemp("accept") / "synthetic.inter")
 
 

@@ -8,13 +8,11 @@ import pytest
 
 from itemknn_bench.cli import main
 from itemknn_bench.ingest import (
-    Interaction,
-    InteractionDataset,
     load_interactions,
     save_interactions,
 )
 
-from conftest import pair_set
+from conftest import Interaction, dataset_from_rows, pair_set
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +24,7 @@ def data_file(tmp_path_factory):
             rows.append(
                 Interaction(f"u{u}", f"m{i}", float(rng.randint(1, 5)), float(rng.randint(0, 900)))
             )
-    ds = InteractionDataset.from_interactions(rows)
+    ds = dataset_from_rows(rows)
     return save_interactions(ds, tmp_path_factory.mktemp("cli-data") / "toy.inter")
 
 

@@ -16,8 +16,6 @@ from itemknn_bench.harness import (
 )
 from itemknn_bench.ingest import (
     ImplicitThreshold,
-    Interaction,
-    InteractionDataset,
     load_interactions,
     save_interactions,
     to_implicit,
@@ -26,6 +24,8 @@ from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, tr
 from itemknn_bench.metrics import evaluate
 from itemknn_bench.recommend import PRESETS, recommend_all
 from itemknn_bench.split import SplitConfig, split_holdout
+
+from conftest import Interaction, dataset_from_rows
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def ratings_file(tmp_path_factory):
             rows.append(
                 Interaction(f"u{u}", f"m{i}", float(rng.randint(1, 5)), float(rng.randint(0, 500)))
             )
-    ds = InteractionDataset.from_interactions(rows)
+    ds = dataset_from_rows(rows)
     return save_interactions(ds, tmp_path_factory.mktemp("data") / "toy.inter")
 
 
@@ -88,7 +88,7 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
     for u in range(5):
         for i in rng.sample(range(12), rng.randint(7, 12)):
             rows.append(Interaction(f"u{u}", f"m{i}", float(rng.randint(1, 5)), float(rng.randint(0, 99))))
-    path = save_interactions(InteractionDataset.from_interactions(rows), tmp_path / "five.inter")
+    path = save_interactions(dataset_from_rows(rows), tmp_path / "five.inter")
     cfg = ExperimentConfig(
         data=str(path),
         threshold=ImplicitThreshold(2, "gt"),

@@ -11,15 +11,20 @@ from itemknn_bench import ingest
 from itemknn_bench.errors import RowParseError, SchemaError
 from itemknn_bench.ingest import (
     ImplicitThreshold,
-    Interaction,
-    InteractionDataset,
     load_interactions,
     save_interactions,
     stats,
     to_implicit,
 )
 
-from conftest import OracleLineError, as_rows, oracle_load_interactions, pair_set
+from conftest import (
+    Interaction,
+    OracleLineError,
+    as_rows,
+    dataset_from_rows,
+    oracle_load_interactions,
+    pair_set,
+)
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float\n"
 
@@ -215,7 +220,7 @@ def test_load_unknown_format(tmp_path):
 
 
 def make_ds(rows):
-    return InteractionDataset.from_interactions([Interaction(*r) for r in rows])
+    return dataset_from_rows(rows)
 
 
 def test_threshold_semantics():

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from itemknn_bench import ingest, knn
 from itemknn_bench.errors import ContractError, RowParseError, SchemaError
-from itemknn_bench.ingest import Interaction, InteractionDataset
+from itemknn_bench.ingest import InteractionDataset
 from itemknn_bench.knn import (
     STRATEGY_FULL,
     STRATEGY_TOPK,
     SimilarityMatrix,
     build_matrix,
     cosine_similarity,
+    first_k,
     load_similarity,
     save_similarity,
     truncate_topk,
@@ -25,6 +26,8 @@ from itemknn_bench.knn import (
 from itemknn_bench.split import SplitConfig, split_holdout
 
 from conftest import (
+    Interaction,
+    dataset_from_rows,
     dense_cosine_oracle,
     dense_priority_oracle,
     dense_truncate_oracle,
@@ -34,9 +37,7 @@ from test_ingest import FLOATS
 
 
 def ds_from_pairs(pairs):
-    return InteractionDataset.from_interactions(
-        [Interaction(u, i, 1.0, 0.0) for u, i in pairs]
-    )
+    return dataset_from_rows([Interaction(u, i, 1.0, 0.0) for u, i in pairs])
 
 
 def sim_from_dense(dense, strategy=STRATEGY_FULL, k=None) -> SimilarityMatrix:
@@ -235,6 +236,29 @@ def test_property_truncate_tie_heavy(data):
         assert topk.entries_equal(sim_from_dense(dense_truncate_oracle(dense, k)))
         for k2 in range(1, k + 1):
             assert truncate_topk(topk, k2).entries_equal(truncate_topk(s, k2))
+
+
+def assert_first_k(values: list[float], k: int) -> None:
+    want = sorted(range(len(values)), key=lambda p: (-values[p], p))[:k]
+    assert first_k(np.array(values, dtype=np.float64), k).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_first_k_is_the_sorted_prefix(data):
+    """first_k == the first k positions by (-value, position) on tie-heavy
+    rows, for every k from 0 to past the length."""
+    values = data.draw(st.lists(st.sampled_from((0.1, 0.3, 0.3, 0.7)), max_size=40))
+    assert_first_k(values, data.draw(st.integers(0, len(values) + 2)))
+
+
+@pytest.mark.parametrize("values, k", [
+    ([], 0), ([], 1),  # m = 0
+    ([0.3] * 20, 1), ([0.3] * 20, 7), ([0.3] * 20, 20), ([0.3] * 20, 21),  # one value
+    ([0.1, 0.7, 0.3, 0.7], 1), ([0.1, 0.7, 0.3, 0.7], 4), ([0.1, 0.7, 0.3, 0.7], 9),
+])
+def test_first_k_edges(values, k):
+    assert_first_k(values, k)
 
 
 def test_truncate_rejects_widening():

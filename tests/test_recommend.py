@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from itemknn_bench import ingest, recommend
 from itemknn_bench.errors import ContractError
-from itemknn_bench.ingest import Interaction, InteractionDataset
+from itemknn_bench.ingest import InteractionDataset
 from itemknn_bench.knn import STRATEGY_FULL, STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
 from itemknn_bench.recommend import (
     PRESETS,
@@ -23,7 +23,13 @@ from itemknn_bench.recommend import (
 )
 from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
 
-from conftest import in_order_scores, item_sets, make_implicit_dataset
+from conftest import (
+    Interaction,
+    dataset_from_rows,
+    in_order_scores,
+    item_sets,
+    make_implicit_dataset,
+)
 from test_ingest import FLOATS, IDS
 from test_knn import sim_from_dense, to_dense
 
@@ -104,6 +110,32 @@ def test_recommend_topn_short_list_and_positive_only():
         recommend_topn(np.array([0.1]), seen=[], n=0)
 
 
+SEEN_FORMS = {
+    "list": list,
+    "int32": lambda seen: np.array(seen, dtype=np.int32),
+    "int64": lambda seen: np.array(seen, dtype=np.int64),
+    "generator": lambda seen: (item for item in seen),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), form=st.sampled_from(sorted(SEEN_FORMS)))
+def test_property_recommend_topn_matches_oracle(data, form):
+    """recommend_topn == the positive unseen items sorted by (-score, item),
+    first n, on tie-heavy scores, for n to past the candidate count and
+    every form of the seen set."""
+    m = data.draw(st.integers(0, 40), label="m")
+    scores = data.draw(st.lists(st.sampled_from((-0.2, 0.0, 0.4, 0.4, 0.9)), min_size=m, max_size=m))
+    seen = data.draw(st.lists(st.integers(0, m - 1), unique=True) if m else st.just([]))
+    candidates = [i for i in range(m) if scores[i] > 0.0 and i not in seen]
+    n = data.draw(st.integers(1, len(candidates) + 2), label="n")
+    want = sorted(candidates, key=lambda i: (-scores[i], i))[:n]
+    rl = recommend_topn(np.array(scores, dtype=np.float64), SEEN_FORMS[form](seen), n, user=3)
+    assert rl.user == 3
+    assert rl.entries == [(i, scores[i]) for i in want]
+    assert all(type(i) is int and type(v) is float for i, v in rl.entries)
+
+
 def worked_split():
     # i2 occurs in neither side but belongs to the shared universe.
     universe = ["i0", "i1", "i2"]
@@ -121,7 +153,7 @@ def test_recommend_all_worked_example():
 
 
 def test_recommend_all_skips_users_without_test_rows():
-    ds = InteractionDataset.from_interactions(
+    ds = dataset_from_rows(
         [Interaction("a", f"i{j}", 1.0, float(j)) for j in range(6)]
         + [Interaction("b", "i0", 1.0, 0.0)]  # single interaction: never in test
     )
@@ -243,7 +275,7 @@ def test_recommend_all_crosses_user_blocks():
         for u in range(2 * recommend.USER_BLOCK + 37)
         for i in rng.sample(range(25), rng.randint(5, 12))  # >= 5: one test row
     ]
-    pair = split_holdout(InteractionDataset.from_interactions(rows), SplitConfig(0.8, 7))
+    pair = split_holdout(dataset_from_rows(rows), SplitConfig(0.8, 7))
     assert len(set(pair.test.users.tolist())) > 2 * recommend.USER_BLOCK
     s_full = cosine_similarity(build_matrix(pair.train))
     for s in (s_full, truncate_topk(s_full, 3)):
@@ -268,7 +300,7 @@ def test_property_blocked_kernel_matches_oracles(data):
     n = data.draw(st.integers(1, n_items), label="n")
     block = data.draw(st.integers(1, 5), label="block")
     seed = data.draw(st.integers(0, 999), label="seed")
-    ds = InteractionDataset.from_interactions(
+    ds = dataset_from_rows(
         Interaction(f"u{u}", f"i{i}", 1.0, float(u * i % 7)) for u, i in sorted(cells)
     )
     pair = split_holdout(ds, SplitConfig(0.6, seed))

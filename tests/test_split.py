@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from itemknn_bench.errors import ContractError
 from itemknn_bench.ingest import (
     ImplicitThreshold,
-    Interaction,
     InteractionDataset,
     load_interactions,
     to_implicit,
@@ -27,7 +26,9 @@ from itemknn_bench.split import (
 )
 
 from conftest import (
+    Interaction,
     as_rows,
+    dataset_from_rows,
     make_implicit_dataset,
     oracle_split,
     oracle_to_implicit,
@@ -37,7 +38,7 @@ from conftest import (
 
 def single_user_ds(n: int) -> InteractionDataset:
     rows = [Interaction("u", f"i{j}", 1.0, float(j)) for j in range(n)]
-    return InteractionDataset.from_interactions(rows)
+    return dataset_from_rows(rows)
 
 
 def test_splitmix64_reference_vectors():
@@ -70,7 +71,7 @@ def test_single_interaction_user_absent_from_test():
 
 
 def test_requires_implicit():
-    ds = InteractionDataset.from_interactions([Interaction("u", "i", 4.0, 0.0)])
+    ds = dataset_from_rows([Interaction("u", "i", 4.0, 0.0)])
     with pytest.raises(ContractError):
         split_holdout(ds, SplitConfig(0.8, 42))
 
@@ -89,7 +90,7 @@ def test_seeds_produce_different_memberships():
     for u in range(100):
         for i in rng.sample(range(40), 10):
             rows.append(Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 99))))
-    ds = InteractionDataset.from_interactions(rows)
+    ds = dataset_from_rows(rows)
     t21 = pair_set(split_holdout(ds, SplitConfig(0.8, 21)).test)
     t42 = pair_set(split_holdout(ds, SplitConfig(0.8, 42)).test)
     assert t21 != t42
@@ -157,7 +158,7 @@ def test_vectorised_draws_match_scalar_stream():
 
 
 def golden_dataset() -> InteractionDataset:
-    return InteractionDataset.from_interactions(
+    return dataset_from_rows(
         Interaction(*row)
         for row in [
             ("ann", "m3", 1.0, 5.0), ("bob", "m1", 1.0, 2.0), ("ann", "m1", 1.0, 5.0),
@@ -213,7 +214,7 @@ def test_property_columnar_layers_match_row_oracles(data, ratio, seeds, threshol
     # timestamps, equal timestamps, and single-interaction users.
     # Rows compare by repr, so that -0.0 and 0.0 timestamps differ.
     raw = [(f"u{u}", f"i{i}", float(r), t) for u, i, r, t in data]
-    implicit = to_implicit(InteractionDataset.from_interactions(raw), threshold)
+    implicit = to_implicit(dataset_from_rows(raw), threshold)
     want_rows, want_users, want_items = oracle_to_implicit(raw, threshold.passes)
     assert repr(as_rows(implicit)) == repr(want_rows)
     assert implicit.user_ids == want_users
