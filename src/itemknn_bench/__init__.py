@@ -45,6 +45,6 @@ from .recommend import (
     recommend_topn,
     score_user,
 )
-from .split import SplitConfig, SplitMix64, SplitPair, split_holdout
+from .split import SplitConfig, SplitPair, split_holdout
 
 __version__ = "0.1.0"

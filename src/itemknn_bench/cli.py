@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
     DEFAULT_PRESETS,
@@ -40,7 +42,7 @@ from .knn import (
 )
 from .metrics import IDCG_FIXED_K, IDCG_TRUNCATED, report_from_gains, user_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
-from .split import SplitConfig, SplitPair, save_split, split_holdout
+from .split import SplitConfig, save_split, split_holdout
 
 
 def _parse_list(text: str) -> list[str]:
@@ -153,7 +155,11 @@ def _load_test(args):
 def _cmd_recommend(args) -> int:
     preset = PRESETS[args.preset]
     train = load_interactions(args.train, args.format, args.column_map)
-    pair = SplitPair.from_datasets(train, _load_test(args))
+    # Score in the train file's own universe, the one train saved its matrix in.
+    # A test user absent from train has no profile, so no list.
+    tested = set(_load_test(args).user_ids)
+    users = np.flatnonzero([uid in tested for uid in train.user_ids])
+    x = build_matrix(train)
     if args.matrix:
         s = load_similarity(args.matrix)
         want_k = args.k if preset.matrix_strategy == STRATEGY_TOPK else None
@@ -164,14 +170,14 @@ def _cmd_recommend(args) -> int:
                 f"with k={want_k or 0}"
             )
     else:
-        s = cosine_similarity(build_matrix(pair.train))
+        s = cosine_similarity(x)
         if preset.matrix_strategy == STRATEGY_TOPK:
             s = truncate_topk(s, args.k)
-    recs = recommend_all(s, pair, preset.scoring_mode(args.k), args.topn)
+    recs = recommend_all(s, x, preset.scoring_mode(args.k), args.topn, users)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = save_recommendations(
-        recs, pair.train, out_dir / f"{Path(args.train).stem}.{args.preset}.recs.tsv"
+        recs, train, out_dir / f"{Path(args.train).stem}.{args.preset}.recs.tsv"
     )
     print(path)
     return 0

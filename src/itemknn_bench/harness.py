@@ -21,6 +21,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ExperimentError
 from .ingest import (
     DatasetStats,
@@ -203,16 +205,19 @@ def _run_seed(cfg, implicit, seed, cells, timings) -> None:
             f"train ratio {cfg.train_ratio} with seed {seed} leaves no test "
             f"interactions: nothing to evaluate",
         )
+    users = np.unique(pair.test.users)  # the evaluated users
     needs_topk = any(PRESETS[p].matrix_strategy == STRATEGY_TOPK for p in cfg.presets)
     with _phase("similarity", timings):
-        # Full matrix once per seed; truncation shared by the topk presets.
-        s_full = cosine_similarity(build_matrix(pair.train))
+        # Train matrix and full matrix once per seed; truncation shared by
+        # the topk presets.
+        x = build_matrix(pair.train)
+        s_full = cosine_similarity(x)
         s_topk = truncate_topk(s_full, cfg.k) if needs_topk else None
     for preset_name in cfg.presets:
         preset = PRESETS[preset_name]
         s = s_topk if preset.matrix_strategy == STRATEGY_TOPK else s_full
         with _phase("recommend", timings):
-            recs = recommend_all(s, pair, preset.scoring_mode(cfg.k), cfg.n)
+            recs = recommend_all(s, x, preset.scoring_mode(cfg.k), cfg.n, users)
         with _phase("evaluate", timings):
             for mode in cfg.idcg_modes:
                 cells[(preset_name, seed, mode)] = evaluate(

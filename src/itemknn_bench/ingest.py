@@ -19,10 +19,10 @@ and the train/test sides of a split share their source's id lists.
 from __future__ import annotations
 
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import count, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -78,20 +78,6 @@ class InteractionDataset:
     user_ids: list[str]
     item_ids: list[str]
 
-    @classmethod
-    def concat(cls, parts: Iterable["InteractionDataset"]) -> "InteractionDataset":
-        """The rows of ``parts`` in order, codes rebuilt in first-appearance order.
-
-        Ids that are equal by value share one code, and ids that no row uses
-        leave the universe.
-        """
-        parts = list(parts)
-        users, user_ids = _recode([p.users for p in parts], [p.user_ids for p in parts])
-        items, item_ids = _recode([p.items for p in parts], [p.item_ids for p in parts])
-        ratings = np.concatenate([p.ratings for p in parts])
-        timestamps = np.concatenate([p.timestamps for p in parts])
-        return cls(users, items, ratings, timestamps, user_ids, item_ids)
-
     @property
     def columns(self) -> tuple[np.ndarray, ...]:
         return self.users, self.items, self.ratings, self.timestamps
@@ -124,21 +110,16 @@ class InteractionDataset:
         )
 
 
-def _recode(codes: list[np.ndarray], ids: list[list[str]]) -> tuple[np.ndarray, list[str]]:
-    """Concatenate code columns, each indexing its own id list, and renumber
-    the result densely in first-appearance order; equal ids share a code."""
-    canon: dict[str, int] = {}
-    to_canon = [
-        np.array([canon.setdefault(x, len(canon)) for x in part], dtype=np.int64)
-        for part in ids
-    ]
-    merged = np.concatenate([m[c] for m, c in zip(to_canon, codes)])
-    names = list(canon)
-    used, first, inverse = np.unique(merged, return_index=True, return_inverse=True)
+def _recode(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Renumber ``codes``, which index ``ids``, densely in first-appearance order.
+
+    Ids that no row uses leave the universe.
+    """
+    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    return rank[inverse], [names[c] for c in used[order]]
+    return rank[inverse], [ids[c] for c in used[order].tolist()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,7 +234,7 @@ def load_interactions(
 ) -> InteractionDataset:
     """Load an interaction file into a dataset.
 
-    ``format`` is ``"atomic"`` (alias ``"atomic-tsv"``) or ``"csv"``.
+    ``format`` is ``"atomic"`` or ``"csv"``.
     ``column_map`` maps the logical fields ``user``, ``item``, ``rating``,
     ``timestamp`` to actual column names; unmapped fields use the defaults
     (``user_id``, ``item_id``, ``rating``, ``timestamp``).  A missing
@@ -262,7 +243,7 @@ def load_interactions(
     Raises ``FileNotFoundError``, ``SchemaError`` for a missing or twice
     mapped column, and the row faults of :func:`read_table`.
     """
-    atomic = format in ("atomic", "atomic-tsv")
+    atomic = format == "atomic"
     if not atomic and format != "csv":
         raise ValueError(f"unknown format {format!r} (expected 'atomic' or 'csv')")
     sep = "\t" if atomic else ","
@@ -296,14 +277,17 @@ def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionData
     so users and items with no surviving interactions disappear from the id
     universe.
     """
-    kept = ds.take(np.flatnonzero(t.passes(ds.ratings)))
-    pair = kept.users * kept.n_items + kept.items
+    kept = np.flatnonzero(t.passes(ds.ratings))
+    pair = ds.users[kept] * ds.n_items + ds.items[kept]
     # Stable: each pair's rows in ascending timestamp, then file position.
-    order = np.lexsort((kept.timestamps, pair))
+    order = np.lexsort((ds.timestamps[kept], pair))
     starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
     by_first_seen = np.argsort(np.minimum.reduceat(order, starts))
-    out = kept.take(order[starts][by_first_seen])
-    return InteractionDataset.concat([replace(out, ratings=np.ones(out.n_interactions))])
+    rows = kept[order[starts][by_first_seen]]
+    users, user_ids = _recode(ds.users[rows], ds.user_ids)
+    items, item_ids = _recode(ds.items[rows], ds.item_ids)
+    return InteractionDataset(users, items, np.ones(len(rows)), ds.timestamps[rows],
+                              user_ids, item_ids)
 
 
 def stats(ds: InteractionDataset) -> DatasetStats:

@@ -45,8 +45,11 @@ How each mode is computed:
   two separate code paths, and their equality is observed, not routed.
   The tests pin both accumulation orders against an in-order oracle.
 
-:func:`recommend_all` scores the evaluated users in blocks of
-``USER_BLOCK`` rows.  A block's product holds at most
+:func:`recommend_all` scores the users it is given, rows of the caller's
+train matrix X, in blocks of ``USER_BLOCK`` rows.  X, S and the users share
+one id universe, the one X was built in: the experiment's split shares its
+source dataset's, and the ``recommend`` subcommand's is the train file's
+own, in which ``train`` saved its matrix.  A block's product holds at most
 ``USER_BLOCK x n_items`` entries whatever the number of users, so memory
 stays bounded where the whole users x items product (8.8M entries, about
 100 MB, at 1M ratings) would not; no dense users x items array is ever
@@ -77,8 +80,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset, check_rows, read_table, write_table
-from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, build_matrix, first_k
-from .split import SplitPair
+from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, first_k
 
 SCORING_SUM_ALL = "sum-all"
 SCORING_PROFILE_TOPK = "profile-topk"
@@ -205,29 +207,28 @@ def recommend_topn(
 
 
 def recommend_all(
-    s: SimilarityMatrix, split: SplitPair, mode: ScoringMode, n: int
+    s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode, n: int, users: np.ndarray
 ) -> list[RecommendationList]:
-    """One recommendation list per user holding at least one test interaction.
+    """One recommendation list per user of ``users``, scored from the train matrix ``x``.
 
-    Scoring uses the user's train profile, which is also the excluded seen
-    set.  Lists come back in ascending dense-user order, so the output is
+    ``x`` is the binary users x items train matrix of :func:`knn.build_matrix`
+    on the universe ``s`` was built in; ``users`` are ascending row indices of
+    ``x``.  Each user's row is both the scored profile and the excluded seen
+    set.  Lists come back in the order of ``users``, so the output is
     independent of the block size.
     """
-    if s.n_items != split.train.n_items:
+    if s.n_items != x.shape[1]:
         raise ContractError(
-            f"matrix has {s.n_items} items but split.train has {split.train.n_items}"
+            f"matrix has {s.n_items} items but the train matrix has {x.shape[1]}"
         )
 
-    x = build_matrix(split.train)
-    eval_users = np.unique(split.test.users)
-
     out: list[RecommendationList] = []
-    for start in range(0, len(eval_users), USER_BLOCK):
-        users = eval_users[start : start + USER_BLOCK]
-        block = x[users]
+    for start in range(0, len(users), USER_BLOCK):
+        block_users = users[start : start + USER_BLOCK]
+        block = x[block_users]
         for r, scores in enumerate(_score_rows(s, block, mode)):
             seen = block.indices[block.indptr[r] : block.indptr[r + 1]]
-            out.append(recommend_topn(scores, seen, n, user=int(users[r])))
+            out.append(recommend_topn(scores, seen, n, user=int(block_users[r])))
     return out
 
 

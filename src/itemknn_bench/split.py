@@ -38,7 +38,11 @@ def _mix(z):
 
 
 class SplitMix64:
-    """splitmix64 PRNG (Steele, Lea & Flood); 64-bit wraparound arithmetic."""
+    """splitmix64 PRNG (Steele, Lea & Flood); 64-bit wraparound arithmetic.
+
+    The split draws through :func:`splitmix64_draw`; the scalar stream
+    generates the benchmark's input files.
+    """
 
     __slots__ = ("_state",)
 
@@ -77,17 +81,6 @@ class SplitPair:
 
     train: InteractionDataset
     test: InteractionDataset
-
-    @classmethod
-    def from_datasets(cls, train: InteractionDataset, test: InteractionDataset) -> "SplitPair":
-        """Re-key two independently loaded datasets onto one shared id universe.
-
-        Used when a persisted split is read back from disk; indices are
-        rebuilt in train-first, then test-first appearance order.
-        """
-        merged = InteractionDataset.concat([train, test])
-        n = train.n_interactions
-        return cls(merged.take(slice(None, n)), merged.take(slice(n, None)))
 
 
 def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:

@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from itemknn_bench.ingest import InteractionDataset
-from itemknn_bench.split import SplitMix64
+from itemknn_bench.knn import build_matrix
+from itemknn_bench.recommend import recommend_all
 
 
 class Interaction(NamedTuple):
@@ -28,6 +29,20 @@ class Interaction(NamedTuple):
     item: str
     rating: float
     timestamp: float = 0.0
+
+
+class SplitMix64:
+    """Scalar splitmix64 PRNG (Steele, Lea & Flood), one Python int of state."""
+
+    def __init__(self, seed: int):
+        self.state = seed % 2**64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
 
 
 def dataset_from_rows(rows: Iterable[tuple]) -> InteractionDataset:
@@ -82,6 +97,11 @@ def item_sets(ds: InteractionDataset) -> dict[int, set[int]]:
     for u, i in zip(ds.users.tolist(), ds.items.tolist()):
         out.setdefault(u, set()).add(i)
     return out
+
+
+def recommend_split(s, pair, mode, n: int):
+    """``recommend_all`` for every test user of a split, scored from its train side."""
+    return recommend_all(s, build_matrix(pair.train), mode, n, np.unique(pair.test.users))
 
 
 def users_per_item(ds: InteractionDataset) -> dict[int, set[int]]:

@@ -25,7 +25,7 @@ from itemknn_bench.ingest import (
 )
 from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, truncate_topk
 from itemknn_bench.metrics import IDCG_FIXED_K, IDCG_TRUNCATED, dcg, evaluate
-from itemknn_bench.recommend import PRESETS, recommend_all, score_user
+from itemknn_bench.recommend import PRESETS, score_user
 from itemknn_bench.split import SplitConfig, split_holdout
 
 from conftest import (
@@ -36,6 +36,7 @@ from conftest import (
     dense_cosine_oracle,
     item_sets,
     make_implicit_dataset,
+    recommend_split,
 )
 from test_knn import to_dense
 
@@ -54,7 +55,7 @@ def criterion(number: int, title: str):
 def preset_lists(preset_name: str, s_full, pair, k: int, n: int):
     preset = PRESETS[preset_name]
     s = truncate_topk(s_full, k) if preset.matrix_strategy == STRATEGY_TOPK else s_full
-    return recommend_all(s, pair, preset.scoring_mode(k), n)
+    return recommend_split(s, pair, preset.scoring_mode(k), n)
 
 
 def random_suite(count: int = 200):

@@ -5,6 +5,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itemknn_bench.cli import main
 from itemknn_bench.ingest import (
@@ -98,6 +100,98 @@ def test_recommend_accepts_pretrained_matrix(data_file, tmp_path, capsys):
         "recommend", "--train", train_path, "--test", test_path, "--matrix", matrix_path,
         "--preset", "recbole", "--k", "3", "--topn", "5", "--out", out,
     ) == 0
+
+
+PRESET_MATRICES = {  # preset: the train strategy whose matrix fits it
+    "lenskit-original": "full", "lenskit-adjusted": "topk", "recbole": "topk",
+}
+
+
+def recommend_with_and_without_matrix(train_path, test_path, matrices, out, k, topn):
+    """Per preset, the dump bytes of recommend without and with --matrix."""
+    dumps = {}
+    for preset, strategy in PRESET_MATRICES.items():
+        for label, extra in (("fresh", []), ("matrix", ["--matrix", matrices[strategy]])):
+            assert run_cli(
+                "recommend", "--train", train_path, "--test", test_path, *extra,
+                "--preset", preset, "--k", k, "--topn", topn, "--out", out / label,
+            ) == 0
+        name = f"{Path(train_path).stem}.{preset}.recs.tsv"
+        dumps[preset] = [(out / label / name).read_bytes() for label in ("fresh", "matrix")]
+    return dumps
+
+
+def test_recommend_matrix_with_test_only_item_and_user(tmp_path, capsys):
+    # The test file holds an item (z) and a user (ghost) that train lacks,
+    # and lists them first.  A matrix from train fits recommend's universe,
+    # the train file's own, so --matrix gives the fresh matrix's bytes.
+    train = [("u1", "a"), ("u1", "b"), ("u2", "b"), ("u2", "c"), ("u3", "a"), ("u3", "c"),
+             ("u3", "d"), ("u4", "c"), ("u4", "d"), ("u4", "e"), ("u1", "e")]
+    test = [("ghost", "a"), ("u1", "z"), ("u1", "c"), ("u2", "a"), ("u4", "b")]
+    train_path = save_interactions(
+        dataset_from_rows(Interaction(u, i, 1.0, float(t)) for t, (u, i) in enumerate(train)),
+        tmp_path / "hand.train.inter",
+    )
+    test_path = save_interactions(
+        dataset_from_rows(Interaction(u, i, 1.0, float(t)) for t, (u, i) in enumerate(test)),
+        tmp_path / "hand.test.inter",
+    )
+    matrices = {}
+    for strategy in ("topk", "full"):
+        assert run_cli("train", "--data", train_path, "--strategy", strategy, "--k", 2,
+                       "--out", tmp_path) == 0
+        matrices[strategy] = capsys.readouterr().out.strip()
+    dumps = recommend_with_and_without_matrix(train_path, test_path, matrices, tmp_path, 2, 3)
+    for preset, (fresh, from_matrix) in dumps.items():
+        assert from_matrix == fresh, preset
+        lines = fresh.decode("utf-8").splitlines()
+        assert lines[0] == "user\trank\titem\tscore"
+        assert {line.split("\t")[0] for line in lines[1:]} == {"u1", "u2", "u4"}, preset
+    # A matrix from another file, with another item count, does not fit.
+    capsys.readouterr()
+    assert run_cli("train", "--data", test_path, "--strategy", "full", "--out", tmp_path) == 0
+    other = capsys.readouterr().out.strip()
+    assert run_cli("recommend", "--train", train_path, "--test", test_path, "--matrix", other,
+                   "--preset", "lenskit-original", "--out", tmp_path / "other") == 2
+    err = capsys.readouterr().err
+    assert "error [recommend] matrix has 4 items but the train matrix has 5" in err
+    assert not (tmp_path / "other").exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 7), st.integers(1, 5), st.integers(0, 9)),
+        max_size=50,
+    ),
+    seed=st.integers(0, 2**32),
+    k=st.integers(1, 4),
+)
+def test_property_readme_chain(tmp_path_factory, rows, seed, k):
+    # preprocess -> split -> train -> recommend, with and without --matrix ->
+    # evaluate.  User x rates two items above the threshold, so that at ratio
+    # 0.5 the test file is never empty.
+    work = tmp_path_factory.mktemp("chain")
+    raw = [("x", "i0", 5.0, 0.0), ("x", "i1", 4.0, 1.0)]
+    raw += [(f"u{u}", f"i{i}", float(r), float(t)) for u, i, r, t in rows]
+    data = save_interactions(dataset_from_rows(Interaction(*row) for row in raw),
+                             work / "raw.inter")
+    assert run_cli("preprocess", "--data", data, "--threshold", "3", "--out", work) == 0
+    assert run_cli("split", "--data", work / "raw.implicit.inter", "--ratio", "0.5",
+                   "--seeds", seed, "--out", work) == 0
+    train_path = work / f"raw.implicit.seed{seed}.train.inter"
+    test_path = work / f"raw.implicit.seed{seed}.test.inter"
+    for strategy in ("topk", "full"):
+        assert run_cli("train", "--data", train_path, "--strategy", strategy, "--k", k,
+                       "--out", work) == 0
+    matrices = {strategy: work / f"{train_path.stem}.{strategy}.sim.tsv"
+                for strategy in ("topk", "full")}
+    dumps = recommend_with_and_without_matrix(train_path, test_path, matrices, work, k, 3)
+    for preset, (fresh, from_matrix) in dumps.items():
+        assert from_matrix == fresh, preset
+        recs = work / "matrix" / f"{train_path.stem}.{preset}.recs.tsv"
+        assert run_cli("evaluate", "--recs", recs, "--test", test_path, "--topn", 3,
+                       "--idcg", "both") == 0
 
 
 def test_experiment_and_report(data_file, tmp_path, capsys):

@@ -22,10 +22,10 @@ from itemknn_bench.ingest import (
 )
 from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, truncate_topk
 from itemknn_bench.metrics import evaluate
-from itemknn_bench.recommend import PRESETS, recommend_all
+from itemknn_bench.recommend import PRESETS
 from itemknn_bench.split import SplitConfig, split_holdout
 
-from conftest import Interaction, dataset_from_rows
+from conftest import Interaction, dataset_from_rows, recommend_split
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +76,24 @@ def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
         s = cosine_similarity(build_matrix(pair.train))  # fresh full matrix per preset
         if preset.matrix_strategy == STRATEGY_TOPK:
             s = truncate_topk(s, cfg.k)
-        recs = recommend_all(s, pair, preset.scoring_mode(cfg.k), cfg.n)
+        recs = recommend_split(s, pair, preset.scoring_mode(cfg.k), cfg.n)
         for mode in cfg.idcg_modes:
             fresh = evaluate(recs, pair.test, cfg.n, mode, preset=preset_name, seed=42)
             assert fresh == res.report(preset_name, 42, mode)
+
+
+def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
+    # Users whose interactions all land in train get no list and no metrics.
+    cfg = toy_config(ratings_file, tmp_path)
+    res = run_experiment(cfg)
+    implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
+    for seed in cfg.seeds:
+        test = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed)).test
+        tested = {test.user_ids[u] for u in test.users.tolist()}
+        assert tested < set(implicit.user_ids)
+        for preset in cfg.presets:
+            for mode in cfg.idcg_modes:
+                assert set(res.report(preset, seed, mode).per_user) == tested
 
 
 def test_adjusted_and_recbole_reports_identical(tmp_path):

@@ -29,6 +29,7 @@ from conftest import (
     in_order_scores,
     item_sets,
     make_implicit_dataset,
+    recommend_split,
 )
 from test_ingest import FLOATS, IDS
 from test_knn import sim_from_dense, to_dense
@@ -146,36 +147,42 @@ def worked_split():
 
 def test_recommend_all_worked_example():
     s = sim_from_dense([[0.0, 0.8, 0.1], [0.8, 0.0, 0.4], [0.1, 0.4, 0.0]])
-    recs = recommend_all(s, worked_split(), SUM_ALL, 10)
+    pair = worked_split()
+    recs = recommend_all(s, build_matrix(pair.train), SUM_ALL, 10, np.array([0]))
     assert len(recs) == 1
     assert recs[0].user == 0
     assert recs[0].entries == [(1, 0.8), (2, 0.1)]
 
 
-def test_recommend_all_skips_users_without_test_rows():
-    ds = dataset_from_rows(
-        [Interaction("a", f"i{j}", 1.0, float(j)) for j in range(6)]
-        + [Interaction("b", "i0", 1.0, 0.0)]  # single interaction: never in test
-    )
-    pair = split_holdout(ds, SplitConfig(0.8, 42))
-    s = cosine_similarity(build_matrix(pair.train))
-    recs = recommend_all(s, pair, SUM_ALL, 5)
-    assert {rl.user for rl in recs} == set(pair.test.users.tolist())
+def test_recommend_all_scores_exactly_the_given_users():
+    # Rows 0 and 2 of x, in that order; row 1 holds a profile but is not asked
+    # for, and row 3 is asked for with an empty profile, so its list is empty.
+    s = sim_from_dense([[0.0, 0.8, 0.1], [0.8, 0.0, 0.4], [0.1, 0.4, 0.0]])
+    x = build_matrix(InteractionDataset(
+        np.array([0, 1, 2]), np.array([0, 1, 2]), np.ones(3), np.zeros(3),
+        ["a", "b", "c", "d"], ["i0", "i1", "i2"],
+    ))
+    recs = recommend_all(s, x, SUM_ALL, 10, np.array([0, 2, 3]))
+    assert recs == [
+        RecommendationList(0, [(1, 0.8), (2, 0.1)]),
+        RecommendationList(2, [(1, 0.4), (0, 0.1)]),
+        RecommendationList(3, []),
+    ]
 
 
 def test_recommend_all_deterministic():
     ds = make_implicit_dataset(random.Random(55))
     pair = split_holdout(ds, SplitConfig(0.8, 21))
     s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 3)
-    a = recommend_all(s, pair, topk_mode(3), 10)
-    b = recommend_all(s, pair, topk_mode(3), 10)
+    a = recommend_split(s, pair, topk_mode(3), 10)
+    b = recommend_split(s, pair, topk_mode(3), 10)
     assert a == b
 
 
 def test_recommend_all_checks_matrix_size():
-    pair = worked_split()
-    with pytest.raises(ContractError):
-        recommend_all(sim_from_dense([[0.0]]), pair, SUM_ALL, 5)
+    x = build_matrix(worked_split().train)
+    with pytest.raises(ContractError, match="matrix has 1 items but the train matrix has 3"):
+        recommend_all(sim_from_dense([[0.0]]), x, SUM_ALL, 5, np.array([0]))
 
 
 def test_scoring_matches_dense_oracle_both_modes():
@@ -280,7 +287,7 @@ def test_recommend_all_crosses_user_blocks():
     s_full = cosine_similarity(build_matrix(pair.train))
     for s in (s_full, truncate_topk(s_full, 3)):
         for mode in (SUM_ALL, topk_mode(3)):
-            assert recommend_all(s, pair, mode, 5) == per_user_lists(s, pair, mode, 5)
+            assert recommend_split(s, pair, mode, 5) == per_user_lists(s, pair, mode, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,7 +318,7 @@ def test_property_blocked_kernel_matches_oracles(data):
             want = per_user_lists(s, pair, mode, n)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recommend, "USER_BLOCK", block)
-                assert recommend_all(s, pair, mode, n) == want
+                assert recommend_split(s, pair, mode, n) == want
             for profile in item_sets(pair.train).values():
                 assert score_user(s, profile, mode).tolist() == in_order_scores(
                     dense, profile, mode.kind, mode.k
@@ -321,7 +328,7 @@ def test_property_blocked_kernel_matches_oracles(data):
 def run_preset(preset_name, s_full, pair, k, n):
     preset = PRESETS[preset_name]
     s = truncate_topk(s_full, k) if preset.matrix_strategy == STRATEGY_TOPK else s_full
-    return recommend_all(s, pair, preset.scoring_mode(k), n)
+    return recommend_split(s, pair, preset.scoring_mode(k), n)
 
 
 def test_alignment_equivalence_exact():
@@ -358,7 +365,7 @@ def test_exclusion_and_order_soundness():
         pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 999)))
         s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 5)
         train_items = item_sets(pair.train)
-        for rl in recommend_all(s, pair, SUM_ALL, 10):
+        for rl in recommend_split(s, pair, SUM_ALL, 10):
             items = [item for item, _ in rl.entries]
             scores = [score for _, score in rl.entries]
             assert not (set(items) & train_items[rl.user])
@@ -371,7 +378,7 @@ def test_save_load_recommendations(tmp_path):
     ds = make_implicit_dataset(random.Random(404))
     pair = split_holdout(ds, SplitConfig(0.8, 84))
     s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 3)
-    recs = recommend_all(s, pair, SUM_ALL, 5)
+    recs = recommend_split(s, pair, SUM_ALL, 5)
     path = save_recommendations(recs, pair.train, tmp_path / "recs.tsv")
     loaded = load_recommendations(path)
     assert len(loaded) == len([rl for rl in recs if rl.entries])
@@ -391,7 +398,7 @@ def test_save_load_recommendations(tmp_path):
 def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n, chunk):
     ds = make_implicit_dataset(random.Random(seed), 12, 9)
     pair = split_holdout(ds, SplitConfig(0.6, seed))
-    recs = recommend_all(cosine_similarity(build_matrix(pair.train)), pair, SUM_ALL, n)
+    recs = recommend_split(cosine_similarity(build_matrix(pair.train)), pair, SUM_ALL, n)
     path = save_recommendations(recs, pair.train, tmp_path_factory.mktemp("recs") / "r.tsv")
     want = {
         ds.user_ids[rl.user]: [(ds.item_ids[item], score) for item, score in rl.entries]

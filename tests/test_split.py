@@ -16,17 +16,11 @@ from itemknn_bench.ingest import (
     load_interactions,
     to_implicit,
 )
-from itemknn_bench.split import (
-    SplitConfig,
-    SplitMix64,
-    SplitPair,
-    save_split,
-    split_holdout,
-    splitmix64_draw,
-)
+from itemknn_bench.split import SplitConfig, save_split, split_holdout, splitmix64_draw
 
 from conftest import (
     Interaction,
+    SplitMix64,
     as_rows,
     dataset_from_rows,
     make_implicit_dataset,
@@ -41,14 +35,18 @@ def single_user_ds(n: int) -> InteractionDataset:
     return dataset_from_rows(rows)
 
 
+# Published outputs of the splitmix64 reference implementation, state 0.
+SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
 def test_splitmix64_reference_vectors():
-    # Published outputs of the splitmix64 reference implementation, state 0.
     rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    ]
+    assert [rng.next_u64() for _ in range(3)] == SPLITMIX64_SEED0
+
+
+def test_splitmix64_draw_reference_vectors():
+    seed = np.array([0], dtype=np.uint64)
+    assert [int(splitmix64_draw(seed, t)[0]) for t in range(3)] == SPLITMIX64_SEED0
 
 
 def test_split_config_validates_ratio():
@@ -127,16 +125,9 @@ def test_save_split_round_trips(tmp_path):
     pair = split_holdout(ds, SplitConfig(0.8, 42))
     train_path, test_path = save_split(pair, tmp_path, "toy.seed42")
     assert train_path.name == "toy.seed42.train.inter"
-    loaded = SplitPair.from_datasets(
-        load_interactions(train_path), load_interactions(test_path)
-    )
-    assert as_rows(loaded.train) == as_rows(pair.train)
-    assert as_rows(loaded.test) == as_rows(pair.test)
-    # re-keyed universe covers both sides, train-first
-    assert loaded.train.user_ids is loaded.test.user_ids
-    train_first = [r[0] for r in as_rows(pair.train) + as_rows(pair.test)]
-    assert loaded.train.user_ids == list(dict.fromkeys(train_first))
-    assert loaded.train.n_users == len(set(ds.user_ids))
+    assert test_path.name == "toy.seed42.test.inter"
+    assert as_rows(load_interactions(train_path)) == as_rows(pair.train)
+    assert as_rows(load_interactions(test_path)) == as_rows(pair.test)
 
 
 def test_byte_identical_persisted_split(tmp_path):
