@@ -30,11 +30,7 @@ from .metrics import (
     IDCG_TRUNCATED,
     MetricReport,
     UserMetrics,
-    dcg,
     evaluate,
-    ndcg_at_n,
-    precision_at_n,
-    recall_at_n,
 )
 from .recommend import (
     PRESETS,

@@ -185,9 +185,20 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     recs = load_recommendations(args.recs)
-    ranked = ((user, [item for item, _ in entries]) for user, entries in recs.items())
-    gains = list(user_gains(_load_test(args), ranked))
-    payload = {mode: report_from_gains(gains, args.topn, mode).as_dict() for mode in args.idcg}
+    test = _load_test(args)
+    # The dump's external ids in the test file's codes; an item it lacks is -1, a miss.
+    user_code = {user: k for k, user in enumerate(test.user_ids)}
+    item_code = {item: k for k, item in enumerate(test.item_ids)}
+    absent = [user for user in recs if user not in user_code]
+    if absent:
+        raise ContractError(f"user {absent[0]!r} of {args.recs} is not in test file {args.test}")
+    users = np.array([user_code[user] for user in recs], dtype=np.int64)
+    items = np.array([item_code.get(item, -1) for entries in recs.values() for item, _ in entries],
+                     dtype=np.int64)
+    sizes = np.array([len(entries) for entries in recs.values()], dtype=np.int64)
+    hits, n_relevant = user_gains(test, users, items, sizes, args.topn)
+    payload = {mode: report_from_gains(list(recs), hits, n_relevant, args.topn, mode).as_dict()
+               for mode in args.idcg}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:

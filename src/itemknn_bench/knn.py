@@ -102,14 +102,6 @@ class SimilarityMatrix:
             )
         return self._priorities
 
-    def entries_equal(self, other: "SimilarityMatrix") -> bool:
-        return (
-            self.n_items == other.n_items
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, other.vals)
-        )
-
 
 def first_k(values: np.ndarray, k: int) -> np.ndarray:
     """Positions of the first k entries of ``values`` in (-value, position) order.

@@ -1,4 +1,4 @@
-"""Ranking metrics: DCG, nDCG under two IDCG semantics, precision, recall.
+"""Ranking metrics: nDCG under two IDCG semantics, precision, recall.
 
 The two IDCG semantics reflect a real divergence between evaluation stacks:
 
@@ -8,20 +8,23 @@ The two IDCG semantics reflect a real divergence between evaluation stacks:
 * ``fixed-k``: the ideal list is always cutoff positions long, which caps
   nDCG below 1.0 whenever the user has fewer relevant items than the cutoff.
 
-Relevance is binary throughout this artifact (implicit feedback), although
-:func:`dcg` implements the general (2**rel - 1) gain.
+Relevance is binary throughout this artifact (implicit feedback): a listed
+item is a hit, gain 1, when it is among its user's test items.  Both the
+experiment and the ``evaluate`` subcommand go through :func:`user_gains`
+and :func:`report_from_gains`, which work on all lists at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ContractError
 from .ingest import InteractionDataset
-from .knn import build_matrix
-from .recommend import RecommendationList
+from .recommend import RecommendationList, _ranks
 
 IDCG_TRUNCATED = "truncated"
 IDCG_FIXED_K = "fixed-k"
@@ -78,68 +81,70 @@ class MetricReport:
         )
 
 
-def _check_idcg_mode(mode: str) -> None:
-    if mode not in IDCG_MODES:
-        raise ValueError(f"unknown IDCG mode {mode!r} (expected one of {IDCG_MODES})")
+def user_gains(
+    test: InteractionDataset, users: np.ndarray, items: np.ndarray, sizes: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hits of ranked lists against ``test``, and each list's user's relevant count.
 
-
-def dcg(gains: Sequence[float]) -> float:
-    """Discounted cumulative gain: sum of (2**rel_i - 1) / log2(i + 1), i from 1."""
-    return sum(
-        (2.0**rel - 1.0) / math.log2(i + 1.0) for i, rel in enumerate(gains, start=1)
-    )
-
-
-def _ideal_dcg(m: int) -> float:
-    # Binary ideal: gain 1 at each of the first m positions.
-    return sum(1.0 / math.log2(i + 1.0) for i in range(1, m + 1))
-
-
-def ndcg_at_n(gains: Sequence[float], n_relevant: int, n: int, mode: str) -> float:
-    """nDCG at cutoff ``n`` for a gains vector aligned with a ranked list.
-
-    ``n_relevant`` is the user's total number of relevant (test) items and
-    must be >= 1; callers exclude users without test items.  The IDCG covers
-    min(n, n_relevant) positions in truncated mode and exactly n positions in
-    fixed-k mode.
+    List r belongs to user code ``users[r]`` and holds the next ``sizes[r]``
+    codes of ``items``, best first; every code is one of ``test``'s, and an
+    item code of -1 is an item ``test`` lacks, which is a miss.  Returns a
+    bool ``hits`` block of ``len(users)`` x ``n`` (False past a short list's
+    end) and ``n_relevant``, the number of distinct test items of each
+    list's user.  Every list's user must hold at least one test interaction
+    and no list may be longer than ``n`` (contract).
     """
-    _check_idcg_mode(mode)
-    if n_relevant < 1:
-        raise ContractError("ndcg_at_n requires n_relevant >= 1")
-    if len(gains) > n:
-        raise ContractError(f"gains vector longer ({len(gains)}) than cutoff ({n})")
-    m = min(n, n_relevant) if mode == IDCG_TRUNCATED else n
-    return dcg(gains) / _ideal_dcg(m)
-
-
-def precision_at_n(gains: Sequence[float], n: int) -> float:
-    """Fraction of the n slots holding a hit; the denominator stays n for short lists."""
-    return sum(1 for g in gains if g > 0) / n
-
-
-def recall_at_n(gains: Sequence[float], n_relevant: int) -> float:
-    """Fraction of the user's relevant items retrieved, capped at 1."""
-    if n_relevant < 1:
-        raise ContractError("recall_at_n requires n_relevant >= 1")
-    return min(sum(1 for g in gains if g > 0) / n_relevant, 1.0)
+    if n < 1:
+        raise ContractError(f"cutoff n must be >= 1, got {n}")
+    if len(sizes) and sizes.max() > n:
+        raise ContractError(f"a list of {sizes.max()} items is longer than the cutoff {n}")
+    relevant = np.unique(test.users * test.n_items + test.items)  # one key per test pair
+    counts = np.bincount(relevant // test.n_items, minlength=test.n_users)
+    known = (users >= 0) & (users < test.n_users)
+    n_relevant = np.zeros(len(users), dtype=np.int64)
+    n_relevant[known] = counts[users[known]]
+    if not n_relevant.all():
+        user = users[np.argmin(n_relevant)]
+        name = test.user_ids[user] if 0 <= user < test.n_users else int(user)
+        raise ContractError(f"user {name!r} has a recommendation list but no test interactions")
+    rows = np.repeat(np.arange(len(users)), sizes)
+    # A -1 item gets key -1, which no pair has; user * n_items - 1 would be a
+    # pair of the previous user.
+    keys = np.where(items >= 0, users[rows] * test.n_items + items, -1)
+    hits = np.zeros((len(users), n), dtype=bool)
+    hits[rows, _ranks(sizes) - 1] = np.isin(keys, relevant)
+    return hits, n_relevant
 
 
 def report_from_gains(
-    per_user: Iterable[tuple[str, Sequence[float], int]], n: int, mode: str
+    users: Sequence[str], hits: np.ndarray, n_relevant: np.ndarray, n: int, mode: str
 ) -> MetricReport:
-    """Assemble a report from (user, gains, n_relevant) triples.
+    """Assemble a report from the :func:`user_gains` arrays of the named users.
 
-    Means are arithmetic means over exactly the evaluated users, computed
-    with exact summation so they are independent of user order.
+    DCG is the last column of a row-wise ``np.cumsum`` of the hits times the
+    discounts ``1 / log2(i + 1)``, and IDCG a prefix of the discounts'
+    cumsum: both add left to right from 0.0, as the series reads.  Means are
+    arithmetic means over exactly the evaluated users, computed with exact
+    summation so they are independent of user order.
     """
-    _check_idcg_mode(mode)
+    if mode not in IDCG_MODES:
+        raise ValueError(f"unknown IDCG mode {mode!r} (expected one of {IDCG_MODES})")
+    if (n_relevant < 1).any():
+        raise ContractError("every evaluated user needs n_relevant >= 1")
+    discounts = np.array([1.0 / math.log2(i + 1.0) for i in range(1, n + 1)])
+    dcg = np.cumsum(hits * discounts, axis=1)[:, -1]
+    ideal = np.minimum(n_relevant, n) if mode == IDCG_TRUNCATED else np.full(len(hits), n)
+    n_hits = hits.sum(axis=1)
+    ndcg = dcg / np.cumsum(discounts)[ideal - 1]
+    precision = n_hits / n
+    recall = np.minimum(n_hits / n_relevant, 1.0)
+    rows = list(zip(ndcg.tolist(), precision.tolist(), recall.tolist()))
+    # Freed before the report's objects are allocated above them on the heap,
+    # so that the next seed's cosine reuses this memory: otherwise paper-grid's
+    # peak RSS rose by 1-2 MB.
+    del dcg, ideal, n_hits, ndcg, precision, recall
     report = MetricReport(n=n, idcg_mode=mode)
-    for user, gains, n_relevant in per_user:
-        report.per_user[user] = UserMetrics(
-            ndcg=ndcg_at_n(gains, n_relevant, n, mode),
-            precision=precision_at_n(gains, n),
-            recall=recall_at_n(gains, n_relevant),
-        )
+    report.per_user = {user: UserMetrics(*row) for user, row in zip(users, rows)}
     if report.per_user:
         count = len(report.per_user)
         values = report.per_user.values()
@@ -147,27 +152,6 @@ def report_from_gains(
         report.mean_precision = math.fsum(m.precision for m in values) / count
         report.mean_recall = math.fsum(m.recall for m in values) / count
     return report
-
-
-def user_gains(
-    test: InteractionDataset, ranked: Iterable[tuple[str, Sequence[str]]]
-) -> Iterator[tuple[str, list[float], int]]:
-    """Yield (user, gains, n_relevant) for each (user, ranked items) list.
-
-    Users and items are external ids.  A recommended item earns gain 1 when
-    it is among that user's test items.  Every list's user must hold at
-    least one test interaction (contract).
-    """
-    x = build_matrix(test)
-    test_items = {
-        user: {test.item_ids[i] for i in x.indices[x.indptr[k] : x.indptr[k + 1]]}
-        for k, user in enumerate(test.user_ids)
-    }
-    for user, items in ranked:
-        relevant = test_items.get(user)
-        if not relevant:
-            raise ContractError(f"user {user!r} has a recommendation list but no test interactions")
-        yield user, [1.0 if item in relevant else 0.0 for item in items], len(relevant)
 
 
 def evaluate(
@@ -182,15 +166,12 @@ def evaluate(
 
     Users are keyed by external id in the report; see :func:`user_gains`.
     """
-    # A user outside the universe keeps its dense index, which no test row has.
-    ranked = (
-        (
-            test.user_ids[rl.user] if 0 <= rl.user < test.n_users else rl.user,
-            [test.item_ids[item] for item, _ in rl.entries],
-        )
-        for rl in recs
-    )
-    report = report_from_gains(user_gains(test, ranked), n, mode)
+    users = np.array([rl.user for rl in recs], dtype=np.int64)
+    items = np.array([item for rl in recs for item, _ in rl.entries], dtype=np.int64)
+    sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
+    hits, n_relevant = user_gains(test, users, items, sizes, n)
+    names = [test.user_ids[user] for user in users.tolist()]
+    report = report_from_gains(names, hits, n_relevant, n, mode)
     report.preset = preset
     report.seed = seed
     return report

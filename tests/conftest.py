@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from itemknn_bench.ingest import InteractionDataset
-from itemknn_bench.knn import build_matrix
+from itemknn_bench.knn import SimilarityMatrix, build_matrix
 from itemknn_bench.recommend import recommend_all
 
 
@@ -102,6 +102,16 @@ def item_sets(ds: InteractionDataset) -> dict[int, set[int]]:
 def recommend_split(s, pair, mode, n: int):
     """``recommend_all`` for every test user of a split, scored from its train side."""
     return recommend_all(s, build_matrix(pair.train), mode, n, np.unique(pair.test.users))
+
+
+def entries_equal(a: SimilarityMatrix, b: SimilarityMatrix) -> bool:
+    """The two matrices store the same entries: item count, CSR arrays and values."""
+    return (
+        a.n_items == b.n_items
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.cols, b.cols)
+        and np.array_equal(a.vals, b.vals)
+    )
 
 
 def users_per_item(ds: InteractionDataset) -> dict[int, set[int]]:
@@ -310,6 +320,14 @@ def brute_idcg(m: int) -> float:
 def brute_ndcg(gains, n_relevant: int, n: int, mode: str) -> float:
     m = min(n, n_relevant) if mode == "truncated" else n
     return brute_dcg(gains) / brute_idcg(m)
+
+
+def brute_precision(gains, n: int) -> float:
+    return sum(1 for g in gains if g > 0) / n
+
+
+def brute_recall(gains, n_relevant: int) -> float:
+    return min(sum(1 for g in gains if g > 0) / n_relevant, 1.0)
 
 
 # --- ML-100K discovery -------------------------------------------------------

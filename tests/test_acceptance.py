@@ -24,12 +24,13 @@ from itemknn_bench.ingest import (
     to_implicit,
 )
 from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, truncate_topk
-from itemknn_bench.metrics import IDCG_FIXED_K, IDCG_TRUNCATED, dcg, evaluate
+from itemknn_bench.metrics import IDCG_FIXED_K, IDCG_TRUNCATED, evaluate
 from itemknn_bench.recommend import PRESETS, score_user
 from itemknn_bench.split import SplitConfig, split_holdout
 
 from conftest import (
     Interaction,
+    brute_dcg,
     brute_ndcg,
     brute_scores,
     dataset_from_rows,
@@ -179,7 +180,7 @@ def test_criterion_5_idcg_mode_ordering():
                 f, t = fixed.per_user[ext].ndcg, trunc.per_user[ext].ndcg
                 assert f <= t
                 gains = [1.0 if i in test_sets[rl.user] else 0.0 for i, _ in rl.entries]
-                if test_counts[rl.user] >= n or dcg(gains) == 0.0:
+                if test_counts[rl.user] >= n or brute_dcg(gains) == 0.0:
                     assert f == t
                     checked_equal += 1
                 else:

@@ -14,7 +14,14 @@ from itemknn_bench.ingest import (
     save_interactions,
 )
 
-from conftest import Interaction, dataset_from_rows, pair_set
+from conftest import (
+    Interaction,
+    brute_ndcg,
+    brute_precision,
+    brute_recall,
+    dataset_from_rows,
+    pair_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -480,3 +487,48 @@ def test_evaluate_refuses_headerless_dump(chain_split, capsys):
     assert run_cli("evaluate", "--recs", headerless, "--test", test_path) == 2
     err = capsys.readouterr().err
     assert "error [evaluate]" in err and "line 1: header" in err
+
+
+def evaluate_files(tmp_path, test_rows, lists):
+    """A test file of (user, item) rows and a dump of {user: [item, ...]} lists."""
+    test_path = save_interactions(
+        dataset_from_rows(Interaction(user, item, 1.0) for user, item in test_rows),
+        tmp_path / "hand.test.inter",
+    )
+    lines = ["user\trank\titem\tscore"]
+    for user, items in lists.items():
+        lines += [f"{user}\t{rank}\t{item}\t{1.0 / rank!r}" for rank, item in enumerate(items, 1)]
+    recs_path = tmp_path / "hand.recs.tsv"
+    recs_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return recs_path, test_path
+
+
+def test_evaluate_refuses_list_longer_than_topn(tmp_path, capsys):
+    lists = {user: [f"i{j}" for j in range(10)] for user in ("a", "b")}
+    recs, test = evaluate_files(tmp_path, [("a", "i0"), ("b", "i5")], lists)
+    out = tmp_path / "eval"
+    assert run_cli("evaluate", "--recs", recs, "--test", test, "--topn", 3, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error [evaluate]" in err and "10 items is longer than the cutoff 3" in err
+    assert not (out / "evaluation.json").exists()
+
+
+def test_evaluate_refuses_dump_user_absent_from_test(tmp_path, capsys):
+    lists = {"a": ["i0"], "ghost": ["i1"]}
+    recs, test = evaluate_files(tmp_path, [("a", "i0"), ("b", "i1")], lists)
+    assert run_cli("evaluate", "--recs", recs, "--test", test, "--topn", 3) == 2
+    err = capsys.readouterr().err
+    assert "error [evaluate]" in err and "user 'ghost'" in err
+
+
+def test_evaluate_counts_item_absent_from_test_as_miss(tmp_path, capsys):
+    # Test codes: users a=0, b=1; items x=0, y=1, z=2.  Item w is absent from
+    # the test file; a key b * 3 + (-1) == 2 would be the pair (a, z), a hit.
+    test_rows = [("a", "x"), ("b", "y"), ("a", "z")]
+    recs, test = evaluate_files(tmp_path, test_rows, {"a": ["x"], "b": ["w", "y"]})
+    assert run_cli("evaluate", "--recs", recs, "--test", test, "--topn", 3) == 0
+    per_user = json.loads(capsys.readouterr().out)["truncated"]["per_user"]
+    assert per_user["b"] == [
+        brute_ndcg([0, 1], 1, 3, "truncated"), brute_precision([0, 1], 3), brute_recall([0, 1], 1)
+    ]
+    assert per_user["a"] == [brute_ndcg([1], 2, 3, "truncated"), 1 / 3, 0.5]

@@ -31,6 +31,7 @@ from conftest import (
     dense_cosine_oracle,
     dense_priority_oracle,
     dense_truncate_oracle,
+    entries_equal,
     make_implicit_dataset,
 )
 from test_ingest import FLOATS
@@ -139,7 +140,7 @@ def test_cosine_chunk_boundaries(monkeypatch, chunk):
     default = [cosine_similarity(build_matrix(ds)) for ds in datasets]
     monkeypatch.setattr(knn, "COSINE_CHUNK", chunk)
     for ds, expected in zip(datasets, default):
-        assert cosine_similarity(build_matrix(ds)).entries_equal(expected)
+        assert entries_equal(cosine_similarity(build_matrix(ds)), expected)
 
 
 def test_index_dtype_is_int32():
@@ -182,7 +183,7 @@ def test_truncate_noop_when_k_large():
     rng = random.Random(17)
     s = cosine_similarity(build_matrix(make_implicit_dataset(rng)))
     out = truncate_topk(s, s.n_items - 1 if s.n_items > 1 else 1)
-    assert out.entries_equal(s)
+    assert entries_equal(out, s)
 
 
 def test_truncate_soundness_and_oracle():
@@ -211,7 +212,7 @@ def test_truncate_idempotent_and_monotone():
         s = cosine_similarity(build_matrix(make_implicit_dataset(rng)))
         k = rng.choice([1, 2, 5])
         once = truncate_topk(s, k)
-        assert truncate_topk(once, k).entries_equal(once)
+        assert entries_equal(truncate_topk(once, k), once)
         kept_k = {(i, c) for i in range(s.n_items) for c in row(once, i)[0]}
         bigger = truncate_topk(s, k + 1)
         kept_k1 = {(i, c) for i in range(s.n_items) for c in row(bigger, i)[0]}
@@ -233,9 +234,9 @@ def test_property_truncate_tie_heavy(data):
     s = sim_from_dense(dense)
     for k in range(1, int(np.diff(s.indptr).max()) + 2):
         topk = truncate_topk(s, k)
-        assert topk.entries_equal(sim_from_dense(dense_truncate_oracle(dense, k)))
+        assert entries_equal(topk, sim_from_dense(dense_truncate_oracle(dense, k)))
         for k2 in range(1, k + 1):
-            assert truncate_topk(topk, k2).entries_equal(truncate_topk(s, k2))
+            assert entries_equal(truncate_topk(topk, k2), truncate_topk(s, k2))
 
 
 def assert_first_k(values: list[float], k: int) -> None:
@@ -278,7 +279,7 @@ def test_save_load_round_trip_exact(tmp_path):
         assert back.strategy == mat.strategy
         assert back.k == mat.k
         assert back.n_items == mat.n_items
-        assert back.entries_equal(mat)  # 17 significant digits round-trip doubles
+        assert entries_equal(back, mat)  # 17 significant digits round-trip doubles
         assert (back.cols.dtype, back.indptr.dtype) == (np.int32, np.int32)
 
 
@@ -293,7 +294,7 @@ def test_property_save_load_round_trip_in_chunks(tmp_path_factory, seed, k, chun
             mp.setattr(ingest, "CHUNK_LINES", chunk)
             back = load_similarity(path)
         assert (back.strategy, back.k) == (mat.strategy, mat.k)
-        assert back.entries_equal(mat)
+        assert entries_equal(back, mat)
 
 
 def test_save_header_format(tmp_path):
