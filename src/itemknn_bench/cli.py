@@ -140,7 +140,8 @@ def _cmd_train(args) -> int:
         s = truncate_topk(s, args.k)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = save_similarity(s, out_dir / f"{Path(args.data).stem}.{args.strategy}.sim.tsv")
+    path = save_similarity(s, out_dir / f"{Path(args.data).stem}.{args.strategy}.sim.tsv",
+                           ds.item_ids)
     print(path)
     return 0
 
@@ -152,16 +153,33 @@ def _load_test(args):
     return test
 
 
+def _codes(ids: list[str], universe: list[str]) -> np.ndarray:
+    """Each id's code in ``universe``, or -1 where the universe lacks it."""
+    code = {x: c for c, x in enumerate(universe)}
+    return np.array([code.get(x, -1) for x in ids], dtype=np.int64)
+
+
 def _cmd_recommend(args) -> int:
     preset = PRESETS[args.preset]
     train = load_interactions(args.train, args.format, args.column_map)
+    test = _load_test(args)
     # Score in the train file's own universe, the one train saved its matrix in.
     # A test user absent from train has no profile, so no list.
-    tested = set(_load_test(args).user_ids)
-    users = np.flatnonzero([uid in tested for uid in train.user_ids])
+    users = _codes(test.user_ids, train.user_ids)[test.users]  # train codes of the test rows
+    items = _codes(test.item_ids, train.item_ids)[test.items]
+    keys = users * train.n_items + items
+    shared = (users >= 0) & (items >= 0) & np.isin(keys, train.users * train.n_items + train.items)
+    if shared.any():
+        t = int(np.argmax(shared))
+        raise ContractError(
+            f"{args.test}: line {t + 2}: pair ({test.user_ids[test.users[t]]}, "
+            f"{test.item_ids[test.items[t]]}) is also in train file {args.train}, but the two "
+            f"files of a holdout split share no pair"
+        )
+    users = np.unique(users[users >= 0])
     x = build_matrix(train)
     if args.matrix:
-        s = load_similarity(args.matrix)
+        s = load_similarity(args.matrix, train.item_ids)
         want_k = args.k if preset.matrix_strategy == STRATEGY_TOPK else None
         if (s.strategy, s.k) != (preset.matrix_strategy, want_k):
             raise ContractError(
@@ -187,14 +205,11 @@ def _cmd_evaluate(args) -> int:
     recs = load_recommendations(args.recs)
     test = _load_test(args)
     # The dump's external ids in the test file's codes; an item it lacks is -1, a miss.
-    user_code = {user: k for k, user in enumerate(test.user_ids)}
-    item_code = {item: k for k, item in enumerate(test.item_ids)}
-    absent = [user for user in recs if user not in user_code]
-    if absent:
-        raise ContractError(f"user {absent[0]!r} of {args.recs} is not in test file {args.test}")
-    users = np.array([user_code[user] for user in recs], dtype=np.int64)
-    items = np.array([item_code.get(item, -1) for entries in recs.values() for item, _ in entries],
-                     dtype=np.int64)
+    users = _codes(list(recs), test.user_ids)
+    if (users < 0).any():
+        absent = list(recs)[int(np.argmax(users < 0))]
+        raise ContractError(f"user {absent!r} of {args.recs} is not in test file {args.test}")
+    items = _codes([item for entries in recs.values() for item, _ in entries], test.item_ids)
     sizes = np.array([len(entries) for entries in recs.values()], dtype=np.int64)
     hits, n_relevant = user_gains(test, users, items, sizes, args.topn)
     payload = {mode: report_from_gains(list(recs), hits, n_relevant, args.topn, mode).as_dict()

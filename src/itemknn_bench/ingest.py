@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass
-from itertools import count, islice, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -189,34 +189,44 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
     return table
 
 
-def write_table(path: str | Path, header: str, columns: list) -> Path:
+def write_table(path: str | Path, header: str, columns) -> Path:
     """Write ``header``, then one tab-separated line per row of ``columns``.
 
     The one writer of interaction files, similarity matrices and dumps, and
     the inverse of :func:`read_table`: a column is an id column as (int64
-    codes, ids), written as the ids, or an integer or float64 array.  Ints are
-    written in full and floats with 17 significant digits, which round-trips
-    every double.  Lines end in LF and the file is UTF-8.  Rows are formatted
-    ``CHUNK_LINES`` at a time, so no whole column becomes a Python list.
-    Raises ``SchemaError``, naming the path and the id, for an id holding a
-    tab, which would read back as two fields.
+    codes, ids), written as the ids, or an integer or float64 array.
+    ``columns`` is a list of columns, or an iterator of such lists that
+    hold the rows block by block, all laid out like the first, so a caller
+    can make its rows a block at a time.  Ints are written in full and floats
+    with 17 significant digits, which round-trips every double.  Lines end in
+    LF and the file is UTF-8.  Rows are formatted ``CHUNK_LINES`` at a time,
+    so no whole column becomes a Python list.  Raises ``SchemaError``, naming
+    the path and the id, for an id holding a tab, which would read back as
+    two fields.  A write that raises removes its file.
     """
     path = Path(path)
-    pairs = [column if isinstance(column, tuple) else (column, None) for column in columns]
+    blocks = iter([columns] if isinstance(columns, list) else columns)
+    as_pairs = lambda block: [c if isinstance(c, tuple) else (c, None) for c in block]  # noqa: E731
+    pairs = as_pairs(next(blocks))
     for _, ids in pairs:
         tabbed = [x for x in ids or () if "\t" in x]
         if tabbed:
             raise SchemaError(f"{path}: id {tabbed[0]!r} holds a tab, the field separator")
-    line = "\t".join(
-        "{:.17g}" if ids is None and values.dtype.kind == "f" else "{}" for values, ids in pairs
-    ) + "\n"
+    # Each column's text: its ids, or the number written in full.
+    text = [ids.__getitem__ if ids is not None else "{:.17g}".format if values.dtype.kind == "f"
+            else str for values, ids in pairs]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(pairs[0][0]), CHUNK_LINES):
-            fields = [(values[lo : lo + CHUNK_LINES].tolist(), ids) for values, ids in pairs]
-            fh.writelines(map(line.format, *(
-                part if ids is None else map(ids.__getitem__, part) for part, ids in fields
-            )))
+        try:
+            fh.write(header + "\n")
+            for pairs in chain([pairs], map(as_pairs, blocks)):
+                for lo in range(0, len(pairs[0][0]), CHUNK_LINES):
+                    fields = [map(f, values[lo : lo + CHUNK_LINES].tolist())
+                              for (values, _), f in zip(pairs, text)]
+                    fh.write("\n".join(map("\t".join, zip(*fields))))
+                    fh.write("\n")
+        except BaseException:
+            path.unlink()
+            raise
     return path
 
 

@@ -154,14 +154,16 @@ def test_recommend_matrix_with_test_only_item_and_user(tmp_path, capsys):
         lines = fresh.decode("utf-8").splitlines()
         assert lines[0] == "user\trank\titem\tscore"
         assert {line.split("\t")[0] for line in lines[1:]} == {"u1", "u2", "u4"}, preset
-    # A matrix from another file, with another item count, does not fit.
+    # A matrix from another file, with another item count, does not fit: its
+    # header's item-id digest is not the train file's.
     capsys.readouterr()
     assert run_cli("train", "--data", test_path, "--strategy", "full", "--out", tmp_path) == 0
     other = capsys.readouterr().out.strip()
     assert run_cli("recommend", "--train", train_path, "--test", test_path, "--matrix", other,
                    "--preset", "lenskit-original", "--out", tmp_path / "other") == 2
     err = capsys.readouterr().err
-    assert "error [recommend] matrix has 4 items but the train matrix has 5" in err
+    assert f"error [recommend] {other} was trained on other items: its 4 items have ids=" in err
+    assert "the train file's 5 have ids=" in err
     assert not (tmp_path / "other").exists()
 
 
@@ -416,10 +418,55 @@ def test_recommend_accepts_fitting_full_matrix(chain_split, capsys):
     ) == 0
 
 
+def save_pairs(pairs, path):
+    rows = (Interaction(u, i, 1.0, float(t)) for t, (u, i) in enumerate(pairs))
+    return save_interactions(dataset_from_rows(rows), path)
+
+
+def test_recommend_refuses_same_sized_matrix_of_another_train_file(tmp_path, capsys):
+    # The other train file holds the same three items in another order, so a
+    # matrix from it has the train file's item count but numbers other items.
+    pairs = [("u1", "a"), ("u1", "b"), ("u2", "b"), ("u2", "c"), ("u3", "a"), ("u3", "c")]
+    train_path = save_pairs(pairs, tmp_path / "own.train.inter")
+    other_path = save_pairs(pairs[::-1], tmp_path / "other.train.inter")
+    test_path = save_pairs([("u1", "c"), ("u2", "a")], tmp_path / "own.test.inter")
+    matrices = {}
+    for path in (train_path, other_path):
+        assert run_cli("train", "--data", path, "--strategy", "full", "--out", tmp_path) == 0
+        matrices[path] = capsys.readouterr().out.strip()
+    argv = ["recommend", "--train", train_path, "--test", test_path, "--preset",
+            "lenskit-original", "--k", 2]
+    assert run_cli(*argv, "--matrix", matrices[other_path], "--out", tmp_path / "other") == 2
+    err = capsys.readouterr().err
+    assert f"error [recommend] {matrices[other_path]} was trained on other items: its 3 items" in err
+    assert not (tmp_path / "other").exists()
+    assert run_cli(*argv, "--matrix", matrices[train_path], "--out", tmp_path / "own") == 0
+
+
+def test_recommend_refuses_test_file_sharing_a_pair_with_train(chain_split, tmp_path, capsys):
+    out, train_path, test_path = chain_split
+    pairs = [("u1", "a"), ("u1", "b"), ("u2", "b")]
+    hand_train = save_pairs(pairs, tmp_path / "hand.train.inter")
+    hand_test = save_pairs([("u2", "a"), ("u9", "b"), ("u1", "b")], tmp_path / "hand.test.inter")
+    assert run_cli("recommend", "--train", hand_train, "--test", hand_test,
+                   "--out", tmp_path / "shared") == 2
+    err = capsys.readouterr().err
+    assert (f"error [recommend] {hand_test}: line 4: pair (u1, b) is also in train file "
+            f"{hand_train}, but the two files of a holdout split share no pair") in err
+    assert not (tmp_path / "shared").exists()
+    # The test file of another split seed shares pairs with this seed's train file.
+    run_cli("split", "--data", out / "toy.implicit.inter", "--seeds", "21", "--out", out)
+    _, other_test = capsys.readouterr().out.split()
+    assert run_cli("recommend", "--train", train_path, "--test", other_test,
+                   "--out", out / "mixed") == 2
+    assert "is also in train file" in capsys.readouterr().err
+    assert not (out / "mixed").exists()
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda lines: lines + ["999\t0\t0.5"], "line {n}: entry (999, 0)"),  # row past items
+        (lambda lines: lines + ["999\t0\t1"], "line {n}: entry (999, 0)"),  # row past items
         (lambda lines: lines + [lines[-1]], "line {n}: entry"),  # duplicate last entry
         (lambda lines: lines[:1] + lines[2:3] + lines[1:2] + lines[3:], "line 3: entry"),  # unsorted
     ],

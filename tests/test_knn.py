@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +35,8 @@ from conftest import (
     dense_truncate_oracle,
     entries_equal,
     make_implicit_dataset,
+    users_per_item,
 )
-from test_ingest import FLOATS
 
 
 def ds_from_pairs(pairs):
@@ -271,65 +273,132 @@ def test_truncate_rejects_widening():
         truncate_topk(s, 0)
 
 
+def digest(item_ids) -> str:
+    return hashlib.sha256("\n".join(item_ids).encode("utf-8")).hexdigest()
+
+
+def assert_loaded_equal(back: SimilarityMatrix, mat: SimilarityMatrix) -> None:
+    assert (back.n_items, back.strategy, back.k) == (mat.n_items, mat.strategy, mat.k)
+    assert entries_equal(back, mat)
+    assert np.array_equal(back.n_i, mat.n_i)
+
+
 def test_save_load_round_trip_exact(tmp_path):
-    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(41))))
+    ds = make_implicit_dataset(random.Random(41))
+    s = cosine_similarity(build_matrix(ds))
     for mat in (s, truncate_topk(s, 3)):
-        path = save_similarity(mat, tmp_path / f"{mat.strategy}.sim.tsv")
-        back = load_similarity(path)
-        assert back.strategy == mat.strategy
-        assert back.k == mat.k
-        assert back.n_items == mat.n_items
-        assert entries_equal(back, mat)  # 17 significant digits round-trip doubles
+        path = save_similarity(mat, tmp_path / f"{mat.strategy}.sim.tsv", ds.item_ids)
+        back = load_similarity(path, ds.item_ids)
+        assert_loaded_equal(back, mat)  # the same counts through the same division
         assert (back.cols.dtype, back.indptr.dtype) == (np.int32, np.int32)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), k=st.integers(1, 4), chunk=st.integers(1, 5))
-def test_property_save_load_round_trip_in_chunks(tmp_path_factory, seed, k, chunk):
-    s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(seed), 8, 7)))
+@st.composite
+def count_datasets(draw):
+    """Small implicit datasets whose train universe may hold items without
+    users (test-only items of a split) and items without neighbours (the
+    only item of their users)."""
+    n_users, n_items = draw(st.integers(1, 8), label="users"), draw(st.integers(1, 7), label="items")
+    pairs = draw(st.sets(st.tuples(st.integers(0, n_users - 1), st.integers(0, n_items - 1)),
+                         min_size=1))
+    pairs |= {(n_users + u, n_items + u) for u in range(draw(st.integers(0, 2)))}  # loners
+    ds = ds_from_pairs((f"u{u}", f"i{i}") for u, i in sorted(pairs))
+    if draw(st.booleans(), label="split"):
+        ds = split_holdout(ds, SplitConfig(0.5, draw(st.integers(0, 99)))).train
+    return ds
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=count_datasets(), k=st.integers(1, 4), lines=st.integers(1, 5),
+       chunk=st.integers(1, 5))
+def test_property_save_load_round_trip_in_chunks(tmp_path_factory, ds, k, lines, chunk):
+    """Saved and loaded with small CHUNK_LINES and COSINE_CHUNK, a full and
+    a top-k matrix come back with ``==`` indptr, cols, vals and n_i."""
     out = tmp_path_factory.mktemp("sim")
+    s = cosine_similarity(build_matrix(ds))
     for mat in (s, truncate_topk(s, k)):
-        path = save_similarity(mat, out / f"{mat.strategy}.sim.tsv")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "CHUNK_LINES", chunk)
-            back = load_similarity(path)
-        assert (back.strategy, back.k) == (mat.strategy, mat.k)
-        assert entries_equal(back, mat)
+            mp.setattr(ingest, "CHUNK_LINES", lines)
+            mp.setattr(knn, "COSINE_CHUNK", chunk)
+            back = load_similarity(save_similarity(mat, out / "m.tsv", ds.item_ids), ds.item_ids)
+        assert_loaded_equal(back, mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=count_datasets())
+def test_property_full_matrices_are_their_own_transposes(tmp_path_factory, ds):
+    """The two builders of a full matrix: the cosine and the mirroring loader."""
+    s = cosine_similarity(build_matrix(ds))
+    path = save_similarity(s, tmp_path_factory.mktemp("sim") / "m.tsv", ds.item_ids)
+    for mat in (s, load_similarity(path, ds.item_ids)):
+        # csc() reads these CSR arrays as the CSR arrays of the transpose.
+        t = sp.csr_matrix((mat.vals, mat.cols, mat.indptr), shape=(mat.n_items,) * 2).T.tocsr()
+        t.sort_indices()
+        assert np.array_equal(t.indptr, mat.indptr)
+        assert np.array_equal(t.indices, mat.cols)
+        assert np.array_equal(t.data, mat.vals)
 
 
 def test_save_header_format(tmp_path):
-    s = cosine_similarity(build_matrix(ds_from_pairs([("u", "i"), ("u", "j")])))
-    path = save_similarity(truncate_topk(s, 1), tmp_path / "m.tsv")
+    ds = ds_from_pairs([("u", "i"), ("u", "j")])
+    s = cosine_similarity(build_matrix(ds))
+    path = save_similarity(truncate_topk(s, 1), tmp_path / "m.tsv", ds.item_ids)
     header = path.read_text(encoding="utf-8").splitlines()[0]
-    assert header == "items=2 strategy=topk k=1"
+    assert header == f"items=2 strategy=topk k=1 ids={digest(['i', 'j'])}"
 
 
-def oracle_similarity_text(s: SimilarityMatrix) -> str:
-    """The matrix file as the per-line f-string writer before write_table made it."""
-    lines = [f"items={s.n_items} strategy={s.strategy} k={s.k or 0}\n"]
-    for i in range(s.n_items):
-        lo, hi = s.indptr[i], s.indptr[i + 1]
-        for j, v in zip(s.cols[lo:hi].tolist(), s.vals[lo:hi].tolist()):
-            lines.append(f"{i}\t{j}\t{v:.17g}\n")
+def oracle_similarity_text(ds: InteractionDataset, k: int | None) -> str:
+    """The count file of a dataset's matrix, line by line from user sets.
+
+    n_i and c_ij are set sizes; a top-k file keeps the cells of the dense
+    truncation oracle, a full file the nonzero cells above the diagonal.
+    """
+    by_item = users_per_item(ds)
+    ids = "\n".join(ds.item_ids).encode("utf-8")
+    kept = dense_cosine_oracle(ds) if k is None else dense_truncate_oracle(dense_cosine_oracle(ds), k)
+    lines = [f"items={ds.n_items} strategy={'full' if k is None else 'topk'} k={k or 0} "
+             f"ids={hashlib.sha256(ids).hexdigest()}\n"]
+    lines += [f"{i}\t{i}\t{len(by_item[i])}\n" for i in range(ds.n_items) if by_item[i]]
+    for i in range(ds.n_items):
+        for j in range(i + 1 if k is None else 0, ds.n_items):
+            if kept[i][j] != 0.0:
+                lines.append(f"{i}\t{j}\t{len(by_item[i] & by_item[j])}\n")
     return "".join(lines)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6), topk=st.booleans())
-def test_property_save_similarity_bytes_match_oracle(tmp_path_factory, data, n, topk):
-    rows = [sorted(data.draw(st.sets(st.integers(0, n - 1)))) for _ in range(n)]
-    cols = [j for row in rows for j in row]
-    vals = data.draw(st.lists(FLOATS, min_size=len(cols), max_size=len(cols)))
-    s = SimilarityMatrix(
-        n_items=n,
-        indptr=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        vals=np.array(vals, dtype=np.float64),
-        strategy=STRATEGY_TOPK if topk else STRATEGY_FULL,
-        k=n if topk else None,
-    )
-    path = save_similarity(s, tmp_path_factory.mktemp("sim") / "m.tsv")
-    assert path.read_bytes() == oracle_similarity_text(s).encode("utf-8")
+@given(ds=count_datasets(), k=st.one_of(st.none(), st.integers(1, 4)))
+def test_property_save_similarity_bytes_match_oracle(tmp_path_factory, ds, k):
+    s = cosine_similarity(build_matrix(ds))
+    mat = s if k is None else truncate_topk(s, k)
+    path = save_similarity(mat, tmp_path_factory.mktemp("sim") / "m.tsv", ds.item_ids)
+    assert path.read_bytes() == oracle_similarity_text(ds, k).encode("utf-8")
+
+
+def test_save_refuses_values_that_are_no_cosines_of_counts(tmp_path):
+    ds = make_implicit_dataset(random.Random(45))
+    s = cosine_similarity(build_matrix(ds))
+    with pytest.raises(ContractError, match="without user counts"):
+        save_similarity(sim_from_dense(to_dense(s)), tmp_path / "values.tsv", ds.item_ids)
+    right = s.vals[-1]
+    for wrong in (np.nextafter(right, 0.0), 1.5, -right):  # one ulp off, c > n_i, c < 0
+        s.vals[-1] = wrong
+        with pytest.raises(ContractError, match=r"is no count 1 <= c <= min\(n_i, n_j\)"):
+            save_similarity(s, tmp_path / "wrong.tsv", ds.item_ids)
+    s.vals[-1] = right
+    with pytest.raises(ContractError, match="item ids for a matrix of"):
+        save_similarity(s, tmp_path / "ids.tsv", ds.item_ids[1:])
+    assert list(tmp_path.iterdir()) == []  # a refused write leaves no file
+
+
+def test_load_refuses_a_same_sized_matrix_of_other_items(tmp_path):
+    ds = ds_from_pairs([("u", "a"), ("u", "b"), ("v", "b")])
+    s = cosine_similarity(build_matrix(ds))
+    path = save_similarity(s, tmp_path / "m.tsv", ds.item_ids)
+    for ids in (["b", "a"], ["a", "c"]):
+        with pytest.raises(ContractError, match="was trained on other items: its 2 items"):
+            load_similarity(path, ids)
+    assert_loaded_equal(load_similarity(path, ["a", "b"]), s)
 
 
 def test_full_csc_is_a_view_of_the_csr_arrays():
@@ -387,61 +456,92 @@ def test_priority_cache_dies_with_its_matrix():
     assert ref() is None
 
 
-FULL3, TOPK3 = "items=3 strategy=full k=0", "items=3 strategy=topk k=2"
+IDS3 = ["a", "b", "c"]
+FULL3 = f"items=3 strategy=full k=0 ids={digest(IDS3)}"
+TOPK3 = f"items=3 strategy=topk k=2 ids={digest(IDS3)}"
+COUNTS3 = "0\t0\t2\n1\t1\t2\n2\t2\t2\n"  # lines 2-4; the entries start on line 5
 
 
 @pytest.mark.parametrize(
-    "header, body, line",
+    "header, body, line, reason",
     [
-        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.5\n3\t0\t0.5\n", 4, id="row-past-items"),
-        pytest.param(TOPK3, "0\t3\t0.5\n", 2, id="col-past-items"),
-        pytest.param(TOPK3, "-1\t0\t0.5\n", 2, id="negative-row"),
-        pytest.param(TOPK3, "0\t1\t0.5\n0\t1\t0.5\n", 3, id="duplicate"),
-        pytest.param(TOPK3, "0\t2\t0.5\n0\t1\t0.4\n", 3, id="unsorted-cols"),
-        pytest.param(TOPK3, "1\t0\t0.5\n0\t1\t0.4\n", 3, id="unsorted-rows"),
-        pytest.param(TOPK3, "0\t1\t0\n", 2, id="zero"),
-        pytest.param(TOPK3, "0\t1\t0.5\n0\t2\t-0.5\n", 3, id="negative"),
-        pytest.param(TOPK3, "0\t1\tnan\n", 2, id="nan"),
-        pytest.param(TOPK3, "0\t1\tinf\n", 2, id="inf"),
+        pytest.param(FULL3, COUNTS3 + "0\t1\t1\n3\t0\t1\n", 6, "outside", id="row-past-items"),
+        pytest.param(TOPK3, COUNTS3 + "0\t3\t1\n", 5, "outside", id="col-past-items"),
+        pytest.param(TOPK3, COUNTS3 + "-1\t0\t1\n", 5, "outside", id="negative-row"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t1\n0\t1\t1\n", 6, "does not follow",
+                     id="duplicate"),
+        pytest.param(TOPK3, COUNTS3 + "0\t2\t1\n0\t1\t1\n", 6, "does not follow",
+                     id="unsorted-cols"),
+        pytest.param(TOPK3, COUNTS3 + "1\t0\t1\n0\t1\t1\n", 6, "does not follow",
+                     id="unsorted-rows"),
+        pytest.param(TOPK3, "1\t1\t2\n0\t0\t2\n", 3, "does not follow", id="unsorted-counts"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t0\n", 5, "not a positive count", id="zero"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t1\n0\t2\t-1\n", 6, "not a positive count",
+                     id="negative"),
+        pytest.param(TOPK3, "0\t0\t0\n", 2, "not a positive count", id="zero-users"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t0.5\n", 5, "bad count", id="fractional-count"),
+        pytest.param(TOPK3, "0\t0\t2.0\n", 2, "bad count", id="float-count"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\tnan\n", 5, "bad count", id="nan"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\tinf\n", 5, "bad count", id="inf"),
+        pytest.param(TOPK3, "0\t0\t2\n1\t1\t1\n2\t2\t2\n0\t2\t2\n1\t0\t2\n", 6,
+                     r"above min\(n_i, n_j\) = 1", id="count-above-min"),
+        pytest.param(TOPK3, "0\t0\t2\n1\t1\t2\n0\t1\t1\n0\t2\t1\n", 5,
+                     "names an item without a user count", id="no-user-count"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t1\n1\t1\t2\n", 6, "user count after the first",
+                     id="count-after-entries"),
         pytest.param(
-            "items=3 strategy=topk k=1", "0\t1\t0.5\n0\t2\t0.4\n", 3, id="topk-row-past-k"
+            f"items=3 strategy=topk k=1 ids={digest(IDS3)}", COUNTS3 + "0\t1\t1\n0\t2\t1\n", 6,
+            "past the k=1 entries", id="topk-row-past-k",
         ),
-        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.25\n", 2, id="mirror-differs"),
-        pytest.param(FULL3, "0\t1\t0.5\n1\t0\t0.5\n1\t2\t0.5\n", 4, id="no-mirror"),
-        pytest.param(FULL3, "0\t1\n", 2, id="short-row"),
-        pytest.param(TOPK3, "0\t1\t0.5\t7\n", 2, id="long-row"),
-        pytest.param(TOPK3, "0\t1\t0.5\n\n", 3, id="blank-line"),
-        pytest.param(TOPK3, '0\t1\t"0.5"\n', 2, id="quote"),
-        pytest.param(TOPK3, "0\t99999999999999999999\t0.5\n", 2, id="col-past-int64"),
-        pytest.param(FULL3, "0\tx\t0.5\n", 2, id="bad-integer"),
-        pytest.param("items=3 strategy=topk k=0", "", 1, id="topk-k0"),
-        pytest.param("items=3 strategy=full k=2", "", 1, id="full-with-k"),
-        pytest.param("items=0 strategy=full k=0", "", 1, id="no-items"),
-        pytest.param("items=x strategy=full k=0", "", 1, id="bad-items"),
-        pytest.param("items=3 strategy=dense k=0", "", 1, id="bad-strategy"),
-        pytest.param("", "", 1, id="empty-file"),
+        pytest.param(FULL3, COUNTS3 + "0\t1\t1\n1\t0\t2\n", 6, "below the diagonal",
+                     id="mirror-differs"),
+        pytest.param(FULL3, COUNTS3 + "1\t0\t1\n", 5, "below the diagonal", id="full-lower-entry"),
+        pytest.param(FULL3, "0\t1\n", 2, "2 fields, want 3", id="short-row"),
+        pytest.param(TOPK3, "0\t1\t1\t7\n", 2, "4 fields, want 3", id="long-row"),
+        pytest.param(TOPK3, COUNTS3 + "0\t1\t1\n\n", 6, "1 fields, want 3", id="blank-line"),
+        pytest.param(TOPK3, '0\t0\t"2"\n', 2, "not csv-quoted", id="quote"),
+        pytest.param(TOPK3, "0\t99999999999999999999\t1\n", 2, "bad col", id="col-past-int64"),
+        pytest.param(FULL3, "0\tx\t1\n", 2, "bad col", id="bad-integer"),
+        pytest.param(f"items=3 strategy=topk k=0 ids={digest(IDS3)}", "", 1, "bad header",
+                     id="topk-k0"),
+        pytest.param(f"items=3 strategy=full k=2 ids={digest(IDS3)}", "", 1, "bad header",
+                     id="full-with-k"),
+        pytest.param(f"items=0 strategy=full k=0 ids={digest(IDS3)}", "", 1, "bad header",
+                     id="no-items"),
+        pytest.param(f"items=x strategy=full k=0 ids={digest(IDS3)}", "", 1, "bad header",
+                     id="bad-items"),
+        pytest.param(f"items=3 strategy=dense k=0 ids={digest(IDS3)}", "", 1, "bad header",
+                     id="bad-strategy"),
+        pytest.param("items=3 strategy=full k=0", COUNTS3, 1, "bad header", id="no-ids"),
+        pytest.param(f"items=3 strategy=full k=0 ids={digest(IDS3)[:-1]}", COUNTS3, 1,
+                     "bad header", id="short-ids"),
+        pytest.param(f"items=3 strategy=full k=0 ids={digest(IDS3).upper()}", COUNTS3, 1,
+                     "bad header", id="upper-case-ids"),
+        pytest.param("items=3 strategy=full k=0", "0\t1\t0.5\n1\t0\t0.5\n", 1,
+                     "predates count files", id="float-file"),
+        pytest.param("", "", 1, "bad header", id="empty-file"),
     ],
 )
-def test_load_similarity_refuses_malformed_files(tmp_path, header, body, line):
+def test_load_similarity_refuses_malformed_files(tmp_path, header, body, line, reason):
     path = tmp_path / "m.sim.tsv"
     path.write_text(header + "\n" + body, encoding="utf-8")
-    with pytest.raises(SchemaError, match=f"line {line}:"):
-        load_similarity(path)
+    with pytest.raises(SchemaError, match=f"line {line}: .*{reason}"):
+        load_similarity(path, IDS3)
 
 
 def test_load_similarity_header_k_defaults_to_zero(tmp_path):
     path = tmp_path / "m.sim.tsv"
-    path.write_text("items=2 strategy=full\n0\t1\t0.5\n1\t0\t0.5\n", encoding="utf-8")
-    s = load_similarity(path)
+    path.write_text(f"items=2 strategy=full ids={digest(['a', 'b'])}\n0\t0\t1\n1\t1\t1\n0\t1\t1\n",
+                    encoding="utf-8")
+    s = load_similarity(path, ["a", "b"])
     assert (s.n_items, s.strategy, s.k, s.nnz) == (2, STRATEGY_FULL, None, 2)
+    assert s.vals.tolist() == [1.0, 1.0]
 
 
 def test_load_similarity_message_shows_plain_numbers(tmp_path):
     path = tmp_path / "m.sim.tsv"
-    path.write_text(FULL3 + "\n0\t1\t0.5\n1\t0\t0.25\n", encoding="utf-8")
+    path.write_text(FULL3 + "\n" + COUNTS3 + "0\t1\t3\n", encoding="utf-8")
     with pytest.raises(RowParseError) as e:
-        load_similarity(path)
-    assert str(e.value) == (
-        f"{path}: line 2: entry (0, 1) = 0.5 has no equal entry (1, 0): a full matrix is symmetric"
-    )
-    assert (e.value.path, e.value.line_no) == (path, 2)
+        load_similarity(path, IDS3)
+    assert str(e.value) == f"{path}: line 5: entry (0, 1) = 3 is above min(n_i, n_j) = 2"
+    assert (e.value.path, e.value.line_no) == (path, 5)
