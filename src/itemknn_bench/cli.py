@@ -19,9 +19,11 @@ from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
     DEFAULT_PRESETS,
     DEFAULT_SEEDS,
+    REPORT_FORMATS,
     ExperimentConfig,
-    ExperimentResult,
+    check_formats,
     emit_report,
+    load_report,
     run_experiment,
 )
 from .ingest import (
@@ -45,8 +47,8 @@ from .recommend import PRESETS, load_recommendations, recommend_all, save_recomm
 from .split import SplitConfig, save_split, split_holdout
 
 
-def _parse_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+def _parse_list(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -56,7 +58,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _parse_idcg(text: str) -> tuple[str, ...]:
     if text == "both":
         return (IDCG_TRUNCATED, IDCG_FIXED_K)
-    return tuple(_parse_list(text))
+    return _parse_list(text)
 
 
 def _parse_column_map(text: str) -> dict[str, str]:
@@ -88,14 +90,8 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _threshold_from(args) -> ImplicitThreshold | None:
-    if args.threshold is None:
-        return None
-    return ImplicitThreshold(args.threshold, args.threshold_mode or "gt")
-
-
-def _add_data_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="interaction file path")
+def _add_data_args(p: argparse.ArgumentParser, flag: str = "--data") -> None:
+    p.add_argument(flag, required=True, help="interaction file path")
     p.add_argument("--format", default="atomic", choices=["atomic", "csv"])
     p.add_argument("--column-map", type=_parse_column_map, default=None,
                    help="logical=actual column pairs, e.g. user=uid,item=movie")
@@ -104,8 +100,8 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 def _cmd_stats(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
     payload = {"dataset": Path(args.data).stem, "before": stats(ds).as_dict()}
-    threshold = _threshold_from(args)
-    if threshold is not None:
+    if args.threshold is not None:
+        threshold = ImplicitThreshold(args.threshold, args.threshold_mode or "gt")
         payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
     print(json.dumps(payload, indent=2))
@@ -115,9 +111,7 @@ def _cmd_stats(args) -> int:
 def _cmd_preprocess(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
     implicit = to_implicit(ds, ImplicitThreshold(args.threshold, args.threshold_mode))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = save_interactions(implicit, out_dir / f"{Path(args.data).stem}.implicit.inter")
+    path = save_interactions(implicit, Path(args.out, f"{Path(args.data).stem}.implicit.inter"))
     print(path)
     return 0
 
@@ -138,9 +132,7 @@ def _cmd_train(args) -> int:
     s = cosine_similarity(build_matrix(ds))
     if args.strategy == STRATEGY_TOPK:
         s = truncate_topk(s, args.k)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = save_similarity(s, out_dir / f"{Path(args.data).stem}.{args.strategy}.sim.tsv",
+    path = save_similarity(s, Path(args.out, f"{Path(args.data).stem}.{args.strategy}.sim.tsv"),
                            ds.item_ids)
     print(path)
     return 0
@@ -192,39 +184,40 @@ def _cmd_recommend(args) -> int:
         if preset.matrix_strategy == STRATEGY_TOPK:
             s = truncate_topk(s, args.k)
     recs = recommend_all(s, x, preset.scoring_mode(args.k), args.topn, users)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = save_recommendations(
-        recs, train, out_dir / f"{Path(args.train).stem}.{args.preset}.recs.tsv"
+        recs, train, Path(args.out, f"{Path(args.train).stem}.{args.preset}.recs.tsv")
     )
     print(path)
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    recs = load_recommendations(args.recs)
+    (users, user_ids), (items, item_ids), _ = load_recommendations(args.recs)
     test = _load_test(args)
-    # The dump's external ids in the test file's codes; an item it lacks is -1, a miss.
-    users = _codes(list(recs), test.user_ids)
-    if (users < 0).any():
-        absent = list(recs)[int(np.argmax(users < 0))]
+    # The dump's distinct ids in the test file's codes; an item it lacks is -1, a miss.
+    user_codes = _codes(user_ids, test.user_ids)
+    if (user_codes < 0).any():
+        absent = user_ids[int(np.argmax(user_codes < 0))]
         raise ContractError(f"user {absent!r} of {args.recs} is not in test file {args.test}")
-    items = _codes([item for entries in recs.values() for item, _ in entries], test.item_ids)
-    sizes = np.array([len(entries) for entries in recs.values()], dtype=np.int64)
-    hits, n_relevant = user_gains(test, users, items, sizes, args.topn)
-    payload = {mode: report_from_gains(list(recs), hits, n_relevant, args.topn, mode).as_dict()
+    # One list per test user, in test code order: a user without dump rows
+    # gets an empty list, which scores 0, as in the experiment.
+    rows = user_codes[users]
+    order = np.argsort(rows, kind="stable")  # keeps each list's rank order
+    items = _codes(item_ids, test.item_ids)[items[order]]
+    sizes = np.bincount(rows, minlength=test.n_users)
+    hits, n_relevant = user_gains(test, np.arange(test.n_users), items, sizes, args.topn)
+    payload = {mode: report_from_gains(test.user_ids, hits, n_relevant, args.topn, mode).as_dict()
                for mode in args.idcg}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "evaluation.json").write_text(text + "\n", encoding="utf-8")
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        Path(args.out, "evaluation.json").write_text(text + "\n", encoding="utf-8")
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """Merge CLI flags over config-file values over built-in defaults."""
+def _experiment_config(args) -> tuple[ExperimentConfig, str, tuple[str, ...]]:
+    """Config, output directory and report formats: flags over config file over defaults."""
     # A config key is an experiment flag's name, as pick reads it.
     keys = {name.replace("_", "-") for name in vars(args)} - {"command", "func", "config"}
     file_values = _read_config_file(args.config, keys) if args.config else {}
@@ -237,32 +230,30 @@ def _experiment_config(args) -> ExperimentConfig:
             return parser(file_values[flag])
         return default
 
-    threshold_cutoff = pick("threshold", float, None)
-    if threshold_cutoff is None:
-        raise ValueError("experiment requires --threshold (or threshold= in the config file)")
-    data = pick("data", str, None)
-    if data is None:
-        raise ValueError("experiment requires --data (or data= in the config file)")
-    return ExperimentConfig(
-        data=data,
+    for flag in ("threshold", "data"):
+        if pick(flag, str, None) is None:
+            raise ValueError(f"experiment requires --{flag} (or {flag}= in the config file)")
+    cfg = ExperimentConfig(
+        data=pick("data", str, None),
         format=pick("format", str, "atomic"),
         column_map=pick("column-map", _parse_column_map, None),
-        threshold=ImplicitThreshold(threshold_cutoff, pick("threshold-mode", str, "gt")),
+        threshold=ImplicitThreshold(pick("threshold", float, None),
+                                    pick("threshold-mode", str, "gt")),
         train_ratio=pick("ratio", float, 0.8),
         seeds=pick("seeds", _parse_seeds, DEFAULT_SEEDS),
         k=pick("k", int, 20),
         n=pick("topn", int, 10),
-        presets=pick("preset", lambda t: tuple(_parse_list(t)), DEFAULT_PRESETS),
+        presets=pick("preset", _parse_list, DEFAULT_PRESETS),
         idcg_modes=pick("idcg", _parse_idcg, (IDCG_TRUNCATED,)),
-        out_dir=pick("out", str, "out"),
-        formats=pick("emit", lambda t: tuple(_parse_list(t)), ("json", "csv", "md")),
     )
+    return cfg, pick("out", str, "out"), pick("emit", _parse_list, REPORT_FORMATS)
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _experiment_config(args)
+    cfg, out, formats = _experiment_config(args)
+    check_formats(formats)  # before any seed runs
     result = run_experiment(cfg)
-    written = emit_report(result)
+    written = emit_report(result.to_json_dict(), formats, out, result.timings)
     for (preset, seed, mode), rep in result.cells.items():
         print(
             f"{cfg.dataset} preset={preset} seed={seed} idcg={mode} "
@@ -275,9 +266,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    payload = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    result = ExperimentResult.from_json_dict(payload)
-    for path in emit_report(result, formats=args.emit, out_dir=args.out):
+    for path in emit_report(load_report(args.input), args.emit, args.out):
         print(path)
     return 0
 
@@ -319,9 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend", help="emit top-N recommendations for test users")
     p.add_argument("--train", required=True, help="train interaction file")
-    p.add_argument("--test", required=True, help="test interaction file")
-    p.add_argument("--format", default="atomic", choices=["atomic", "csv"])
-    p.add_argument("--column-map", type=_parse_column_map, default=None)
+    _add_data_args(p, "--test")
     p.add_argument("--matrix", default=None, help="previously trained similarity file")
     p.add_argument("--preset", choices=sorted(PRESETS), default="recbole")
     p.add_argument("--k", type=int, default=20)
@@ -331,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a recommendation dump against a test set")
     p.add_argument("--recs", required=True, help="recommendation dump file")
-    p.add_argument("--test", required=True, help="test interaction file")
-    p.add_argument("--format", default="atomic", choices=["atomic", "csv"])
-    p.add_argument("--column-map", type=_parse_column_map, default=None)
+    _add_data_args(p, "--test")
     p.add_argument("--topn", type=int, default=10)
     p.add_argument("--idcg", type=_parse_idcg, default=(IDCG_TRUNCATED,))
     p.add_argument("--out", default=None)
@@ -350,15 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_parse_seeds, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--topn", type=int, default=None)
-    p.add_argument("--preset", type=lambda t: tuple(_parse_list(t)), default=None)
+    p.add_argument("--preset", type=_parse_list, default=None)
     p.add_argument("--idcg", type=_parse_idcg, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--emit", type=lambda t: tuple(_parse_list(t)), default=None)
+    p.add_argument("--emit", type=_parse_list, default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", help="re-emit reports from a stored report.json")
     p.add_argument("--input", required=True)
-    p.add_argument("--emit", type=lambda t: tuple(_parse_list(t)), default=("csv", "md"))
+    p.add_argument("--emit", type=_parse_list, default=("csv", "md"))
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_report)
 

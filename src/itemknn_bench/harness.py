@@ -7,13 +7,16 @@ per preset: recommendation and one evaluation per IDCG mode.  Results are
 fully deterministic for a fixed config, and the JSON report is canonical
 (sorted keys, repr floats), so identical configs emit byte-identical files.
 
-Wall-clock timings are collected but written to a separate ``timings.json``:
-they vary run to run and would break the byte-identical report guarantee.
+Every report file renders from the ``report.json`` payload, so ``report``
+re-emits ``experiment``'s bytes.  Wall-clock timings go to a separate
+``timings.json``: they vary run to run and would break the byte-identical
+report guarantee.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import time
@@ -23,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ExperimentError
+from .errors import ExperimentError, SchemaError
 from .ingest import (
     DatasetStats,
     ImplicitThreshold,
@@ -32,7 +35,7 @@ from .ingest import (
     to_implicit,
 )
 from .knn import STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
-from .metrics import IDCG_MODES, MetricReport, evaluate
+from .metrics import IDCG_MODES, IDCG_TRUNCATED, MetricReport, evaluate
 from .recommend import PRESETS, recommend_all
 from .split import SplitConfig, split_holdout
 
@@ -54,8 +57,6 @@ class ExperimentConfig:
     n: int = 10
     presets: tuple[str, ...] = DEFAULT_PRESETS
     idcg_modes: tuple[str, ...] = ("truncated",)
-    out_dir: str = "out"
-    formats: tuple[str, ...] = REPORT_FORMATS
 
     @property
     def dataset(self) -> str:
@@ -78,14 +79,8 @@ class ExperimentConfig:
         for m in self.idcg_modes:
             if m not in IDCG_MODES:
                 raise ValueError(f"unknown IDCG mode {m!r}")
-        for f in self.formats:
-            if f not in REPORT_FORMATS:
-                raise ValueError(f"unknown report format {f!r}")
 
     def as_dict(self) -> dict:
-        # Emission parameters (out_dir, formats) stay out: they don't affect
-        # the experiment's content, and keeping them out means identical
-        # experiments emit byte-identical reports into different directories.
         return {
             "data": self.data,
             "dataset": self.dataset,
@@ -100,21 +95,6 @@ class ExperimentConfig:
             "idcg_modes": list(self.idcg_modes),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        return cls(
-            data=d["data"],
-            threshold=ImplicitThreshold(d["threshold"]["cutoff"], d["threshold"]["mode"]),
-            format=d["format"],
-            column_map=d["column_map"],
-            train_ratio=d["train_ratio"],
-            seeds=tuple(d["seeds"]),
-            k=d["k"],
-            n=d["n"],
-            presets=tuple(d["presets"]),
-            idcg_modes=tuple(d["idcg_modes"]),
-        )
-
 
 @dataclass
 class ExperimentResult:
@@ -124,11 +104,8 @@ class ExperimentResult:
     cells: dict[tuple[str, int, str], MetricReport]
     timings: dict[str, float] = field(default_factory=dict)
 
-    def report(self, preset: str, seed: int, idcg_mode: str) -> MetricReport:
-        return self.cells[(preset, seed, idcg_mode)]
-
     def to_json_dict(self) -> dict:
-        """Deterministic payload; timings deliberately excluded."""
+        """The deterministic content of ``report.json``; timings deliberately excluded."""
         results: dict = {}
         for (preset, seed, mode), rep in self.cells.items():
             results.setdefault(preset, {}).setdefault(str(seed), {})[mode] = rep.as_dict()
@@ -139,21 +116,53 @@ class ExperimentResult:
             "results": results,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentResult":
-        cells: dict[tuple[str, int, str], MetricReport] = {}
-        for preset, by_seed in d["results"].items():
-            for seed, by_mode in by_seed.items():
-                for mode, rep in by_mode.items():
-                    cells[(preset, int(seed), mode)] = MetricReport.from_dict(rep)
-        return cls(
-            config=ExperimentConfig.from_dict(
-                {**d["config"], "column_map": d["config"].get("column_map")}
-            ),
-            stats_before=DatasetStats(**d["stats_before"]),
-            stats_after=DatasetStats(**d["stats_after"]),
-            cells=cells,
-        )
+
+def load_report(path: str | Path) -> dict:
+    """The payload of a stored ``report.json``, as :func:`emit_report` takes it.
+
+    Raises ``SchemaError`` unless the file is JSON laid out as
+    :meth:`ExperimentResult.to_json_dict` lays it out: each dict holds
+    exactly its keys, the dataset is the data path's stem, the threshold
+    mode is ``gt`` or ``ge``, the seeds (ints), presets and IDCG modes are
+    distinct and not empty, and every cell's means are floats.  So each
+    report format renders, into its output directory.
+    """
+
+    def fail(what: str):
+        raise SchemaError(f"{path}: not an experiment report: {what}")
+
+    def keyed(value, keys, what: str) -> dict:
+        keys = set(keys)
+        if not isinstance(value, dict) or value.keys() != keys:
+            fail(f"{what} does not hold exactly the keys {sorted(keys)}")
+        return value
+
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        fail(f"not JSON: {e}")
+    keyed(payload, ("config", "stats_before", "stats_after", "results"), "the top level")
+    for name in ("stats_before", "stats_after"):
+        keyed(payload[name], DatasetStats.__slots__, name)
+    cfg = keyed(payload["config"], ExperimentConfig("", ImplicitThreshold(0, "gt")).as_dict(),
+                "config")
+    if not isinstance(cfg["data"], str) or cfg["dataset"] != Path(cfg["data"]).stem:
+        fail("config.dataset is not the stem of config.data")
+    if keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")["mode"] not in ("gt", "ge"):
+        fail("config.threshold.mode is neither 'gt' nor 'ge'")
+    for name, kind in (("seeds", int), ("presets", str), ("idcg_modes", str)):
+        values = cfg[name]  # its types are checked before set() hashes them
+        if not (isinstance(values, list) and values and all(type(v) is kind for v in values)
+                and len(set(values)) == len(values)):
+            fail(f"config.{name} is not a non-empty list of distinct {kind.__name__}s")
+    cell_keys = MetricReport(1, IDCG_TRUNCATED).as_dict()
+    for preset, by_seed in keyed(payload["results"], cfg["presets"], "results").items():
+        for seed, by_mode in keyed(by_seed, map(str, cfg["seeds"]), f"results.{preset}").items():
+            for mode, rep in keyed(by_mode, cfg["idcg_modes"], f"results.{preset}.{seed}").items():
+                rep = keyed(rep, cell_keys, f"results.{preset}.{seed}.{mode}")
+                if not all(type(rep[f"mean_{m}"]) is float for m in ("ndcg", "precision", "recall")):
+                    fail(f"a mean of results.{preset}.{seed}.{mode} is not a float")
+    return payload
 
 
 @contextmanager
@@ -225,92 +234,86 @@ def _run_seed(cfg, implicit, seed, cells, timings) -> None:
                 )
 
 
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+def _canonical_json(payload: dict) -> bytearray:
+    # Encoded chunk by chunk: json.dumps with an indent first lists every chunk,
+    # several times the text's size in small strings, and could set a run's peak.
+    out = bytearray()
+    for chunk in json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(payload):
+        out += chunk.encode("utf-8")
+    out += b"\n"
+    return out
 
 
-def _write_csv(res: ExperimentResult, path: Path) -> None:
-    cfg = res.config
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dataset", "preset", "seed", "idcg_mode", "ndcg", "precision", "recall"])
-        for preset in cfg.presets:
-            for seed in cfg.seeds:
-                for mode in cfg.idcg_modes:
-                    rep = res.report(preset, seed, mode)
-                    writer.writerow(
-                        [cfg.dataset, preset, seed, mode,
-                         repr(rep.mean_ndcg), repr(rep.mean_precision), repr(rep.mean_recall)]
-                    )
+def _csv(rows) -> bytes:
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue().encode("utf-8")
 
 
-def _write_figure_csv(res: ExperimentResult, path: Path) -> None:
-    cfg = res.config
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["preset", "seed", "idcg_mode", "ndcg"])
-        for preset in cfg.presets:
-            for seed in cfg.seeds:
-                for mode in cfg.idcg_modes:
-                    writer.writerow([preset, seed, mode, repr(res.report(preset, seed, mode).mean_ndcg)])
-
-
-def _write_markdown(res: ExperimentResult, path: Path) -> None:
-    cfg = res.config
-    lines = [f"# ItemKNN experiment report: {cfg.dataset}", ""]
-    lines.append(
-        f"k={cfg.k}, top-N={cfg.n}, train ratio={cfg.train_ratio}, "
-        f"threshold: rating {'>' if cfg.threshold.mode == 'gt' else '>='} {cfg.threshold.cutoff}"
-    )
-    lines.append("")
-    for mode in cfg.idcg_modes:
-        lines.append(f"## nDCG@{cfg.n} ({mode} IDCG)")
-        lines.append("")
-        header = [""] + [str(s) for s in cfg.seeds] + ["Avg."]
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "---|" * len(header))
-        for preset in cfg.presets:
-            values = [res.report(preset, seed, mode).mean_ndcg for seed in cfg.seeds]
+def _markdown(payload: dict) -> bytes:
+    cfg = payload["config"]
+    threshold = cfg["threshold"]
+    lines = [
+        f"# ItemKNN experiment report: {cfg['dataset']}", "",
+        f"k={cfg['k']}, top-N={cfg['n']}, train ratio={cfg['train_ratio']}, "
+        f"threshold: rating {'>' if threshold['mode'] == 'gt' else '>='} {threshold['cutoff']}", "",
+    ]
+    for mode in cfg["idcg_modes"]:
+        header = [""] + [str(s) for s in cfg["seeds"]] + ["Avg."]
+        lines += [f"## nDCG@{cfg['n']} ({mode} IDCG)", "",
+                  "| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        for preset in cfg["presets"]:
+            values = [payload["results"][preset][str(seed)][mode]["mean_ndcg"]
+                      for seed in cfg["seeds"]]
             avg = math.fsum(values) / len(values)
             row = [preset] + [f"{v:.4f}" for v in values] + [f"{avg:.4f}"]
             lines.append("| " + " | ".join(row) + " |")
         lines.append("")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def check_formats(formats) -> None:
+    """Raise ``ValueError`` for a report format other than those of ``REPORT_FORMATS``."""
+    for f in formats:
+        if f not in REPORT_FORMATS:
+            raise ValueError(f"unknown report format {f!r} (known: {', '.join(REPORT_FORMATS)})")
 
 
 def emit_report(
-    res: ExperimentResult, formats: tuple[str, ...] | None = None, out_dir: str | Path | None = None
+    payload: dict, formats, out_dir: str | Path, timings: dict[str, float] | None = None
 ) -> list[Path]:
-    """Write the requested report files; returns the created paths.
+    """Write the requested report files from a ``report.json`` payload; returns their paths.
 
-    ``json`` emits the canonical ``report.json`` plus a non-deterministic
-    ``timings.json``; ``csv`` emits ``report.csv`` and the per-dataset
-    figure-data file; ``md`` emits the seed-column table.
+    ``payload`` is :meth:`ExperimentResult.to_json_dict`'s, or a stored
+    ``report.json`` read back.  ``json`` emits the canonical ``report.json``,
+    plus ``timings.json`` when ``timings`` are given (they vary run to run);
+    ``csv`` emits ``report.csv`` and the per-dataset figure-data file; ``md``
+    emits the seed-column table.  Every text is rendered before the first
+    file is written.
     """
-    formats = tuple(formats if formats is not None else res.config.formats)
-    for f in formats:
-        if f not in REPORT_FORMATS:
-            raise ValueError(f"unknown report format {f!r}")
-    out = Path(out_dir if out_dir is not None else res.config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    written: list[Path] = []
+    check_formats(formats)
+    cfg = payload["config"]
+    cells = [(preset, seed, mode, payload["results"][preset][str(seed)][mode])
+             for preset in cfg["presets"] for seed in cfg["seeds"] for mode in cfg["idcg_modes"]]
+    texts: dict[str, bytes] = {}
     if "json" in formats:
-        report_path = out / "report.json"
-        report_path.write_text(_canonical_json(res.to_json_dict()), encoding="utf-8")
-        written.append(report_path)
-        timings_path = out / "timings.json"
-        timings_path.write_text(_canonical_json({"seconds_per_phase": res.timings}), encoding="utf-8")
-        written.append(timings_path)
+        texts["report.json"] = _canonical_json(payload)
+        if timings is not None:
+            texts["timings.json"] = _canonical_json({"seconds_per_phase": timings})
     if "csv" in formats:
-        csv_path = out / "report.csv"
-        _write_csv(res, csv_path)
-        written.append(csv_path)
-        figure_path = out / f"figure_{res.config.dataset}.csv"
-        _write_figure_csv(res, figure_path)
-        written.append(figure_path)
+        texts["report.csv"] = _csv(
+            [["dataset", "preset", "seed", "idcg_mode", "ndcg", "precision", "recall"]]
+            + [[cfg["dataset"], preset, seed, mode, repr(rep["mean_ndcg"]),
+                repr(rep["mean_precision"]), repr(rep["mean_recall"])]
+               for preset, seed, mode, rep in cells]
+        )
+        texts[f"figure_{cfg['dataset']}.csv"] = _csv(
+            [["preset", "seed", "idcg_mode", "ndcg"]]
+            + [[preset, seed, mode, repr(rep["mean_ndcg"])] for preset, seed, mode, rep in cells]
+        )
     if "md" in formats:
-        md_path = out / "report.md"
-        _write_markdown(res, md_path)
-        written.append(md_path)
-    return written
+        texts["report.md"] = _markdown(payload)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        Path(out_dir, name).write_bytes(text)
+    return [Path(out_dir, name) for name in texts]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Mapping
@@ -39,6 +40,8 @@ ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
 # read_table splits and write_table formats this many lines at a time, which
 # bounds their transient memory.
 CHUNK_LINES = 4096
+# The ASCII characters that int() and float() strip, less the line ends, and "_".
+_SPACE_OR_UNDERSCORE = " \t\x0b\x0c\x1c\x1d\x1e\x1f_"
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +150,8 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
     header is a row, and lines end in LF, CRLF or, the last, nothing.  Raises
     ``SchemaError`` for an empty file and ``RowParseError`` for a row without
     one field per header entry (a blank line too), a ``"``, and a number that
-    does not parse or is not finite.
+    does not parse, is not finite, or holds whitespace, ``_``, a non-ASCII
+    character or a leading ``+``.
     """
     with Path(path).open(encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
         first = fh.readline()
@@ -166,6 +170,7 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
                 raise RowParseError(path, line + j, f"{seps[j] + 1} fields, want {n}"
                                     if seps[j] != n - 1 else 'a ": fields are not csv-quoted')
             fields = text.replace("\n", sep).split(sep)
+            plain = _plain(text, sep)
             for c, name, kind in read:
                 column = fields[c : n * len(lines) : n]
                 if kind is str:
@@ -174,8 +179,11 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
                     ids.update(zip(fresh, count(len(ids))))
                     out[name].extend(map(ids.__getitem__, column))
                     continue
+                # A number is written in full: kind() alone would take "+9", " 9" and "9_0".
+                # The chunk holds ids too, so a chunk that is not plain needs a closer look.
+                parse = kind if plain or _plain("|".join(column), "|") else partial(_strict, kind)
                 try:
-                    out[name].extend(map(kind, column))
+                    out[name].extend(map(parse, column))
                 except (ValueError, OverflowError):  # extend stops at the bad field
                     at = len(out[name]) + 2
                     raise RowParseError(path, at, f"bad {name} {column[at - line]!r}") from None
@@ -189,6 +197,20 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
     return table
 
 
+def _plain(text: str, sep: str) -> bool:
+    """Whether the number fields that ``text`` holds, joined by ``sep`` or a
+    line end, hold no whitespace, ``_``, non-ASCII character or leading ``+``."""
+    return (text.isascii() and not any(c in text for c in _SPACE_OR_UNDERSCORE if c != sep)
+            and ("+" not in text or not (text[:1] == "+" or sep + "+" in text or "\n+" in text)))
+
+
+def _strict(kind: type, field: str):
+    """``kind(field)``, or ``ValueError`` for a field that is not :func:`_plain`."""
+    if not _plain(field, "|"):
+        raise ValueError(field)
+    return kind(field)
+
+
 def write_table(path: str | Path, header: str, columns) -> Path:
     """Write ``header``, then one tab-separated line per row of ``columns``.
 
@@ -200,9 +222,10 @@ def write_table(path: str | Path, header: str, columns) -> Path:
     can make its rows a block at a time.  Ints are written in full and floats
     with 17 significant digits, which round-trips every double.  Lines end in
     LF and the file is UTF-8.  Rows are formatted ``CHUNK_LINES`` at a time,
-    so no whole column becomes a Python list.  Raises ``SchemaError``, naming
-    the path and the id, for an id holding a tab, which would read back as
-    two fields.  A write that raises removes its file.
+    so no whole column becomes a Python list.  Creates the file's directory.
+    Raises ``SchemaError``, naming the path and the id, for an id holding a
+    tab, which would read back as two fields.  A write that raises removes
+    its file.
     """
     path = Path(path)
     blocks = iter([columns] if isinstance(columns, list) else columns)
@@ -212,6 +235,7 @@ def write_table(path: str | Path, header: str, columns) -> Path:
         tabbed = [x for x in ids or () if "\t" in x]
         if tabbed:
             raise SchemaError(f"{path}: id {tabbed[0]!r} holds a tab, the field separator")
+    path.parent.mkdir(parents=True, exist_ok=True)
     # Each column's text: its ids, or the number written in full.
     text = [ids.__getitem__ if ids is not None else "{:.17g}".format if values.dtype.kind == "f"
             else str for values, ids in pairs]

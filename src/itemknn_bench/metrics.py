@@ -67,19 +67,6 @@ class MetricReport:
             "per_user": {u: list(m) for u, m in self.per_user.items()},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricReport":
-        return cls(
-            n=d["n"],
-            idcg_mode=d["idcg_mode"],
-            preset=d["preset"],
-            seed=d["seed"],
-            per_user={u: UserMetrics(*vals) for u, vals in d["per_user"].items()},
-            mean_ndcg=d["mean_ndcg"],
-            mean_precision=d["mean_precision"],
-            mean_recall=d["mean_recall"],
-        )
-
 
 def user_gains(
     test: InteractionDataset, users: np.ndarray, items: np.ndarray, sizes: np.ndarray, n: int

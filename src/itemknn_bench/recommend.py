@@ -71,7 +71,6 @@ Named presets pair a matrix strategy with a scoring mode:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -250,14 +249,17 @@ def save_recommendations(
     return write_table(path, RECS_HEADER, columns)
 
 
-def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Read a dump back as external-id lists, preserving rank order.
+def load_recommendations(path: str | Path) -> tuple[tuple, tuple, np.ndarray]:
+    """Read a dump back as the columns ``(users, user_ids), (items, item_ids), scores``.
 
-    Raises ``SchemaError`` for a first line other than :data:`RECS_HEADER`,
-    and ``RowParseError``, with the line, for a row fault of :func:`read_table`
-    (a score that is not a finite number too), a rank that is not the next of
-    its user's list (``1``, ``2``, ... as text), and an item repeated within
-    one user's list.  Evaluation relies on each of these.
+    The columns are :func:`read_table`'s, with their first-appearance codes
+    and ids, and the rows grouped by user in first-appearance order, each
+    user's in rank order.  Raises ``SchemaError`` for a first line other
+    than :data:`RECS_HEADER`, and ``RowParseError``, with the line, for a
+    row fault of :func:`read_table` (a score that is not a finite number
+    too), a rank that is not the next of its user's list (``1``, ``2``, ...
+    as text), and an item repeated within one user's list.  Evaluation
+    relies on each of these.
     """
 
     def header(line: str) -> list:
@@ -280,5 +282,4 @@ def load_recommendations(path: str | Path) -> dict[str, list[tuple[str, float]]]
     repeated[np.unique(users * len(item_ids) + items, return_index=True)[1]] = False
     check_rows(path, repeated, lambda t: (
         f"item {item_ids[items[t]]!r} is already in user {user_ids[users[t]]!r}'s list"))
-    entries = zip(map(item_ids.__getitem__, items[order].tolist()), scores[order].tolist())
-    return {user: list(islice(entries, size)) for user, size in zip(user_ids, sizes.tolist())}
+    return (users[order], user_ids), (items[order], item_ids), scores[order]

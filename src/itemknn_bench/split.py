@@ -126,7 +126,6 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
 def save_split(pair: SplitPair, out_dir: str | Path, stem: str) -> tuple[Path, Path]:
     """Persist a split as ``<stem>.train.inter`` / ``<stem>.test.inter``."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_path = save_interactions(pair.train, out_dir / f"{stem}.train.inter")
     test_path = save_interactions(pair.test, out_dir / f"{stem}.test.inter")
     return train_path, test_path

@@ -140,9 +140,10 @@ def oracle_load_interactions(
 
     Reads line by line with ``str.split``, in universal-newline text mode.
     Every line after the header is a row that must hold exactly one field
-    per header field and no ``"``; its rating and timestamp go through
-    ``float`` and must be finite.  Raises :class:`OracleLineError` at the
-    first line that breaks a rule.
+    per header field and no ``"``; its rating and timestamp must be ASCII
+    without whitespace, ``_`` or a leading ``+``, go through ``float`` and
+    be finite.  Raises :class:`OracleLineError` at the first line that
+    breaks a rule.
     """
     sep = "\t" if format == "atomic" else ","
     columns = {"user": "user_id", "item": "item_id", "rating": "rating",
@@ -159,8 +160,13 @@ def oracle_load_interactions(
                 raise OracleLineError(line_no)
             numbers = []
             for logical in ("rating", "timestamp"):
+                text = fields[at[logical]] if logical in at else "0"
+                if not text.isascii() or text.startswith("+") or any(
+                    c.isspace() or c == "_" for c in text
+                ):
+                    raise OracleLineError(line_no)
                 try:
-                    value = float(fields[at[logical]]) if logical in at else 0.0
+                    value = float(text)
                 except ValueError:
                     raise OracleLineError(line_no) from None
                 if not math.isfinite(value):

@@ -210,7 +210,7 @@ def test_criterion_6_ml100k_deviation(ml100k_path):
             elapsed = time.perf_counter() - start
             assert elapsed < 60.0, f"seed {seed} took {elapsed:.1f}s"
             for preset in means:
-                means[preset].append(res.report(preset, seed, IDCG_TRUNCATED).mean_ndcg)
+                means[preset].append(res.cells[(preset, seed, IDCG_TRUNCATED)].mean_ndcg)
 
         avg = {p: sum(v) / len(v) for p, v in means.items()}
         print(f"    mean nDCG@10: lenskit-original={avg['lenskit-original']:.4f} "
@@ -246,9 +246,8 @@ def test_criterion_7_determinism(synthetic_file, tmp_path):
                 k=4,
                 n=5,
                 idcg_modes=(IDCG_TRUNCATED, IDCG_FIXED_K),
-                out_dir=str(tmp_path / run),
             )
-            emit_report(run_experiment(cfg))
+            emit_report(run_experiment(cfg).to_json_dict(), ("json",), tmp_path / run)
             reports.append((tmp_path / run / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
@@ -262,16 +261,15 @@ def test_criterion_8_seed_table_shape(synthetic_file, tmp_path):
             k=4,
             n=5,
             idcg_modes=(IDCG_TRUNCATED,),
-            out_dir=str(tmp_path / "md"),
         )
         res = run_experiment(cfg)
-        emit_report(res)
+        emit_report(res.to_json_dict(), ("md",), tmp_path / "md")
         lines = (tmp_path / "md" / "report.md").read_text().splitlines()
         header = next(l for l in lines if l.startswith("| "))
         assert [c.strip() for c in header.strip("|").split("|")] == ["", "21", "42", "84", "Avg."]
         for preset in cfg.presets:
             row = next(l for l in lines if l.startswith(f"| {preset} "))
             cells = [c.strip() for c in row.strip("|").split("|")]
-            values = [res.report(preset, seed, IDCG_TRUNCATED).mean_ndcg for seed in cfg.seeds]
+            values = [res.cells[(preset, seed, IDCG_TRUNCATED)].mean_ndcg for seed in cfg.seeds]
             assert cells[1:4] == [f"{v:.4f}" for v in values]
             assert cells[4] == f"{sum(values) / 3:.4f}"

@@ -4,6 +4,7 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from itemknn_bench.ingest import (
     load_interactions,
     save_interactions,
 )
+from itemknn_bench.knn import build_matrix, cosine_similarity, truncate_topk
+from itemknn_bench.metrics import evaluate
+from itemknn_bench.recommend import PRESETS, recommend_all
 
 from conftest import (
     Interaction,
@@ -226,6 +230,100 @@ def test_experiment_and_report(data_file, tmp_path, capsys):
     assert run_cli("report", "--input", out / "report.json", "--emit", "md", "--out", re_out) == 0
     capsys.readouterr()
     assert (re_out / "report.md").read_bytes() == (out / "report.md").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def experiment_out(data_file, tmp_path_factory):
+    """The output directory of a two-seed, two-preset, both-IDCG experiment."""
+    out = tmp_path_factory.mktemp("exp") / "out"
+    assert run_cli(
+        "experiment", "--data", data_file, "--threshold", "3", "--seeds", "21,42", "--k", "3",
+        "--topn", "5", "--preset", "lenskit-original,recbole", "--idcg", "both",
+        "--out", out, "--emit", "json,csv,md",
+    ) == 0
+    return out
+
+
+REPORT_FILES = ("report.json", "report.csv", "report.md", "figure_toy.csv")
+
+
+def test_report_re_emits_experiment_bytes(experiment_out, tmp_path, capsys):
+    capsys.readouterr()
+    re_out = tmp_path / "re"
+    assert run_cli("report", "--input", experiment_out / "report.json",
+                   "--emit", "json,csv,md", "--out", re_out) == 0
+    assert capsys.readouterr().out.split() == [str(re_out / name) for name in (
+        "report.json", "report.csv", "figure_toy.csv", "report.md")]
+    for name in REPORT_FILES:
+        assert (re_out / name).read_bytes() == (experiment_out / name).read_bytes(), name
+    assert not (re_out / "timings.json").exists()  # a stored report has no timings
+
+
+def _drop_stats_field(payload):
+    del payload["stats_before"]["sparsity"]
+    return payload
+
+
+def _text_mean(payload):
+    payload["results"]["recbole"]["42"]["fixed-k"]["mean_ndcg"] = "0.5"
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # Each of these was a traceback: AttributeError, TypeError, TypeError.
+        (lambda p: {**p, "results": []}, "results does not hold exactly the keys"),
+        (lambda p: [p], "the top level does not hold exactly the keys"),
+        (_drop_stats_field, "stats_before does not hold exactly the keys"),
+        (lambda p: {**p, "config": {**p["config"], "seeds": [21]}},
+         "results.lenskit-original does not hold exactly the keys ['21']"),
+        (lambda p: {**p, "config": {**p["config"], "dataset": "../toy"}},
+         "config.dataset is not the stem of config.data"),
+        (lambda p: {**p, "config": {**p["config"], "seeds": [[21], 42]}},
+         "config.seeds is not a non-empty list of distinct ints"),
+        (_text_mean, "a mean of results.recbole.42.fixed-k is not a float"),
+    ],
+    ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
+         "dataset-not-data-stem", "unhashable-seed", "text-mean"],
+)
+def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
+    payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(payload)), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", "--input", bad, "--emit", "json,csv,md", "--out", tmp_path / "re") == 2
+    err = capsys.readouterr().err
+    assert f"error [report] {bad}: not an experiment report: {message}" in err
+    assert not (tmp_path / "re").exists()
+
+
+def test_report_refuses_text_that_is_not_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"config": ', encoding="utf-8")
+    assert run_cli("report", "--input", bad, "--out", tmp_path / "re") == 2
+    assert f"error [report] {bad}: not an experiment report: not JSON:" in capsys.readouterr().err
+    assert not (tmp_path / "re").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config-file", "report"])
+def test_unknown_report_format_refused_before_any_work(data_file, experiment_out, tmp_path,
+                                                        capsys, where):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"data = {data_file}\nthreshold = 3\nemit = json,yaml\n", encoding="utf-8")
+    # A data file that does not exist: a run that reached its first seed
+    # would fail in [load] instead.
+    argv = {
+        "flag": ["experiment", "--data", tmp_path / "ghost.inter", "--threshold", "3",
+                 "--emit", "json,yaml"],
+        "config-file": ["experiment", "--config", cfg],
+        "report": ["report", "--input", experiment_out / "report.json", "--emit", "md,yaml"],
+    }[where]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "unknown report format 'yaml'" in err and "[load]" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_config_file_and_precedence(data_file, tmp_path, capsys):
@@ -566,6 +664,34 @@ def test_evaluate_refuses_dump_user_absent_from_test(tmp_path, capsys):
     assert run_cli("evaluate", "--recs", recs, "--test", test, "--topn", 3) == 2
     err = capsys.readouterr().err
     assert "error [evaluate]" in err and "user 'ghost'" in err
+
+
+def test_evaluate_scores_every_test_user(tmp_path, capsys):
+    # Items c and d share no train user with another item, so u3 and u4 get
+    # empty lists and no dump rows.  The mean covers all three test users,
+    # as in the experiment; it was 1.0 over the one user with dump rows.
+    train_rows = [("u1", "a"), ("u2", "a"), ("u2", "b"), ("u3", "c"), ("u4", "d")]
+    test_rows = [("u1", "b"), ("u3", "a"), ("u4", "a")]
+    ds = dataset_from_rows(Interaction(u, i, 1.0, float(t))
+                           for t, (u, i) in enumerate(train_rows + test_rows))
+    in_train = np.arange(ds.n_interactions) < len(train_rows)
+    train, test = ds.take(in_train), ds.take(~in_train)
+    x = build_matrix(train)
+    recs = recommend_all(truncate_topk(cosine_similarity(x), 2), x,
+                         PRESETS["recbole"].scoring_mode(2), 3, np.unique(test.users))
+    assert [len(rl.entries) for rl in recs] == [1, 0, 0]
+    in_memory = evaluate(recs, test, 3, "truncated")
+    assert in_memory.mean_ndcg == 1 / 3
+    train_path = save_interactions(train, tmp_path / "hand.train.inter")
+    test_path = save_interactions(test, tmp_path / "hand.test.inter")
+    assert run_cli("recommend", "--train", train_path, "--test", test_path, "--preset", "recbole",
+                   "--k", 2, "--topn", 3, "--out", tmp_path) == 0
+    recs_path = capsys.readouterr().out.strip()
+    assert run_cli("evaluate", "--recs", recs_path, "--test", test_path, "--topn", 3) == 0
+    report = json.loads(capsys.readouterr().out)["truncated"]
+    assert report["n_users"] == 3
+    assert report["mean_ndcg"] == in_memory.mean_ndcg
+    assert report["per_user"] == {u: list(m) for u, m in in_memory.per_user.items()}
 
 
 def test_evaluate_counts_item_absent_from_test_as_miss(tmp_path, capsys):

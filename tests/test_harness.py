@@ -9,8 +9,9 @@ import pytest
 
 from itemknn_bench.errors import ExperimentError
 from itemknn_bench.harness import (
+    REPORT_FORMATS,
     ExperimentConfig,
-    ExperimentResult,
+    check_formats,
     emit_report,
     run_experiment,
 )
@@ -41,7 +42,7 @@ def ratings_file(tmp_path_factory):
     return save_interactions(ds, tmp_path_factory.mktemp("data") / "toy.inter")
 
 
-def toy_config(ratings_file, out_dir, **overrides):
+def toy_config(ratings_file, **overrides):
     defaults = dict(
         data=str(ratings_file),
         threshold=ImplicitThreshold(3, "gt"),
@@ -50,14 +51,18 @@ def toy_config(ratings_file, out_dir, **overrides):
         n=5,
         presets=("lenskit-original", "lenskit-adjusted", "recbole"),
         idcg_modes=("truncated", "fixed-k"),
-        out_dir=str(out_dir),
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
 
 
+def emit(res, out_dir, formats=REPORT_FORMATS):
+    """Every report file of ``res``, as ``experiment`` writes them."""
+    return emit_report(res.to_json_dict(), formats, out_dir, res.timings)
+
+
 def test_cell_cardinality(ratings_file, tmp_path):
-    cfg = toy_config(ratings_file, tmp_path)
+    cfg = toy_config(ratings_file)
     res = run_experiment(cfg)
     assert len(res.cells) == 3 * 3 * 2
     for preset in cfg.presets:
@@ -67,7 +72,7 @@ def test_cell_cardinality(ratings_file, tmp_path):
 
 
 def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
-    cfg = toy_config(ratings_file, tmp_path, seeds=(42,))
+    cfg = toy_config(ratings_file, seeds=(42,))
     res = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
     pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, 42))
@@ -79,12 +84,12 @@ def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
         recs = recommend_split(s, pair, preset.scoring_mode(cfg.k), cfg.n)
         for mode in cfg.idcg_modes:
             fresh = evaluate(recs, pair.test, cfg.n, mode, preset=preset_name, seed=42)
-            assert fresh == res.report(preset_name, 42, mode)
+            assert fresh == res.cells[(preset_name, 42, mode)]
 
 
 def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
     # Users whose interactions all land in train get no list and no metrics.
-    cfg = toy_config(ratings_file, tmp_path)
+    cfg = toy_config(ratings_file)
     res = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
     for seed in cfg.seeds:
@@ -93,7 +98,7 @@ def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
         assert tested < set(implicit.user_ids)
         for preset in cfg.presets:
             for mode in cfg.idcg_modes:
-                assert set(res.report(preset, seed, mode).per_user) == tested
+                assert set(res.cells[(preset, seed, mode)].per_user) == tested
 
 
 def test_adjusted_and_recbole_reports_identical(tmp_path):
@@ -111,13 +116,12 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
         n=4,
         presets=("lenskit-adjusted", "recbole"),
         idcg_modes=("truncated", "fixed-k"),
-        out_dir=str(tmp_path),
     )
     res = run_experiment(cfg)
     for seed in cfg.seeds:
         for mode in cfg.idcg_modes:
-            adjusted = res.report("lenskit-adjusted", seed, mode)
-            recbole = res.report("recbole", seed, mode)
+            adjusted = res.cells[("lenskit-adjusted", seed, mode)]
+            recbole = res.cells[("recbole", seed, mode)]
             assert adjusted.n_users > 0
             assert adjusted.per_user == recbole.per_user
             assert adjusted.mean_ndcg == recbole.mean_ndcg
@@ -125,19 +129,19 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
 
 def test_csv_row_cardinality_two_presets(ratings_file, tmp_path):
     cfg = toy_config(
-        ratings_file, tmp_path, presets=("lenskit-original", "recbole"), idcg_modes=("truncated",)
+        ratings_file, presets=("lenskit-original", "recbole"), idcg_modes=("truncated",)
     )
-    emit_report(run_experiment(cfg), formats=("csv",))
+    emit(run_experiment(cfg), tmp_path, ("csv",))
     with (tmp_path / "report.csv").open() as fh:
         assert len(list(csv.DictReader(fh))) == 6  # 2 presets x 3 seeds x 1 mode
 
 
 def test_determinism_byte_identical_json(ratings_file, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    cfg_a = toy_config(ratings_file, out_a)
-    cfg_b = toy_config(ratings_file, out_b)
-    emit_report(run_experiment(cfg_a))
-    emit_report(run_experiment(cfg_b))
+    cfg_a = toy_config(ratings_file)
+    cfg_b = toy_config(ratings_file)
+    emit(run_experiment(cfg_a), out_a)
+    emit(run_experiment(cfg_b), out_b)
     report_a = (out_a / "report.json").read_bytes()
     report_b = (out_b / "report.json").read_bytes()
     assert report_a == report_b
@@ -147,16 +151,22 @@ def test_determinism_byte_identical_json(ratings_file, tmp_path):
 
 
 def test_json_round_trip(ratings_file, tmp_path):
-    res = run_experiment(toy_config(ratings_file, tmp_path, seeds=(21,)))
-    paths = emit_report(res)
+    # report.json reads back as the payload itself, and the files re-emitted
+    # from what was read back are the bytes the experiment wrote.
+    res = run_experiment(toy_config(ratings_file, seeds=(21,)))
+    paths = emit(res, tmp_path / "run")
     report_path = next(p for p in paths if p.name == "report.json")
-    parsed = ExperimentResult.from_json_dict(json.loads(report_path.read_text()))
-    assert parsed.to_json_dict() == res.to_json_dict()
+    payload = json.loads(report_path.read_text())
+    assert payload == res.to_json_dict()
+    again = emit_report(payload, REPORT_FORMATS, tmp_path / "again")
+    assert [p.name for p in again] == [p.name for p in paths if p.name != "timings.json"]
+    for path in again:
+        assert path.read_bytes() == (tmp_path / "run" / path.name).read_bytes()
 
 
 def test_cross_format_consistency(ratings_file, tmp_path):
-    res = run_experiment(toy_config(ratings_file, tmp_path))
-    emit_report(res)
+    res = run_experiment(toy_config(ratings_file))
+    emit(res, tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     with (tmp_path / "report.csv").open() as fh:
         rows = list(csv.DictReader(fh))
@@ -178,30 +188,30 @@ def test_cross_format_consistency(ratings_file, tmp_path):
 
 
 def test_markdown_seed_columns_and_average(ratings_file, tmp_path):
-    cfg = toy_config(ratings_file, tmp_path, idcg_modes=("truncated",))
+    cfg = toy_config(ratings_file, idcg_modes=("truncated",))
     res = run_experiment(cfg)
-    emit_report(res)
+    emit(res, tmp_path)
     lines = (tmp_path / "report.md").read_text().splitlines()
     header = next(l for l in lines if l.startswith("| "))
     assert [c.strip() for c in header.strip("|").split("|")] == ["", "21", "42", "84", "Avg."]
     for preset in cfg.presets:
         row = next(l for l in lines if l.startswith(f"| {preset} "))
         cells = [c.strip() for c in row.strip("|").split("|")]
-        values = [res.report(preset, seed, "truncated").mean_ndcg for seed in cfg.seeds]
+        values = [res.cells[(preset, seed, "truncated")].mean_ndcg for seed in cfg.seeds]
         assert cells[1:4] == [f"{v:.4f}" for v in values]
         assert cells[4] == f"{sum(values) / 3:.4f}"
 
 
 def test_timings_written_separately(ratings_file, tmp_path):
-    res = run_experiment(toy_config(ratings_file, tmp_path, seeds=(21,)))
-    emit_report(res)
+    res = run_experiment(toy_config(ratings_file, seeds=(21,)))
+    emit(res, tmp_path)
     timings = json.loads((tmp_path / "timings.json").read_text())["seconds_per_phase"]
     assert set(timings) == {"load", "preprocess", "split", "similarity", "recommend", "evaluate"}
     assert "timings" not in json.loads((tmp_path / "report.json").read_text())
 
 
 def test_empty_after_threshold_is_config_error(ratings_file, tmp_path):
-    cfg = toy_config(ratings_file, tmp_path, threshold=ImplicitThreshold(99, "gt"))
+    cfg = toy_config(ratings_file, threshold=ImplicitThreshold(99, "gt"))
     with pytest.raises(ExperimentError, match=r"\[preprocess\]"):
         run_experiment(cfg)
 
@@ -209,7 +219,7 @@ def test_empty_after_threshold_is_config_error(ratings_file, tmp_path):
 def test_split_without_test_users_is_error(ratings_file, tmp_path):
     # ratio 1.0 keeps every interaction in train: there is nothing to evaluate,
     # and a mean nDCG of 0.0 over 0 users must not come out as a result.
-    cfg = toy_config(ratings_file, tmp_path, train_ratio=1.0)
+    cfg = toy_config(ratings_file, train_ratio=1.0)
     with pytest.raises(ExperimentError, match=r"\[split\].*nothing to evaluate"):
         run_experiment(cfg)
 
@@ -222,25 +232,26 @@ def test_missing_file_tagged_load(tmp_path):
 
 def test_config_validation(ratings_file, tmp_path):
     with pytest.raises(ValueError, match="preset"):
-        toy_config(ratings_file, tmp_path, presets=("nope",)).validate()
+        toy_config(ratings_file, presets=("nope",)).validate()
     with pytest.raises(ValueError, match="seed"):
-        toy_config(ratings_file, tmp_path, seeds=()).validate()
+        toy_config(ratings_file, seeds=()).validate()
     with pytest.raises(ValueError, match="IDCG"):
-        toy_config(ratings_file, tmp_path, idcg_modes=("bogus",)).validate()
-    with pytest.raises(ValueError, match="format"):
-        toy_config(ratings_file, tmp_path, formats=("pdf",)).validate()
+        toy_config(ratings_file, idcg_modes=("bogus",)).validate()
     with pytest.raises(ValueError, match="k and n"):
-        toy_config(ratings_file, tmp_path, k=0).validate()
+        toy_config(ratings_file, k=0).validate()
     # A repeated seed was run and averaged twice.
     with pytest.raises(ValueError, match="seed 42 is repeated"):
-        toy_config(ratings_file, tmp_path, seeds=(21, 42, 42)).validate()
+        toy_config(ratings_file, seeds=(21, 42, 42)).validate()
     with pytest.raises(ValueError, match="preset 'recbole' is repeated"):
-        toy_config(ratings_file, tmp_path, presets=("recbole", "recbole")).validate()
+        toy_config(ratings_file, presets=("recbole", "recbole")).validate()
     with pytest.raises(ValueError, match="IDCG mode 'truncated' is repeated"):
-        toy_config(ratings_file, tmp_path, idcg_modes=("truncated", "truncated")).validate()
+        toy_config(ratings_file, idcg_modes=("truncated", "truncated")).validate()
 
 
 def test_emit_rejects_unknown_format(ratings_file, tmp_path):
-    res = run_experiment(toy_config(ratings_file, tmp_path, seeds=(21,)))
-    with pytest.raises(ValueError):
-        emit_report(res, formats=("yaml",), out_dir=tmp_path)
+    with pytest.raises(ValueError, match="unknown report format 'pdf'"):
+        check_formats(("json", "pdf"))
+    res = run_experiment(toy_config(ratings_file, seeds=(21,)))
+    with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+        emit(res, tmp_path / "out", ("md", "yaml"))
+    assert not (tmp_path / "out").exists()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from itemknn_bench import ingest
 from itemknn_bench.errors import RowParseError, SchemaError
+from itemknn_bench.knn import item_digest, load_similarity
 from itemknn_bench.ingest import (
     ImplicitThreshold,
     load_interactions,
@@ -103,6 +105,39 @@ def test_load_non_finite_timestamp_reports_line(tmp_path, stamp):
         load_interactions(path)
 
 
+NOT_WRITTEN_IN_FULL = ["+9", " 10", "10 ", "1_0", "\x0c7", "\u0663", "+inf"]
+
+
+# The user id "a b" makes the chunk's text hold a space, so the number
+# columns are checked one by one, not only through the whole chunk.
+@pytest.mark.parametrize("user", ["a", "a b"])
+@pytest.mark.parametrize("column", ["rating", "timestamp"])
+@pytest.mark.parametrize("field", NOT_WRITTEN_IN_FULL)
+def test_load_refuses_number_not_written_in_full(tmp_path, user, column, field):
+    # float() takes each of these: "+9", " 10" and "1_0" loaded as 9, 10 and 10.
+    row = {"rating": f"{user}\ty\t{field}\t2\n", "timestamp": f"{user}\ty\t4.0\t{field}\n"}
+    path = write_atomic(tmp_path / "bad.inter", [f"{user}\tx\t4.0\t1\n", row[column]])
+    with pytest.raises(RowParseError, match=re.escape(f"line 3: bad {column} {field!r}")):
+        load_interactions(path)
+
+
+@pytest.mark.parametrize("user", ["a", "a b", "+a"])
+def test_load_keeps_exponent_sign_and_signed_ids(tmp_path, user):
+    # write_table writes 1e20 as "1e+20"; a "+" that leads an id is no number's.
+    path = write_atomic(tmp_path / "ok.inter", [f"{user}\tx\t1e+20\t-1e-05\n"])
+    ds = load_interactions(path)
+    assert (ds.user_ids, ds.ratings.tolist(), ds.timestamps.tolist()) == ([user], [1e20], [-1e-05])
+
+
+@pytest.mark.parametrize("field", NOT_WRITTEN_IN_FULL[:-1])  # int() refuses "+inf"
+def test_load_similarity_refuses_count_not_written_in_full(tmp_path, field):
+    path = tmp_path / "m.sim.tsv"
+    path.write_text(f"items=2 strategy=full k=0 ids={item_digest(['a', 'b'])}\n"
+                    f"0\t0\t2\n1\t1\t{field}\n0\t1\t1\n", encoding="utf-8")
+    with pytest.raises(RowParseError, match=re.escape(f"line 3: bad count {field!r}")):
+        load_similarity(path, ["a", "b"])
+
+
 @pytest.mark.parametrize("line", ["4", "4,7"])
 def test_load_short_row_reports_line(tmp_path, line):
     path = tmp_path / "short.csv"
@@ -145,10 +180,12 @@ ID_TEXT = st.text(alphabet="abz09:_-. éü日本", max_size=4)
 NUMBER_TEXT = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.sampled_from(["-0.0", "0", "+4", ".5", "5.", "1e3", "2.5E-3", "-7e-310"]),
+    st.sampled_from(["-0.0", "0", ".5", "5.", "1e3", "1e+20", "2.5E-3", "-7e-310"]),
 )
 BAD_NUMBERS = {
     "bad-number": st.sampled_from(["four", "", "1.2.3", "0x10"]),
+    # float() takes each of these; a number written in full holds none of them.
+    "not-plain": st.sampled_from(["+4", " 5", "5 ", "1_0", "\x0c7", "\u0663", "+inf"]),
     "non-finite": st.sampled_from(["nan", "inf", "-Infinity", "1e999"]),
 }
 

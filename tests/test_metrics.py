@@ -246,8 +246,3 @@ def test_evaluate_permutation_invariant():
     assert forward.mean_precision == backward.mean_precision
     assert forward.mean_recall == backward.mean_recall
 
-
-def test_metric_report_round_trip():
-    recs, test = three_user_fixture()
-    rep = evaluate(recs, test, 3, IDCG_FIXED_K, preset="lenskit-original", seed=21)
-    assert MetricReport.from_dict(rep.as_dict()) == rep

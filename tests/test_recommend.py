@@ -374,13 +374,23 @@ def test_exclusion_and_order_soundness():
                 assert v1 > v2 or (v1 == v2 and i1 < i2)
 
 
+def loaded_lists(path) -> dict[str, list[tuple[str, float]]]:
+    """The lists of a dump, by user id, from the columns ``load_recommendations`` returns."""
+    (users, user_ids), (items, item_ids), scores = load_recommendations(path)
+    assert (np.diff(users) >= 0).all()  # grouped by user, in first-appearance order
+    lists: dict[str, list[tuple[str, float]]] = {}
+    for user, item, score in zip(users.tolist(), items.tolist(), scores.tolist()):
+        lists.setdefault(user_ids[user], []).append((item_ids[item], score))
+    return lists
+
+
 def test_save_load_recommendations(tmp_path):
     ds = make_implicit_dataset(random.Random(404))
     pair = split_holdout(ds, SplitConfig(0.8, 84))
     s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 3)
     recs = recommend_split(s, pair, SUM_ALL, 5)
     path = save_recommendations(recs, pair.train, tmp_path / "recs.tsv")
-    loaded = load_recommendations(path)
+    loaded = loaded_lists(path)
     assert len(loaded) == len([rl for rl in recs if rl.entries])
     for rl in recs:
         if not rl.entries:
@@ -407,7 +417,7 @@ def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n,
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CHUNK_LINES", chunk)
-        assert load_recommendations(path) == want
+        assert loaded_lists(path) == want
 
 
 def oracle_recs_text(recs: list[RecommendationList], ds: InteractionDataset) -> str:
