@@ -123,9 +123,12 @@ def load_report(path: str | Path) -> dict:
     Raises ``SchemaError`` unless the file is JSON laid out as
     :meth:`ExperimentResult.to_json_dict` lays it out: each dict holds
     exactly its keys, the dataset is the data path's stem, the threshold
-    mode is ``gt`` or ``ge``, the seeds (ints), presets and IDCG modes are
-    distinct and not empty, and every cell's means are floats.  So each
-    report format renders, into its output directory.
+    mode is ``gt`` or ``ge`` and its cutoff a number, ``k`` and ``n`` are
+    ints >= 1, ``train_ratio`` is a float in (0, 1], ``format`` is
+    ``atomic`` or ``csv``, ``column_map`` is null or maps strs to strs, the
+    seeds (ints), presets and IDCG modes are distinct and not empty, and
+    every cell's means are floats.  So each report format renders, into its
+    output directory, what an experiment could have written.
     """
 
     def fail(what: str):
@@ -148,8 +151,21 @@ def load_report(path: str | Path) -> dict:
                 "config")
     if not isinstance(cfg["data"], str) or cfg["dataset"] != Path(cfg["data"]).stem:
         fail("config.dataset is not the stem of config.data")
-    if keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")["mode"] not in ("gt", "ge"):
+    threshold = keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
+    if threshold["mode"] not in ("gt", "ge"):
         fail("config.threshold.mode is neither 'gt' nor 'ge'")
+    if type(threshold["cutoff"]) not in (int, float):
+        fail("config.threshold.cutoff is not a number")
+    for name, ok, what in (
+        ("k", lambda v: type(v) is int and v >= 1, "an int >= 1"),
+        ("n", lambda v: type(v) is int and v >= 1, "an int >= 1"),
+        ("train_ratio", lambda v: type(v) is float and 0.0 < v <= 1.0, "a float in (0, 1]"),
+        ("format", lambda v: v in ("atomic", "csv"), "'atomic' or 'csv'"),
+        ("column_map", lambda v: v is None or isinstance(v, dict)
+         and all(type(s) is str for s in (*v, *v.values())), "null or a dict of strs to strs"),
+    ):
+        if not ok(cfg[name]):
+            fail(f"config.{name} is not {what}")
     for name, kind in (("seeds", int), ("presets", str), ("idcg_modes", str)):
         values = cfg[name]  # its types are checked before set() hashes them
         if not (isinstance(values, list) and values and all(type(v) is kind for v in values)
@@ -205,21 +221,28 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_seed(cfg, implicit, seed, cells, timings) -> None:
-    """One seed's split, matrices and evaluations, freed when it returns."""
+    """One seed's split, matrices and evaluations, freed when it returns.
+
+    The train side goes once its matrix is built: the cosine and the
+    scoring after it set a run's peak memory.
+    """
     with _phase("split", timings):
         pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed))
-    if pair.test.n_interactions == 0:
+    train, test = pair.train, pair.test
+    del pair
+    if test.n_interactions == 0:
         raise ExperimentError(
             "split",
             f"train ratio {cfg.train_ratio} with seed {seed} leaves no test "
             f"interactions: nothing to evaluate",
         )
-    users = np.unique(pair.test.users)  # the evaluated users
+    users = np.unique(test.users)  # the evaluated users
     needs_topk = any(PRESETS[p].matrix_strategy == STRATEGY_TOPK for p in cfg.presets)
     with _phase("similarity", timings):
         # Train matrix and full matrix once per seed; truncation shared by
         # the topk presets.
-        x = build_matrix(pair.train)
+        x = build_matrix(train)
+        del train
         s_full = cosine_similarity(x)
         s_topk = truncate_topk(s_full, cfg.k) if needs_topk else None
     for preset_name in cfg.presets:
@@ -230,7 +253,7 @@ def _run_seed(cfg, implicit, seed, cells, timings) -> None:
         with _phase("evaluate", timings):
             for mode in cfg.idcg_modes:
                 cells[(preset_name, seed, mode)] = evaluate(
-                    recs, pair.test, cfg.n, mode, preset=preset_name, seed=seed
+                    recs, test, cfg.n, mode, preset=preset_name, seed=seed
                 )
 
 

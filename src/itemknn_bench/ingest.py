@@ -19,9 +19,10 @@ and the train/test sides of a split share their source's id lists.
 from __future__ import annotations
 
 from array import array
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, count, islice, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -37,8 +38,10 @@ DEFAULT_COLUMNS = {
 }
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
-# read_table splits and write_table formats this many lines at a time, which
-# bounds their transient memory.
+# read_table reads this many characters at a time, completed to a line end, and
+# write_table formats this many lines at a time, which bounds their transient
+# memory: a chunk of text and its fields, not a file's.
+CHUNK_CHARS = 1 << 16
 CHUNK_LINES = 4096
 # The ASCII characters that int() and float() strip, less the line ends, and "_".
 _SPACE_OR_UNDERSCORE = " \t\x0b\x0c\x1c\x1d\x1e\x1f_"
@@ -116,13 +119,19 @@ class InteractionDataset:
 def _recode(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     """Renumber ``codes``, which index ``ids``, densely in first-appearance order.
 
-    Ids that no row uses leave the universe.
+    Ids that no row uses leave the universe.  O(n), with no sort: each id's
+    first row comes from ``np.minimum.at``, and the codes at the first rows,
+    in row order, are the used ids in first-appearance order.
     """
-    used, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], [ids[c] for c in used[order].tolist()]
+    n = len(codes)
+    first = np.full(len(ids), n)
+    np.minimum.at(first, codes, np.arange(n))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first[first < n]] = True
+    used = codes[is_first]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[used] = np.arange(len(used))
+    return rank[codes], [ids[c] for c in used.tolist()]
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,6 +161,14 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
     one field per header entry (a blank line too), a ``"``, and a number that
     does not parse, is not finite, or holds whitespace, ``_``, a non-ASCII
     character or a leading ``+``.
+
+    The file is read twice, ``CHUNK_CHARS`` characters at a time: once to
+    count the rows, so that each column is allocated once at its size, then
+    in chunks completed to a line end.  numpy checks a chunk's field counts on
+    its UTF-8 bytes and parses its number fields, and a dict codes its ids, so
+    no Python object is made per line; a chunk is split into lines only to
+    name a faulty one.  So the file must be seekable, and a file that changes
+    between the passes is a ``SchemaError``.  ``sep`` is one ASCII character.
     """
     with Path(path).open(encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
         first = fh.readline()
@@ -160,41 +177,76 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
         spec = header(first.rstrip("\n"))
         n, line = len(spec), 2  # line: the first line of the chunk
         read = [(c, *field) for c, field in enumerate(spec) if field]
-        codes = {name: {} for _, name, kind in read if kind is str}
-        out = {name: array("d" if kind is float else "q") for _, name, kind in read}
-        while lines := list(islice(fh, CHUNK_LINES)):
-            seps = list(map(str.count, lines, repeat(sep)))
-            text = "".join(lines)
-            if seps.count(n - 1) != len(lines) or '"' in text:
-                j = next(j for j, s in enumerate(seps) if s != n - 1 or '"' in lines[j])
-                raise RowParseError(path, line + j, f"{seps[j] + 1} fields, want {n}"
-                                    if seps[j] != n - 1 else 'a ": fields are not csv-quoted')
+        codes = {name: _Codes() for _, name, kind in read if kind is str}
+        # A first pass counts the rows, so that each column is allocated once.
+        start, total, text = fh.tell(), 0, "\n"
+        for text in iter(partial(fh.read, CHUNK_CHARS), ""):
+            total += text.count("\n")
+        total += not text.endswith("\n")  # the last line ends in nothing
+        fh.seek(start)
+        table = {name: np.empty(total, np.float64 if kind is float else np.int64)
+                 for _, name, kind in read}
+        while text := fh.read(CHUNK_CHARS) + fh.readline():  # to a line end
+            if not text.endswith("\n"):  # the last line ends in nothing
+                text += "\n"
+            # Line ends and separators are single bytes that no other UTF-8
+            # character holds: line r ends after (r + 1) * (n - 1) separators.
+            raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+            ends = np.flatnonzero(raw == 10)
+            seps = np.searchsorted(np.flatnonzero(raw == ord(sep)), ends)
+            rows = len(ends)
+            if line - 2 + rows > total:
+                raise SchemaError(f"{path}: the file changed while it was read")
+            if '"' in text or np.any(seps != (n - 1) * np.arange(1, rows + 1)):
+                _row_fault(path, line, text, sep, n)
             fields = text.replace("\n", sep).split(sep)
             plain = _plain(text, sep)
+            at = slice(line - 2, line - 2 + rows)
             for c, name, kind in read:
-                column = fields[c : n * len(lines) : n]
+                column = fields[c : n * rows : n]
                 if kind is str:
-                    ids = codes[name]
-                    fresh = [x for x in dict.fromkeys(column) if x not in ids]
-                    ids.update(zip(fresh, count(len(ids))))
-                    out[name].extend(map(ids.__getitem__, column))
+                    table[name][at] = np.fromiter(map(codes[name].__getitem__, column), int, rows)
                     continue
                 # A number is written in full: kind() alone would take "+9", " 9" and "9_0".
                 # The chunk holds ids too, so a chunk that is not plain needs a closer look.
-                parse = kind if plain or _plain("|".join(column), "|") else partial(_strict, kind)
                 try:
-                    out[name].extend(map(parse, column))
-                except (ValueError, OverflowError):  # extend stops at the bad field
-                    at = len(out[name]) + 2
-                    raise RowParseError(path, at, f"bad {name} {column[at - line]!r}") from None
-            line += len(lines)
+                    if plain or _plain("|".join(column), "|"):  # numpy parses as kind() does
+                        table[name][at] = np.array(column, dtype=table[name].dtype)
+                    else:
+                        table[name][at] = list(map(partial(_strict, kind), column))
+                except (ValueError, OverflowError):  # numpy does not say which field failed
+                    good = array("d" if kind is float else "q")
+                    with suppress(ValueError, OverflowError):
+                        good.extend(map(partial(_strict, kind), column))  # stops at the bad one
+                    bad = column[len(good)]
+                    raise RowParseError(path, line + len(good), f"bad {name} {bad!r}") from None
+            line += rows
+        if line - 2 != total:
+            raise SchemaError(f"{path}: the file changed while it was read")
 
-    table = {name: np.asarray(out[name]) for _, name, _ in read}  # no copy
     for name, values in table.items():
         if values.dtype == np.float64:
             check_rows(path, ~np.isfinite(values), lambda t: f"non-finite {name} {values[t]}")
     table.update((name, (table[name], list(ids))) for name, ids in codes.items())
     return table
+
+
+class _Codes(dict):
+    """Id -> dense code, in first-appearance order: an unseen id takes the next code."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = code = len(self)
+        return code
+
+
+def _row_fault(path, line: int, text: str, sep: str, n: int):
+    """Raise ``RowParseError`` at the first line of ``text``, which starts at
+    line ``line``, that holds a ``"`` or not ``n`` fields."""
+    for j, row in enumerate(text.split("\n"), start=line):
+        if (seps := row.count(sep)) != n - 1:
+            raise RowParseError(path, j, f"{seps + 1} fields, want {n}")
+        if '"' in row:
+            raise RowParseError(path, j, 'a ": fields are not csv-quoted')
 
 
 def _plain(text: str, sep: str) -> bool:

@@ -264,6 +264,10 @@ def _drop_stats_field(payload):
     return payload
 
 
+def _config(payload, **values):
+    return {**payload, "config": {**payload["config"], **values}}
+
+
 def _text_mean(payload):
     payload["results"]["recbole"]["42"]["fixed-k"]["mean_ndcg"] = "0.5"
     return payload
@@ -283,9 +287,28 @@ def _text_mean(payload):
         (lambda p: {**p, "config": {**p["config"], "seeds": [[21], 42]}},
          "config.seeds is not a non-empty list of distinct ints"),
         (_text_mean, "a mean of results.recbole.42.fixed-k is not a float"),
+        # Each of these re-emitted a report that prints a value no experiment writes.
+        (lambda p: _config(p, k="twenty"), "config.k is not an int >= 1"),
+        (lambda p: _config(p, k=True), "config.k is not an int >= 1"),
+        (lambda p: _config(p, n=0), "config.n is not an int >= 1"),
+        (lambda p: _config(p, n=10.0), "config.n is not an int >= 1"),
+        (lambda p: _config(p, train_ratio=1.5), "config.train_ratio is not a float in (0, 1]"),
+        (lambda p: _config(p, train_ratio=1), "config.train_ratio is not a float in (0, 1]"),
+        (lambda p: _config(p, train_ratio="0.8"), "config.train_ratio is not a float in (0, 1]"),
+        (lambda p: _config(p, format="parquet"), "config.format is not 'atomic' or 'csv'"),
+        (lambda p: _config(p, column_map={"user": 7}),
+         "config.column_map is not null or a dict of strs to strs"),
+        (lambda p: _config(p, column_map=["user=u"]),
+         "config.column_map is not null or a dict of strs to strs"),
+        (lambda p: _config(p, threshold={"cutoff": "3", "mode": "gt"}),
+         "config.threshold.cutoff is not a number"),
+        (lambda p: _config(p, threshold={"cutoff": None, "mode": "ge"}),
+         "config.threshold.cutoff is not a number"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
-         "dataset-not-data-stem", "unhashable-seed", "text-mean"],
+         "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
+         "float-n", "ratio-above-one", "int-ratio", "text-ratio", "unknown-format",
+         "int-column", "list-column-map", "text-cutoff", "null-cutoff"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))

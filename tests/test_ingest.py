@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 import re
 
 import numpy as np
@@ -176,6 +177,57 @@ def test_crlf_and_unterminated_files_load_equal(tmp_path):
     assert loaded["bare"] == loaded["lf"]
 
 
+@pytest.mark.parametrize(
+    "last, fault",
+    [
+        ("u2\tz\t1.0\t4", None),
+        ("u2\tz\t1.0\r\n", "3 fields"),
+        ('u2\t"z"\t1.0\t4\r\n', "csv-quoted"),
+        ("u2\tz\tfour\t4\r\n", "bad rating"),
+    ],
+    ids=["unterminated", "ragged", "quote", "bad-number"],
+)
+def test_every_read_chunk_boundary(tmp_path, monkeypatch, last, fault):
+    # Each size ends a chunk at another character: inside a multi-byte id, at a
+    # separator, on a CRLF.  The rows and the line of the fault do not move.
+    body = "u1\tx\t4.0\t1\r\nü日\ty\t2.5\t2\r\nu1\tü\t1\t3\r\n" + last
+    path = tmp_path / "t.inter"
+    path.write_bytes((ATOMIC_HEADER.replace("\n", "\r\n") + body).encode("utf-8"))
+    want = dataset_from_rows([("u1", "x", 4.0, 1.0), ("ü日", "y", 2.5, 2.0),
+                              ("u1", "ü", 1.0, 3.0), ("u2", "z", 1.0, 4.0)])
+    for chars in range(1, len(body) + 2):
+        monkeypatch.setattr(ingest, "CHUNK_CHARS", chars)
+        if fault is None:
+            assert load_interactions(path) == want
+        else:
+            with pytest.raises(RowParseError, match=f"line 5: .*{fault}"):
+                load_interactions(path)
+
+
+
+@pytest.mark.parametrize("rows", [3, 7, 1], ids=["grows-by-one", "grows-by-five", "shrinks"])
+def test_file_that_changes_between_passes_refused(tmp_path, monkeypatch, rows):
+    # read_table counts the rows, seeks back and reads them: a file another
+    # writer changes in between does not fit the columns counted for it.
+    path = write_atomic(tmp_path / "t.inter", ["u\ti\t1\t1\n"] * 2)
+    real_open = Path.open
+
+    def open_then_rewrite(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        seek = fh.seek
+
+        def rewrite_then_seek(position):
+            write_atomic(path, ["v\tj\t2\t2\n"] * rows)
+            return seek(position)
+
+        fh.seek = rewrite_then_seek
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_then_rewrite)
+    monkeypatch.setattr(ingest, "CHUNK_CHARS", 4)
+    with pytest.raises(SchemaError, match="the file changed while it was read"):
+        load_interactions(path)
+
 ID_TEXT = st.text(alphabet="abz09:_-. éü日本", max_size=4)
 NUMBER_TEXT = st.one_of(
     st.integers(-10**6, 10**6).map(str),
@@ -212,7 +264,8 @@ def test_property_load_interactions_matches_oracle(tmp_path_factory, data):
     newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
     final = data.draw(st.booleans(), label="final newline")
     column_map = {f: names[f] for f in logical} if renamed else None
-    chunk = data.draw(st.integers(1, 5), label="chunk")
+    # Reads of a few characters put rows, line ends and the fault across chunk boundaries.
+    chars = data.draw(st.integers(1, 64), label="read chunk chars")
 
     # At most one fault, planted in row r: the oracle names its line, r + 2.
     fault = data.draw(
@@ -237,7 +290,7 @@ def test_property_load_interactions_matches_oracle(tmp_path_factory, data):
 
     fmt = "atomic" if atomic else "csv"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "CHUNK_LINES", chunk)
+        mp.setattr(ingest, "CHUNK_CHARS", chars)
         if fault and rows:
             with pytest.raises(OracleLineError) as want:
                 oracle_load_interactions(path, fmt, column_map)
@@ -421,13 +474,14 @@ def tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(columns=tables(), chunk=st.integers(1, 5))
-def test_property_write_table_read_table_round_trip(tmp_path_factory, columns, chunk):
+@given(columns=tables(), chunk=st.integers(1, 5), chars=st.integers(1, 64))
+def test_property_write_table_read_table_round_trip(tmp_path_factory, columns, chunk, chars):
     kinds = [str if isinstance(c, tuple) else {"i": int, "f": float}[c.dtype.kind] for c in columns]
     header = "\t".join(f"c{i}" for i in range(len(columns)))
     path = tmp_path_factory.mktemp("table") / "t.tsv"
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CHUNK_LINES", chunk)
+        mp.setattr(ingest, "CHUNK_CHARS", chars)
         ingest.write_table(path, header, columns)
         back = ingest.read_table(path, "\t", lambda line: [
             (name, kind) for name, kind in zip(line.split("\t"), kinds)

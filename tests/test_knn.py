@@ -310,15 +310,16 @@ def count_datasets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(ds=count_datasets(), k=st.integers(1, 4), lines=st.integers(1, 5),
-       chunk=st.integers(1, 5))
-def test_property_save_load_round_trip_in_chunks(tmp_path_factory, ds, k, lines, chunk):
-    """Saved and loaded with small CHUNK_LINES and COSINE_CHUNK, a full and
-    a top-k matrix come back with ``==`` indptr, cols, vals and n_i."""
+       chars=st.integers(1, 64), chunk=st.integers(1, 5))
+def test_property_save_load_round_trip_in_chunks(tmp_path_factory, ds, k, lines, chars, chunk):
+    """Saved and loaded with small CHUNK_LINES, CHUNK_CHARS and COSINE_CHUNK,
+    a full and a top-k matrix come back with ``==`` indptr, cols, vals and n_i."""
     out = tmp_path_factory.mktemp("sim")
     s = cosine_similarity(build_matrix(ds))
     for mat in (s, truncate_topk(s, k)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "CHUNK_LINES", lines)
+            mp.setattr(ingest, "CHUNK_CHARS", chars)
             mp.setattr(knn, "COSINE_CHUNK", chunk)
             back = load_similarity(save_similarity(mat, out / "m.tsv", ds.item_ids), ds.item_ids)
         assert_loaded_equal(back, mat)

@@ -404,12 +404,12 @@ def test_save_load_recommendations(tmp_path):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), chunk=st.integers(1, 5))
-def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n, chunk):
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 6), chunk=st.integers(1, 5),
+       chars=st.integers(1, 64))
+def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n, chunk, chars):
     ds = make_implicit_dataset(random.Random(seed), 12, 9)
     pair = split_holdout(ds, SplitConfig(0.6, seed))
     recs = recommend_split(cosine_similarity(build_matrix(pair.train)), pair, SUM_ALL, n)
-    path = save_recommendations(recs, pair.train, tmp_path_factory.mktemp("recs") / "r.tsv")
     want = {
         ds.user_ids[rl.user]: [(ds.item_ids[item], score) for item, score in rl.entries]
         for rl in recs
@@ -417,6 +417,8 @@ def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n,
     }
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CHUNK_LINES", chunk)
+        mp.setattr(ingest, "CHUNK_CHARS", chars)
+        path = save_recommendations(recs, pair.train, tmp_path_factory.mktemp("recs") / "r.tsv")
         assert loaded_lists(path) == want
 
 

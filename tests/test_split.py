@@ -16,7 +16,13 @@ from itemknn_bench.ingest import (
     load_interactions,
     to_implicit,
 )
-from itemknn_bench.split import SplitConfig, save_split, split_holdout, splitmix64_draw
+from itemknn_bench.split import (
+    SplitConfig,
+    canonical_order,
+    save_split,
+    split_holdout,
+    splitmix64_draw,
+)
 
 from conftest import (
     Interaction,
@@ -217,3 +223,45 @@ def test_property_columnar_layers_match_row_oracles(data, ratio, seeds, threshol
         assert repr(as_rows(pair.test)) == repr(want_test)
         assert pair.train.user_ids == pair.test.user_ids == want_users
         assert pair.train.item_ids == pair.test.item_ids == want_items
+
+
+def tied_dataset(rng: np.random.Generator, n_rows: int, n_users: int, n_items: int,
+                 times: list[float]) -> InteractionDataset:
+    """Random columns over few timestamps, -0.0 beside 0.0, with repeated
+    (user, timestamp, item) rows, so that ties go to the row."""
+    return InteractionDataset(
+        rng.integers(0, n_users, n_rows), rng.integers(0, n_items, n_rows), np.ones(n_rows),
+        rng.choice(np.array(times), n_rows),
+        [f"u{k}" for k in range(n_users)], [f"i{k}" for k in range(n_items)],
+    )
+
+
+@pytest.mark.parametrize(
+    "n_rows, n_users, n_items, times",
+    [
+        (2000, 7, 5, [0.0, -0.0, 1.0]),
+        (2000, 300, 3, [-0.0, 0.0, -1.5, 2.0, 1e300, -1e300]),
+        (5000, 1, 1, [0.0, -0.0]),
+        (200_000, 70_000, 40, [float(t) for t in range(-3, 4)] + [-0.0]),  # uint32 user keys
+    ],
+    ids=["ties", "signed-times", "one-user-one-item", "over-65536-users"],
+)
+def test_canonical_order_is_lexsort(n_rows, n_users, n_items, times):
+    ds = tied_dataset(np.random.default_rng(n_rows + n_users), n_rows, n_users, n_items, times)
+    want = np.lexsort((ds.items, ds.timestamps, ds.users))
+    assert np.array_equal(canonical_order(ds), want)
+
+
+def test_split_over_65536_users_matches_oracle():
+    rng = random.Random(65537)
+    rows = []
+    for u in range(70_000):
+        items = rng.sample(range(6), 1 if u % 50 else rng.randint(2, 6))
+        rows += [(f"u{u}", f"i{i}", 1.0, rng.choice([0.0, -0.0, 1.0])) for i in items]
+    rng.shuffle(rows)
+    ds = dataset_from_rows(rows)
+    pair = split_holdout(ds, SplitConfig(0.5, 42))
+    want_train, want_test = oracle_split(as_rows(ds), ds.user_ids, ds.item_ids, 0.5, 42)
+    assert repr(as_rows(pair.train)) == repr(want_train)
+    assert repr(as_rows(pair.test)) == repr(want_test)
+    assert pair.test.n_interactions > 0
