@@ -25,13 +25,19 @@ How each mode is computed:
   adds ``1.0 * S[i, j]`` into candidate i's accumulator, which starts at
   0.0: the same addends, in the same order, as the contract.  The tests pin
   this against an in-order oracle instead of assuming it.
-* ``profile-topk`` gathers the sparse columns S[:, P] (ascending j, rows
-  ascending within a column).  It selects by a per-row neighbour priority
+* ``profile-topk`` gathers the cells of the columns S[:, P] (ascending j,
+  rows ascending within a column) with scipy's compiled gather kernel,
+  called directly on the CSC arrays (:class:`_ColumnGather`): scipy's
+  Python-level indexing costs more per user than the gather it wraps.  It
+  selects by a per-row neighbour priority
   (:meth:`knn.SimilarityMatrix.priorities`): for row i, j's priority is
   nnz_i minus j's rank in row i's neighbour order, an integer that is
   unique within the row, larger for a better neighbour, and 0 for an
-  unstored cell.  The priorities of the same cells are laid out as a dense
-  items x |P| block of small unsigned integers; ``np.partition`` finds each
+  unstored cell.  The priorities of the same cells are gathered by the
+  same kernel and laid out as a dense items x |P| block of small unsigned
+  integers, C-ordered, so that ``np.partition`` walks each row's cells
+  contiguously (on the column-major block scipy's ``toarray`` returns it
+  took about twice as long).  It finds each
   row's k-th largest priority t, and a cell is kept when its priority is at
   least t (a row with fewer than k stored cells has t = 0 and keeps them
   all).  Priorities are unique, so exactly the first k of the neighbour
@@ -46,7 +52,10 @@ How each mode is computed:
   The tests pin both accumulation orders against an in-order oracle.
 
 :func:`recommend_all` scores the users it is given, rows of the caller's
-train matrix X, in blocks of ``USER_BLOCK`` rows.  X, S and the users share
+train matrix X, in blocks of ``USER_BLOCK`` rows.  It first checks that
+every item index X holds lies in ``[0, n_items)``: the compiled gathers
+check no bounds, so this is the precondition they rest on, and a bad
+index is a ``ContractError`` in both modes.  X, S and the users share
 one id universe, the one X was built in: the experiment's split shares its
 source dataset's, and the ``recommend`` subcommand's is the train file's
 own, in which ``train`` saved its matrix.  A block's product holds at most
@@ -76,6 +85,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset, check_rows, read_table, write_table
@@ -130,15 +140,61 @@ class RecommendationList:
     entries: list[tuple[int, float]]
 
 
+class _ColumnGather:
+    """Columns ``cols`` of a CSC matrix ``m``, through scipy's compiled kernels.
+
+    ``indptr``, ``indices`` and ``data`` are the arrays of ``m[:, cols]``:
+    column after column in the order of ``cols``, rows ascending within a
+    column.  :meth:`gather` takes the same cells out of other data laid out
+    like ``m.data``, into the same ``indptr`` and ``indices``, and
+    :meth:`dense` lays gathered data out as the dense
+    ``m.shape[0] x len(cols)`` block, C-ordered, each row contiguous.
+
+    Private dependency: ``scipy.sparse._sparsetools.csr_row_index`` and
+    ``csr_todense``, the kernels behind scipy's own ``m[:, cols]`` and
+    ``toarray``, called without scipy's Python-level checks.  They check no
+    bounds: every column must lie in ``[0, m.shape[1])``.  ``cols``,
+    ``m.indptr`` and ``m.indices`` must share one index dtype (``cols`` is
+    cast to it here): the kernels refuse mismatched ones, or widen them with
+    a copy on every call.
+    """
+
+    def __init__(self, m: sp.csc_matrix, cols: np.ndarray):
+        self._m = m
+        self._cols = cols.astype(m.indptr.dtype, copy=False)
+        self.indptr = np.zeros(len(cols) + 1, dtype=m.indptr.dtype)
+        np.cumsum(m.indptr[self._cols + 1] - m.indptr[self._cols], out=self.indptr[1:])
+        self.indices = np.empty(self.indptr[-1], dtype=m.indices.dtype)
+        self.data = self.gather(m.data)
+
+    def gather(self, data: np.ndarray) -> np.ndarray:
+        """The gathered cells' entries of ``data``; writes ``indices`` (again, the same)."""
+        out = np.empty(self.indptr[-1], dtype=data.dtype)
+        m = self._m
+        _sparsetools.csr_row_index(
+            len(self._cols), self._cols, m.indptr, m.indices, data, self.indices, out
+        )
+        return out
+
+    def dense(self, data: np.ndarray) -> np.ndarray:
+        """Gathered ``data`` as a dense ``m.shape[0] x len(cols)`` array, C-ordered."""
+        width, height = len(self._cols), self._m.shape[0]
+        out = np.zeros((width, height), dtype=data.dtype)  # the transpose, C-ordered
+        _sparsetools.csr_todense(width, height, self.indptr, self.indices, data, out)
+        return out.T.copy()
+
+
 def _profile_topk(s: SimilarityMatrix, profile: np.ndarray, k: int, select: bool) -> np.ndarray:
     """Profile-topk scores of every item for one sorted, unique profile."""
-    gathered = s.csc()[:, profile]  # columns in ascending j
+    gathered = _ColumnGather(s.csc(), profile)  # columns in ascending j
     rows, vals = gathered.indices, gathered.data
     width = len(profile)
     if select and k < width:
-        priorities = s.priorities()[:, profile]  # the same cells, in the same order
-        kth = np.partition(priorities.toarray(), width - k, axis=1)[:, width - k]
-        vals = vals * (priorities.data >= kth.take(rows))  # x * 1.0 and x * 0.0 are exact
+        priorities = gathered.gather(s.priorities().data)  # the same cells, in the same order
+        block = gathered.dense(priorities)
+        block.partition(width - k, axis=1)  # in place: the block is this call's own
+        kth = block[:, width - k]
+        vals = vals * (priorities >= kth.take(rows))  # x * 1.0 and x * 0.0 are exact
     # Adds the cells in gather order: per candidate, ascending j from 0.0.
     return np.bincount(rows, weights=vals, minlength=s.n_items)
 
@@ -219,6 +275,12 @@ def recommend_all(
     if s.n_items != x.shape[1]:
         raise ContractError(
             f"matrix has {s.n_items} items but the train matrix has {x.shape[1]}"
+        )
+    # The compiled gathers of profile-topk check no bounds: this check is theirs.
+    if len(x.indices) and (x.indices.min() < 0 or x.indices.max() >= s.n_items):
+        raise ContractError(
+            f"the train matrix holds item indices outside [0, {s.n_items}): "
+            f"{x.indices.min()}..{x.indices.max()}"
         )
 
     out: list[RecommendationList] = []

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -183,6 +184,54 @@ def test_recommend_all_checks_matrix_size():
     x = build_matrix(worked_split().train)
     with pytest.raises(ContractError, match="matrix has 1 items but the train matrix has 3"):
         recommend_all(sim_from_dense([[0.0]]), x, SUM_ALL, 5, np.array([0]))
+
+
+@pytest.mark.parametrize("item", [7, 3, -1])
+@pytest.mark.parametrize("mode", [SUM_ALL, topk_mode(1)], ids=["sum-all", "profile-topk"])
+def test_recommend_all_refuses_item_index_out_of_range(item, mode):
+    # The CSR of a caller, not of build_matrix: scipy does not check its indices.
+    s = sim_from_dense([[0.0, 0.8, 0.1], [0.8, 0.0, 0.4], [0.1, 0.4, 0.0]])
+    x = sp.csr_matrix((np.ones(2), np.array([0, item]), np.array([0, 0, 2])), shape=(2, 3))
+    with pytest.raises(ContractError, match=r"item indices outside \[0, 3\)"):
+        recommend_all(s, x, mode, 5, np.array([0]))  # also when the user is another row
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_column_gather_is_scipy_indexing(data):
+    """The compiled-kernel gather == scipy's public ``m[:, cols]`` and ``toarray``, bit for bit.
+
+    Float64 and uint16 data, int32 and int64 index arrays, empty column
+    lists, repeated and unsorted columns, and columns without entries.
+    """
+    n_rows = data.draw(st.integers(1, 8), label="n_rows")
+    n_cols = data.draw(st.integers(1, 8), label="n_cols")
+    dtype = data.draw(st.sampled_from([np.float64, np.uint16]), label="dtype")
+    cells = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 7, 65535]),
+                               min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    dense = np.array(cells, dtype=dtype).reshape(n_rows, n_cols)
+    if dtype is np.float64:
+        dense /= 10  # 0.1, 0.7, 6553.5: values that are not integers
+    m = sp.csc_matrix(dense)
+    index = data.draw(st.sampled_from([np.int32, np.int64]), label="index dtype")
+    m.indptr, m.indices = m.indptr.astype(index), m.indices.astype(index)
+    other = (m.data * 3).astype(dtype)  # other data laid out like m.data
+    cols = np.array(
+        data.draw(st.lists(st.integers(0, n_cols - 1), max_size=2 * n_cols), label="cols"),
+        dtype=data.draw(st.sampled_from([np.int32, np.int64]), label="cols dtype"),
+    )
+
+    got = recommend._ColumnGather(m, cols)
+    want = m[:, cols]
+    assert got.indptr.tolist() == want.indptr.tolist()
+    assert got.indices.tolist() == want.indices.tolist()
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+    block = got.dense(got.data)
+    assert block.flags.c_contiguous and block.dtype == dtype
+    assert block.tobytes() == want.toarray().tobytes()
+    want_other = sp.csc_matrix((other, m.indices, m.indptr), shape=m.shape)[:, cols]
+    assert got.gather(other).tobytes() == want_other.data.tobytes()
+    assert got.indices.tolist() == want.indices.tolist()  # gather writes the same rows again
 
 
 def test_scoring_matches_dense_oracle_both_modes():
