@@ -3,7 +3,10 @@
 Subcommands: stats, preprocess, split, train, recommend, evaluate,
 experiment, report.  ``experiment`` is the replication path; its flags can
 also come from a key=value config file, with command-line flags taking
-precedence.  Exit code is 0 on success, 2 on any tagged failure.
+precedence.  Both go through the one parser per setting that
+``_EXPERIMENT_SETTINGS`` names, and a setting given neither way takes
+``ExperimentConfig``'s default.  Exit code is 0 on success, 2 on any tagged
+failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 
 from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
-    DEFAULT_PRESETS,
     DEFAULT_SEEDS,
     REPORT_FORMATS,
     ExperimentConfig,
@@ -27,6 +29,8 @@ from .harness import (
     run_experiment,
 )
 from .ingest import (
+    FORMATS,
+    THRESHOLD_MODES,
     ImplicitThreshold,
     load_interactions,
     save_interactions,
@@ -42,7 +46,7 @@ from .knn import (
     save_similarity,
     truncate_topk,
 )
-from .metrics import IDCG_FIXED_K, IDCG_TRUNCATED, report_from_gains, user_gains
+from .metrics import IDCG_MODES, IDCG_TRUNCATED, report_from_gains, user_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
 from .split import SplitConfig, save_split, split_holdout
 
@@ -56,9 +60,7 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 
 
 def _parse_idcg(text: str) -> tuple[str, ...]:
-    if text == "both":
-        return (IDCG_TRUNCATED, IDCG_FIXED_K)
-    return _parse_list(text)
+    return IDCG_MODES if text == "both" else _parse_list(text)
 
 
 def _parse_column_map(text: str) -> dict[str, str]:
@@ -66,9 +68,28 @@ def _parse_column_map(text: str) -> dict[str, str]:
     for pair in _parse_list(text):
         key, _, value = pair.partition("=")
         if not value:
-            raise ValueError(f"bad column-map entry {pair!r} (want field=column)")
+            raise ValueError(f"entry {pair!r} is not field=column")
         out[key.strip()] = value.strip()
     return out
+
+
+# Each experiment flag, which is also its config-file key: its text's parser and the
+# keyword it sets (cutoff and mode make the threshold; out and emit are no config field).
+_EXPERIMENT_SETTINGS = {
+    "data": (str, "data"),
+    "format": (str, "format"),
+    "column-map": (_parse_column_map, "column_map"),
+    "threshold": (float, "cutoff"),
+    "threshold-mode": (str, "mode"),
+    "ratio": (float, "train_ratio"),
+    "seeds": (_parse_seeds, "seeds"),
+    "k": (int, "k"),
+    "topn": (int, "n"),
+    "preset": (_parse_list, "presets"),
+    "idcg": (_parse_idcg, "idcg_modes"),
+    "out": (str, "out"),
+    "emit": (lambda text: check_formats(_parse_list(text)), "emit"),
+}
 
 
 def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
@@ -92,16 +113,23 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
 
 def _add_data_args(p: argparse.ArgumentParser, flag: str = "--data") -> None:
     p.add_argument(flag, required=True, help="interaction file path")
-    p.add_argument("--format", default="atomic", choices=["atomic", "csv"])
+    p.add_argument("--format", default="atomic", choices=FORMATS)
     p.add_argument("--column-map", type=_parse_column_map, default=None,
                    help="logical=actual column pairs, e.g. user=uid,item=movie")
 
 
+def _threshold(cutoff: float, mode: str | None) -> ImplicitThreshold:
+    """The threshold, with ImplicitThreshold's default mode where none was given."""
+    return ImplicitThreshold(cutoff) if mode is None else ImplicitThreshold(cutoff, mode)
+
+
 def _cmd_stats(args) -> int:
+    if args.threshold is None and args.threshold_mode is not None:
+        raise ValueError("--threshold-mode needs --threshold")
     ds = load_interactions(args.data, args.format, args.column_map)
     payload = {"dataset": Path(args.data).stem, "before": stats(ds).as_dict()}
     if args.threshold is not None:
-        threshold = ImplicitThreshold(args.threshold, args.threshold_mode or "gt")
+        threshold = _threshold(args.threshold, args.threshold_mode)
         payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
     print(json.dumps(payload, indent=2))
@@ -110,7 +138,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
-    implicit = to_implicit(ds, ImplicitThreshold(args.threshold, args.threshold_mode))
+    implicit = to_implicit(ds, _threshold(args.threshold, args.threshold_mode))
     path = save_interactions(implicit, Path(args.out, f"{Path(args.data).stem}.implicit.inter"))
     print(path)
     return 0
@@ -218,40 +246,25 @@ def _cmd_evaluate(args) -> int:
 
 def _experiment_config(args) -> tuple[ExperimentConfig, str, tuple[str, ...]]:
     """Config, output directory and report formats: flags over config file over defaults."""
-    # A config key is an experiment flag's name, as pick reads it.
-    keys = {name.replace("_", "-") for name in vars(args)} - {"command", "func", "config"}
-    file_values = _read_config_file(args.config, keys) if args.config else {}
-
-    def pick(flag: str, parser, default):
-        cli_value = getattr(args, flag.replace("-", "_"))
-        if cli_value is not None:
-            return cli_value
-        if flag in file_values:
-            return parser(file_values[flag])
-        return default
-
-    for flag in ("threshold", "data"):
-        if pick(flag, str, None) is None:
-            raise ValueError(f"experiment requires --{flag} (or {flag}= in the config file)")
-    cfg = ExperimentConfig(
-        data=pick("data", str, None),
-        format=pick("format", str, "atomic"),
-        column_map=pick("column-map", _parse_column_map, None),
-        threshold=ImplicitThreshold(pick("threshold", float, None),
-                                    pick("threshold-mode", str, "gt")),
-        train_ratio=pick("ratio", float, 0.8),
-        seeds=pick("seeds", _parse_seeds, DEFAULT_SEEDS),
-        k=pick("k", int, 20),
-        n=pick("topn", int, 10),
-        presets=pick("preset", _parse_list, DEFAULT_PRESETS),
-        idcg_modes=pick("idcg", _parse_idcg, (IDCG_TRUNCATED,)),
-    )
-    return cfg, pick("out", str, "out"), pick("emit", _parse_list, REPORT_FORMATS)
+    texts = _read_config_file(args.config, set(_EXPERIMENT_SETTINGS)) if args.config else {}
+    texts.update((flag, text) for flag in _EXPERIMENT_SETTINGS
+                 if (text := getattr(args, flag.replace("-", "_"))) is not None)
+    values = {}
+    for flag, text in texts.items():
+        parse, keyword = _EXPERIMENT_SETTINGS[flag]
+        try:
+            values[keyword] = parse(text)
+        except ValueError as e:
+            raise ValueError(f"bad {flag} {text!r}: {e}") from None
+    if missing := next((flag for flag in ("threshold", "data") if flag not in texts), None):
+        raise ValueError(f"experiment requires --{missing} (or {missing}= in the config file)")
+    out, formats = values.pop("out", "out"), values.pop("emit", REPORT_FORMATS)
+    threshold = _threshold(values.pop("cutoff"), values.pop("mode", None))
+    return ExperimentConfig(threshold=threshold, **values), out, formats
 
 
 def _cmd_experiment(args) -> int:
     cfg, out, formats = _experiment_config(args)
-    check_formats(formats)  # before any seed runs
     result = run_experiment(cfg)
     written = emit_report(result.to_json_dict(), formats, out, result.timings)
     for (preset, seed, mode), rep in result.cells.items():
@@ -282,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="dataset statistics, optionally after thresholding")
     _add_data_args(p)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--threshold-mode", choices=["gt", "ge"], default=None)
+    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=None)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("preprocess", help="convert explicit ratings to implicit feedback")
     _add_data_args(p)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--threshold-mode", choices=["gt", "ge"], default="gt")
+    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_preprocess)
 
@@ -326,19 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="full preset x seed x IDCG-mode replication run")
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--data", default=None)
-    p.add_argument("--format", default=None, choices=["atomic", "csv"])
-    p.add_argument("--column-map", type=_parse_column_map, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--threshold-mode", default=None, choices=["gt", "ge"])
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--seeds", type=_parse_seeds, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--topn", type=int, default=None)
-    p.add_argument("--preset", type=_parse_list, default=None)
-    p.add_argument("--idcg", type=_parse_idcg, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--emit", type=_parse_list, default=None)
+    for flag in _EXPERIMENT_SETTINGS:  # text, parsed as a config file's is
+        p.add_argument(f"--{flag}", default=None)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("report", help="re-emit reports from a stored report.json")

@@ -10,7 +10,9 @@ fully deterministic for a fixed config, and the JSON report is canonical
 Every report file renders from the ``report.json`` payload, so ``report``
 re-emits ``experiment``'s bytes.  Wall-clock timings go to a separate
 ``timings.json``: they vary run to run and would break the byte-identical
-report guarantee.
+report guarantee.  One check of the config, as ``report.json`` stores it,
+runs before an experiment and on a stored report, so ``report`` renders only
+what an experiment could have written.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ExperimentError, SchemaError
 from .ingest import (
+    DEFAULT_COLUMNS,
+    FORMATS,
+    THRESHOLD_MODES,
     DatasetStats,
     ImplicitThreshold,
     load_interactions,
@@ -42,7 +47,6 @@ from .split import SplitConfig, split_holdout
 REPORT_FORMATS = ("json", "csv", "md")
 
 DEFAULT_SEEDS = (21, 42, 84)
-DEFAULT_PRESETS = ("lenskit-original", "lenskit-adjusted", "recbole")
 
 
 @dataclass
@@ -55,45 +59,23 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     k: int = 20
     n: int = 10
-    presets: tuple[str, ...] = DEFAULT_PRESETS
-    idcg_modes: tuple[str, ...] = ("truncated",)
+    presets: tuple[str, ...] = ("lenskit-original", "lenskit-adjusted", "recbole")
+    idcg_modes: tuple[str, ...] = (IDCG_TRUNCATED,)
 
     @property
     def dataset(self) -> str:
         return Path(self.data).stem
 
     def validate(self) -> None:
-        for name, values in (("seed", self.seeds), ("preset", self.presets),
-                             ("IDCG mode", self.idcg_modes)):
-            if not values:
-                raise ValueError(f"at least one {name} required")
-            if len(set(values)) < len(values):
-                repeated = next(v for v in values if values.count(v) > 1)
-                raise ValueError(f"{name} {repeated!r} is repeated")
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be >= 1")
-        SplitConfig(self.train_ratio)  # checks the ratio
-        for p in self.presets:
-            if p not in PRESETS:
-                raise ValueError(f"unknown preset {p!r} (known: {sorted(PRESETS)})")
-        for m in self.idcg_modes:
-            if m not in IDCG_MODES:
-                raise ValueError(f"unknown IDCG mode {m!r}")
+        """Raise ``ValueError``, naming the field, for a config no experiment runs."""
+        if fault := _config_fault(self.as_dict()):
+            raise ValueError(fault)
 
     def as_dict(self) -> dict:
-        return {
-            "data": self.data,
-            "dataset": self.dataset,
-            "format": self.format,
-            "column_map": self.column_map,
-            "threshold": {"cutoff": self.threshold.cutoff, "mode": self.threshold.mode},
-            "train_ratio": self.train_ratio,
-            "seeds": list(self.seeds),
-            "k": self.k,
-            "n": self.n,
-            "presets": list(self.presets),
-            "idcg_modes": list(self.idcg_modes),
-        }
+        """The config as ``report.json`` stores it: the threshold a dict, lists for tuples."""
+        fields = asdict(self)
+        return {**fields, "dataset": self.dataset,
+                **{key: list(fields[key]) for key in ("seeds", "presets", "idcg_modes")}}
 
 
 @dataclass
@@ -117,18 +99,51 @@ class ExperimentResult:
         }
 
 
+def _config_fault(cfg: dict) -> str | None:
+    """What, in ``cfg`` as :meth:`ExperimentConfig.as_dict` lays it out, no experiment runs with."""
+    columns, threshold, ratio = cfg["column_map"], cfg["threshold"], cfg["train_ratio"]
+    for name, ok, what in (
+        ("dataset", isinstance(cfg["data"], str) and cfg["dataset"] == Path(cfg["data"]).stem,
+         "the stem of data"),
+        ("format", cfg["format"] in FORMATS, " or ".join(map(repr, FORMATS))),
+        ("column_map", columns is None or isinstance(columns, dict)
+         and all(type(s) is str for s in (*columns, *columns.values()))
+         and columns.keys() <= DEFAULT_COLUMNS.keys(),
+         f"null or a dict of strs to strs, its keys among {', '.join(DEFAULT_COLUMNS)}"),
+        ("threshold.mode", threshold["mode"] in THRESHOLD_MODES,
+         " or ".join(map(repr, THRESHOLD_MODES))),
+        ("threshold.cutoff", type(threshold["cutoff"]) in (int, float)
+         and threshold["cutoff"] == threshold["cutoff"], "a number"),  # NaN keeps no rating
+        ("train_ratio", type(ratio) is float and 0.0 < ratio <= 1.0, "a float in (0, 1]"),
+        ("k", type(cfg["k"]) is int and cfg["k"] >= 1, "an int >= 1"),
+        ("n", type(cfg["n"]) is int and cfg["n"] >= 1, "an int >= 1"),
+    ):
+        if not ok:
+            return f"{name} is not {what}"
+    for name, kind, one, many, known in (
+        ("seeds", int, "seed", "ints", None),
+        ("presets", str, "preset", "presets", PRESETS),
+        ("idcg_modes", str, "IDCG mode", "IDCG modes", IDCG_MODES),
+    ):
+        values, fault = cfg[name], f"{name} is not a non-empty list of distinct {many}"
+        if not (isinstance(values, list) and values and all(type(v) is kind for v in values)):
+            return fault  # before set() hashes them
+        if len(set(values)) < len(values):
+            repeated = next(v for v in values if values.count(v) > 1)
+            return f"{fault}: {one} {repeated!r} is repeated"
+        if unknown := [v for v in values if known is not None and v not in known]:
+            return f"{fault}: unknown {one} {unknown[0]!r} (known: {', '.join(sorted(known))})"
+    return None
+
+
 def load_report(path: str | Path) -> dict:
     """The payload of a stored ``report.json``, as :func:`emit_report` takes it.
 
     Raises ``SchemaError`` unless the file is JSON laid out as
     :meth:`ExperimentResult.to_json_dict` lays it out: each dict holds
-    exactly its keys, the dataset is the data path's stem, the threshold
-    mode is ``gt`` or ``ge`` and its cutoff a number, ``k`` and ``n`` are
-    ints >= 1, ``train_ratio`` is a float in (0, 1], ``format`` is
-    ``atomic`` or ``csv``, ``column_map`` is null or maps strs to strs, the
-    seeds (ints), presets and IDCG modes are distinct and not empty, and
-    every cell's means are floats.  So each report format renders, into its
-    output directory, what an experiment could have written.
+    exactly its keys, the config is one that :meth:`ExperimentConfig.validate`
+    accepts, and every cell's means are floats.  So each report format
+    renders, into its output directory, what an experiment could have written.
     """
 
     def fail(what: str):
@@ -147,30 +162,10 @@ def load_report(path: str | Path) -> dict:
     keyed(payload, ("config", "stats_before", "stats_after", "results"), "the top level")
     for name in ("stats_before", "stats_after"):
         keyed(payload[name], DatasetStats.__slots__, name)
-    cfg = keyed(payload["config"], ExperimentConfig("", ImplicitThreshold(0, "gt")).as_dict(),
-                "config")
-    if not isinstance(cfg["data"], str) or cfg["dataset"] != Path(cfg["data"]).stem:
-        fail("config.dataset is not the stem of config.data")
-    threshold = keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
-    if threshold["mode"] not in ("gt", "ge"):
-        fail("config.threshold.mode is neither 'gt' nor 'ge'")
-    if type(threshold["cutoff"]) not in (int, float):
-        fail("config.threshold.cutoff is not a number")
-    for name, ok, what in (
-        ("k", lambda v: type(v) is int and v >= 1, "an int >= 1"),
-        ("n", lambda v: type(v) is int and v >= 1, "an int >= 1"),
-        ("train_ratio", lambda v: type(v) is float and 0.0 < v <= 1.0, "a float in (0, 1]"),
-        ("format", lambda v: v in ("atomic", "csv"), "'atomic' or 'csv'"),
-        ("column_map", lambda v: v is None or isinstance(v, dict)
-         and all(type(s) is str for s in (*v, *v.values())), "null or a dict of strs to strs"),
-    ):
-        if not ok(cfg[name]):
-            fail(f"config.{name} is not {what}")
-    for name, kind in (("seeds", int), ("presets", str), ("idcg_modes", str)):
-        values = cfg[name]  # its types are checked before set() hashes them
-        if not (isinstance(values, list) and values and all(type(v) is kind for v in values)
-                and len(set(values)) == len(values)):
-            fail(f"config.{name} is not a non-empty list of distinct {kind.__name__}s")
+    cfg = keyed(payload["config"], ExperimentConfig("", ImplicitThreshold(0)).as_dict(), "config")
+    keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
+    if fault := _config_fault(cfg):
+        fail(f"config.{fault}")
     cell_keys = MetricReport(1, IDCG_TRUNCATED).as_dict()
     for preset, by_seed in keyed(payload["results"], cfg["presets"], "results").items():
         for seed, by_mode in keyed(by_seed, map(str, cfg["seeds"]), f"results.{preset}").items():
@@ -295,11 +290,12 @@ def _markdown(payload: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def check_formats(formats) -> None:
-    """Raise ``ValueError`` for a report format other than those of ``REPORT_FORMATS``."""
+def check_formats(formats):
+    """``formats``; ``ValueError`` for a report format other than those of ``REPORT_FORMATS``."""
     for f in formats:
         if f not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {f!r} (known: {', '.join(REPORT_FORMATS)})")
+    return formats
 
 
 def emit_report(

@@ -38,6 +38,8 @@ DEFAULT_COLUMNS = {
 }
 
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
+FORMATS = ("atomic", "csv")
+THRESHOLD_MODES = ("gt", "ge")
 # read_table reads this many characters at a time, completed to a line end, and
 # write_table formats this many lines at a time, which bounds their transient
 # memory: a chunk of text and its fields, not a file's.
@@ -51,16 +53,16 @@ _SPACE_OR_UNDERSCORE = " \t\x0b\x0c\x1c\x1d\x1e\x1f_"
 class ImplicitThreshold:
     """Rule for binarizing explicit ratings.
 
-    ``mode`` is ``"gt"`` (keep ratings strictly greater than ``cutoff``) or
-    ``"ge"`` (keep ratings greater than or equal to ``cutoff``).  ``passes``
-    takes a scalar or a numpy array of ratings.
+    ``mode`` is ``"gt"`` (keep ratings strictly greater than ``cutoff``), the
+    default, or ``"ge"`` (keep ratings greater than or equal to ``cutoff``).
+    ``passes`` takes a scalar or a numpy array of ratings.
     """
 
     cutoff: float
-    mode: str
+    mode: str = "gt"
 
     def __post_init__(self):
-        if self.mode not in ("gt", "ge"):
+        if self.mode not in THRESHOLD_MODES:
             raise ValueError(f"threshold mode must be 'gt' or 'ge', got {self.mode!r}")
 
     def passes(self, rating):
@@ -208,12 +210,11 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
                     table[name][at] = np.fromiter(map(codes[name].__getitem__, column), int, rows)
                     continue
                 # A number is written in full: kind() alone would take "+9", " 9" and "9_0".
-                # The chunk holds ids too, so a chunk that is not plain needs a closer look.
+                # The chunk holds ids too; a column that is not plain holds a field _strict refuses.
                 try:
-                    if plain or _plain("|".join(column), "|"):  # numpy parses as kind() does
-                        table[name][at] = np.array(column, dtype=table[name].dtype)
-                    else:
-                        table[name][at] = list(map(partial(_strict, kind), column))
+                    if not (plain or _plain("|".join(column), "|")):
+                        raise ValueError(name)
+                    table[name][at] = np.array(column, dtype=table[name].dtype)  # parses as kind()
                 except (ValueError, OverflowError):  # numpy does not say which field failed
                     good = array("d" if kind is float else "q")
                     with suppress(ValueError, OverflowError):
@@ -329,9 +330,9 @@ def load_interactions(
     Raises ``FileNotFoundError``, ``SchemaError`` for a missing or twice
     mapped column, and the row faults of :func:`read_table`.
     """
-    atomic = format == "atomic"
-    if not atomic and format != "csv":
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r} (expected 'atomic' or 'csv')")
+    atomic = format == "atomic"
     sep = "\t" if atomic else ","
     columns = {**DEFAULT_COLUMNS, **(column_map or {})}
 

@@ -54,6 +54,14 @@ def test_stats_before_and_after(data_file, capsys):
     assert payload["threshold"] == {"cutoff": 3.0, "mode": "gt"}
 
 
+def test_stats_threshold_mode_needs_threshold(data_file, capsys):
+    # The mode was dropped, and only the "before" stats printed.
+    assert run_cli("stats", "--data", data_file, "--threshold-mode", "ge") == 2
+    captured = capsys.readouterr()
+    assert "error [stats] --threshold-mode needs --threshold" in captured.err
+    assert captured.out == ""
+
+
 def test_stats_missing_file_exits_nonzero(tmp_path, capsys):
     rc = run_cli("stats", "--data", tmp_path / "ghost.inter")
     assert rc == 2
@@ -273,6 +281,18 @@ def _text_mean(payload):
     return payload
 
 
+def _renamed(payload, name, old, new):
+    """``payload`` with ``old`` renamed ``new`` in config list ``name`` and in results."""
+    results = payload["results"]
+    if name == "presets":
+        results = {new if p == old else p: by_seed for p, by_seed in results.items()}
+    else:
+        results = {p: {s: {new if m == old else m: c for m, c in by_mode.items()}
+                       for s, by_mode in by_seed.items()} for p, by_seed in results.items()}
+    return {**_config(payload, **{name: [new if v == old else v for v in payload["config"][name]]}),
+            "results": results}
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -283,7 +303,7 @@ def _text_mean(payload):
         (lambda p: {**p, "config": {**p["config"], "seeds": [21]}},
          "results.lenskit-original does not hold exactly the keys ['21']"),
         (lambda p: {**p, "config": {**p["config"], "dataset": "../toy"}},
-         "config.dataset is not the stem of config.data"),
+         "config.dataset is not the stem of data"),
         (lambda p: {**p, "config": {**p["config"], "seeds": [[21], 42]}},
          "config.seeds is not a non-empty list of distinct ints"),
         (_text_mean, "a mean of results.recbole.42.fixed-k is not a float"),
@@ -304,11 +324,25 @@ def _text_mean(payload):
          "config.threshold.cutoff is not a number"),
         (lambda p: _config(p, threshold={"cutoff": None, "mode": "ge"}),
          "config.threshold.cutoff is not a number"),
+        # Each of these rendered, with results laid out to match, a run no experiment makes.
+        (lambda p: _renamed(p, "presets", "recbole", "mystery"),
+         "config.presets is not a non-empty list of distinct presets: unknown preset 'mystery'"),
+        (lambda p: _renamed(p, "idcg_modes", "fixed-k", "bogus"),
+         "config.idcg_modes is not a non-empty list of distinct IDCG modes: "
+         "unknown IDCG mode 'bogus'"),
+        (lambda p: _config(p, threshold={"cutoff": float("nan"), "mode": "gt"}),
+         "config.threshold.cutoff is not a number"),
+        (lambda p: _config(p, threshold={"cutoff": 3, "mode": "above"}),
+         "config.threshold.mode is not 'gt' or 'ge'"),
+        (lambda p: _config(p, column_map={"usr": "uid"}),
+         "config.column_map is not null or a dict of strs to strs, its keys among user, item, "
+         "rating, timestamp"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
          "float-n", "ratio-above-one", "int-ratio", "text-ratio", "unknown-format",
-         "int-column", "list-column-map", "text-cutoff", "null-cutoff"],
+         "int-column", "list-column-map", "text-cutoff", "null-cutoff", "unknown-preset",
+         "unknown-idcg-mode", "nan-cutoff", "unknown-threshold-mode", "unknown-column-field"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))
@@ -346,6 +380,41 @@ def test_unknown_report_format_refused_before_any_work(data_file, experiment_out
     assert run_cli(*argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "unknown report format 'yaml'" in err and "[load]" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config-file"])
+@pytest.mark.parametrize(
+    "setting, text, message",
+    [
+        ("k", "abc", "bad k 'abc': invalid literal for int()"),
+        ("topn", "0", "n is not an int >= 1"),
+        ("seeds", "21,x", "bad seeds '21,x'"),
+        ("column-map", "user", "bad column-map 'user': entry 'user' is not field=column"),
+        ("format", "tsv", "format is not 'atomic' or 'csv'"),
+        ("threshold-mode", "xx", "threshold mode must be 'gt' or 'ge', got 'xx'"),
+        ("threshold", "high", "bad threshold 'high'"),
+        ("threshold", "nan", "threshold.cutoff is not a number"),
+        ("preset", "mystery", "unknown preset 'mystery'"),
+    ],
+)
+def test_bad_experiment_setting_refused_before_any_work(data_file, tmp_path, capsys, where,
+                                                        setting, text, message):
+    # A flag's text and its config-file twin go through one parser: --k abc
+    # was argparse's untagged usage error, k = abc a tagged one that did not
+    # name k, and format = tsv failed only in [load].
+    cfg = tmp_path / "exp.cfg"
+    settings = {"data": tmp_path / "ghost.inter", "threshold": "3", setting: text}
+    if where == "flag":
+        argv = [x for flag, value in settings.items() for x in (f"--{flag}", value)]
+    else:
+        cfg.write_text("".join(f"{flag} = {value}\n" for flag, value in settings.items()),
+                       encoding="utf-8")
+        argv = ["--config", cfg]
+    capsys.readouterr()
+    assert run_cli("experiment", *argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [experiment] ") and message in err and "[load]" not in err
     assert not (tmp_path / "out").exists()
 
 

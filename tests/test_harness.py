@@ -7,12 +7,13 @@ import re
 
 import pytest
 
-from itemknn_bench.errors import ExperimentError
+from itemknn_bench.errors import ExperimentError, SchemaError
 from itemknn_bench.harness import (
     REPORT_FORMATS,
     ExperimentConfig,
     check_formats,
     emit_report,
+    load_report,
     run_experiment,
 )
 from itemknn_bench.ingest import (
@@ -237,7 +238,7 @@ def test_config_validation(ratings_file, tmp_path):
         toy_config(ratings_file, seeds=()).validate()
     with pytest.raises(ValueError, match="IDCG"):
         toy_config(ratings_file, idcg_modes=("bogus",)).validate()
-    with pytest.raises(ValueError, match="k and n"):
+    with pytest.raises(ValueError, match="k is not an int >= 1"):
         toy_config(ratings_file, k=0).validate()
     # A repeated seed was run and averaged twice.
     with pytest.raises(ValueError, match="seed 42 is repeated"):
@@ -246,6 +247,39 @@ def test_config_validation(ratings_file, tmp_path):
         toy_config(ratings_file, presets=("recbole", "recbole")).validate()
     with pytest.raises(ValueError, match="IDCG mode 'truncated' is repeated"):
         toy_config(ratings_file, idcg_modes=("truncated", "truncated")).validate()
+    with pytest.raises(ValueError, match="format is not 'atomic' or 'csv'"):
+        toy_config(ratings_file, format="tsv").validate()
+    # A column-map key that names no field was ignored, and the column it meant went unread.
+    with pytest.raises(ValueError, match="column_map is not .*, its keys among user, item"):
+        toy_config(ratings_file, column_map={"usr": "uid"}).validate()
+    # An int ratio ran, but its report.json was one that report refused.
+    with pytest.raises(ValueError, match=re.escape("train_ratio is not a float in (0, 1]")):
+        toy_config(ratings_file, train_ratio=1).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"k": 0}, {"n": True}, {"train_ratio": 1}, {"train_ratio": 1.5}, {"format": "tsv"},
+        {"column_map": {"usr": "uid"}}, {"column_map": {"user": 7}},
+        {"threshold": ImplicitThreshold("3")}, {"threshold": ImplicitThreshold(float("nan"))},
+        {"seeds": ()}, {"seeds": (21, 21)},
+        {"presets": ("mystery",)}, {"idcg_modes": ("bogus",)},
+    ],
+    ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
+)
+def test_report_refuses_what_validate_refuses(ratings_file, tmp_path, overrides):
+    # One checker: a stored report whose config validate refuses is refused
+    # by load_report too, with the same message about the config field.
+    bad = toy_config(ratings_file, **overrides)
+    with pytest.raises(ValueError) as refused:
+        bad.validate()
+    payload = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**payload.to_json_dict(), "config": bad.as_dict()}))
+    message = f"not an experiment report: config.{refused.value}"
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        load_report(path)
 
 
 def test_emit_rejects_unknown_format(ratings_file, tmp_path):
