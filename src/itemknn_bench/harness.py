@@ -112,8 +112,9 @@ def _config_fault(cfg: dict) -> str | None:
          f"null or a dict of strs to strs, its keys among {', '.join(DEFAULT_COLUMNS)}"),
         ("threshold.mode", threshold["mode"] in THRESHOLD_MODES,
          " or ".join(map(repr, THRESHOLD_MODES))),
+        # NaN keeps no rating, and JSON holds no NaN or infinity.
         ("threshold.cutoff", type(threshold["cutoff"]) in (int, float)
-         and threshold["cutoff"] == threshold["cutoff"], "a number"),  # NaN keeps no rating
+         and -math.inf < threshold["cutoff"] < math.inf, "a number with a finite value"),
         ("train_ratio", type(ratio) is float and 0.0 < ratio <= 1.0, "a float in (0, 1]"),
         ("k", type(cfg["k"]) is int and cfg["k"] >= 1, "an int >= 1"),
         ("n", type(cfg["n"]) is int and cfg["n"] >= 1, "an int >= 1"),
@@ -255,8 +256,10 @@ def _run_seed(cfg, implicit, seed, cells, timings) -> None:
 def _canonical_json(payload: dict) -> bytearray:
     # Encoded chunk by chunk: json.dumps with an indent first lists every chunk,
     # several times the text's size in small strings, and could set a run's peak.
+    # RFC 8259 JSON has no NaN or infinity: refuse them rather than write them.
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
     out = bytearray()
-    for chunk in json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=False).iterencode(payload):
+    for chunk in encoder.iterencode(payload):
         out += chunk.encode("utf-8")
     out += b"\n"
     return out

@@ -355,6 +355,36 @@ def load_interactions(
     return InteractionDataset(users, items, table["rating"], timestamps, user_ids, item_ids)
 
 
+def _implicit_rows(ds: InteractionDataset, t: ImplicitThreshold) -> np.ndarray:
+    """The rows :func:`to_implicit` keeps, in first-seen order of their pairs.
+
+    Integer keys only: one stable sort of the (user, item) keys groups each
+    pair's rows in file order.  The temporaries are gone before
+    :func:`to_implicit` allocates its result, so they leave no hole below
+    the result in the heap.
+    """
+    kept = np.flatnonzero(t.passes(ds.ratings))
+    n = len(kept)
+    pair = ds.users[kept] * ds.n_items + ds.items[kept]
+    order = np.argsort(pair, kind="stable")  # each pair's rows, in file order
+    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
+    del pair
+    # Each pair's earliest timestamp (NaN last, as a sort puts it; -0.0 == 0.0)
+    # and the first of its rows holding it; a pair of NaNs keeps its first row.
+    timestamps = ds.timestamps[kept[order]]
+    low = np.repeat(np.fmin.reduceat(timestamps, starts), sizes)
+    earliest = np.minimum.reduceat(np.where(timestamps == low, np.arange(n), n), starts)
+    del timestamps, low
+    earliest = np.where(earliest < n, earliest, starts)
+    # The pairs in first-seen order, O(n): a pair's first row is order[its start].
+    pair_of = np.empty(n, dtype=np.int64)
+    pair_of[order] = np.repeat(np.arange(len(starts)), sizes)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[order[starts]] = True
+    return kept[order[earliest[pair_of[is_first]]]]
+
+
 def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionDataset:
     """Binarize a dataset: keep interactions passing ``t``, rating becomes 1.
 
@@ -364,13 +394,7 @@ def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionData
     so users and items with no surviving interactions disappear from the id
     universe.
     """
-    kept = np.flatnonzero(t.passes(ds.ratings))
-    pair = ds.users[kept] * ds.n_items + ds.items[kept]
-    # Stable: each pair's rows in ascending timestamp, then file position.
-    order = np.lexsort((ds.timestamps[kept], pair))
-    starts = np.flatnonzero(np.diff(pair[order], prepend=-1))
-    by_first_seen = np.argsort(np.minimum.reduceat(order, starts))
-    rows = kept[order[starts][by_first_seen]]
+    rows = _implicit_rows(ds, t)
     users, user_ids = _recode(ds.users[rows], ds.user_ids)
     items, item_ids = _recode(ds.items[rows], ds.item_ids)
     return InteractionDataset(users, items, np.ones(len(rows)), ds.timestamps[rows],

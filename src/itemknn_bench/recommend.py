@@ -17,58 +17,59 @@ matrix, whose rows hold at most k entries) their scores are bit-identical,
 not merely close.  That exactness is what
 makes the strategy-alignment equivalence checkable as equality downstream.
 
-How each mode is computed:
+How both modes are computed: by one kernel, a chunk of users at a time.
 
-* ``sum-all`` is one sparse product ``X @ S.T``, with X the binary
-  users x items train matrix from :func:`knn.build_matrix`.  Scipy's CSR
-  product walks each row of X in stored order, which is ascending j, and
-  adds ``1.0 * S[i, j]`` into candidate i's accumulator, which starts at
-  0.0: the same addends, in the same order, as the contract.  The tests pin
-  this against an in-order oracle instead of assuming it.
-* ``profile-topk`` gathers the cells of the columns S[:, P] (ascending j,
-  rows ascending within a column) with scipy's compiled gather kernel,
-  called directly on the CSC arrays (:class:`_ColumnGather`): scipy's
-  Python-level indexing costs more per user than the gather it wraps.  It
-  selects by a per-row neighbour priority
-  (:meth:`knn.SimilarityMatrix.priorities`): for row i, j's priority is
-  nnz_i minus j's rank in row i's neighbour order, an integer that is
-  unique within the row, larger for a better neighbour, and 0 for an
-  unstored cell.  The priorities of the same cells are gathered by the
-  same kernel and laid out as a dense items x |P| block of small unsigned
-  integers, C-ordered, so that ``np.partition`` walks each row's cells
-  contiguously (on the column-major block scipy's ``toarray`` returns it
-  took about twice as long).  It finds each
-  row's k-th largest priority t, and a cell is kept when its priority is at
-  least t (a row with fewer than k stored cells has t = 0 and keeps them
-  all).  Priorities are unique, so exactly the first k of the neighbour
-  order survive: no value ties are left to repair.  The other values are
-  multiplied by 0.0.  ``np.bincount`` then adds the cells into the
-  candidates' accumulators, which start at 0.0, in gather order: per
-  candidate, ascending j, as the contract says.  When every row of S holds
-  at most k entries, as on a top-k matrix, there is nothing to select, and
-  neither priorities nor the dense block are built; the cells are summed
-  as gathered.  So on a top-k matrix the two modes add the same addends by
-  two separate code paths, and their equality is observed, not routed.
-  The tests pin both accumulation orders against an in-order oracle.
+* The profiles' columns S[:, P] are gathered, for every user of the chunk
+  at once, by one call of scipy's compiled gather kernel on the CSC arrays
+  (:class:`_ColumnGather`; scipy's Python-level indexing costs more than
+  the gather it wraps): user after user, each user's columns in ascending
+  j, rows ascending within a column.
+* Only profile-topk selects, and only for a user with |P| > k on a matrix
+  with some row of more than k entries (a top-k matrix has none, so there
+  ``recbole`` and ``lenskit-adjusted`` run the same code).  It selects by a
+  per-row neighbour priority (:meth:`knn.SimilarityMatrix.priorities`):
+  for row i, j's priority is nnz_i minus j's rank in row i's neighbour
+  order, an integer that is unique within the row, larger for a better
+  neighbour, and 0 for an unstored cell.  The priorities of the chunk's
+  cells are gathered by the same kernel; each selecting user's own cells
+  are laid out as a dense items x |P| block of small unsigned integers,
+  C-ordered, so that ``np.partition`` walks each row's cells contiguously.
+  It finds each row's k-th largest priority t, and a cell is kept when its
+  priority is at least t (a row with fewer than k stored cells has t = 0
+  and keeps them all).  Priorities are unique, so exactly the first k of
+  the neighbour order survive: no value ties are left to repair.  The
+  other values are multiplied by 0.0.
+* scipy's compiled ``csr_todense`` then adds the cells into a zeroed dense
+  users x items float64 block, each cell into its (user, candidate) slot in
+  array order: per slot, ascending j from 0.0, as the contract says.  The
+  tests pin this order against an in-order oracle for both modes, and CI
+  checks it on scipy itself with a sum whose value depends on the order.
 
 :func:`recommend_all` scores the users it is given, rows of the caller's
-train matrix X, in blocks of ``USER_BLOCK`` rows.  It first checks that
-every item index X holds lies in ``[0, n_items)``: the compiled gathers
-check no bounds, so this is the precondition they rest on, and a bad
-index is a ``ContractError`` in both modes.  X, S and the users share
-one id universe, the one X was built in: the experiment's split shares its
-source dataset's, and the ``recommend`` subcommand's is the train file's
-own, in which ``train`` saved its matrix.  A block's product holds at most
-``USER_BLOCK x n_items`` entries whatever the number of users, so memory
-stays bounded where the whole users x items product (8.8M entries, about
-100 MB, at 1M ratings) would not; no dense users x items array is ever
-built.  The one dense array profile-topk builds is one user's items x |P|
-priority block, 2 bytes a cell up to 65535 items.
+train matrix X whose indices are sorted, as :func:`knn.build_matrix` sorts
+them.  It first checks that every item index X holds lies in
+``[0, n_items)``: the compiled kernels check no bounds, so this is the
+precondition they rest on, and a bad index is a ``ContractError`` in both
+modes.  X, S and the users share one id universe, the one X was built in:
+the experiment's split shares its source dataset's, and the ``recommend``
+subcommand's is the train file's own, in which ``train`` saved its matrix.
+The users are cut into chunks of consecutive users whose gathered cells
+plus dense block cells (users x n_items) stay within ``CHUNK_CELLS``; a
+user whose own cells exceed it is a chunk alone.  A chunk's rows of X are
+sliced by their ``indptr``, not by scipy's row indexing, which costs more
+per call.  A chunk's arrays take about 16 bytes per cell of the budget (a
+dense cell is 8 bytes, and the ranking partitions an 8-byte copy; a
+gathered cell is a value and a row index), whatever the number of users,
+where the whole users x items block (22M cells, about 180 MB, at 1M
+ratings) would not.  Profile-topk's dense priority block is one user's
+items x |P|, 2 bytes a cell up to 65535 items.
 
-Top-N ranks the positive, unseen candidates by :func:`knn.first_k`, the
-same (-value, index) order that ranks a matrix row's neighbours: score
-descending, item ascending, first n.  Only the candidates whose score is at
-least the n-th largest (``np.partition``) are sorted.
+Top-N zeroes each user's seen items in the block and then ranks the whole
+block at once: each row's positive entries in :func:`knn.first_k`'s
+(-value, index) order, score descending, item ascending, first n.  Only the
+entries at or above a row's n-th largest value (``np.partition``) are
+sorted, by one stable ``np.lexsort``.  :func:`score_user` and
+:func:`recommend_topn` are the one-row cases of the same kernel and ranker.
 
 Named presets pair a matrix strategy with a scoring mode:
 
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,14 +90,14 @@ from scipy.sparse import _sparsetools
 
 from .errors import ContractError, SchemaError
 from .ingest import InteractionDataset, check_rows, read_table, write_table
-from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix, first_k
+from .knn import STRATEGY_FULL, STRATEGY_TOPK, SimilarityMatrix
 
 SCORING_SUM_ALL = "sum-all"
 SCORING_PROFILE_TOPK = "profile-topk"
 RECS_HEADER = "user\trank\titem\tscore"
 
-# Evaluated users scored per sparse product; bounds its memory (see above).
-USER_BLOCK = 256
+# Gathered plus dense cells of one chunk of users; bounds its memory (see above).
+CHUNK_CELLS = 2**17
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,9 +147,10 @@ class _ColumnGather:
     ``indptr``, ``indices`` and ``data`` are the arrays of ``m[:, cols]``:
     column after column in the order of ``cols``, rows ascending within a
     column.  :meth:`gather` takes the same cells out of other data laid out
-    like ``m.data``, into the same ``indptr`` and ``indices``, and
-    :meth:`dense` lays gathered data out as the dense
-    ``m.shape[0] x len(cols)`` block, C-ordered, each row contiguous.
+    like ``m.data``, into the same ``indptr`` and ``indices``; :meth:`dense`
+    lays gathered data of a run of the columns out as the dense
+    ``m.shape[0] x columns`` block, C-ordered, each row contiguous; and
+    :meth:`sums` adds the cells of runs of the columns into dense rows.
 
     Private dependency: ``scipy.sparse._sparsetools.csr_row_index`` and
     ``csr_todense``, the kernels behind scipy's own ``m[:, cols]`` and
@@ -176,48 +178,87 @@ class _ColumnGather:
         )
         return out
 
-    def dense(self, data: np.ndarray) -> np.ndarray:
-        """Gathered ``data`` as a dense ``m.shape[0] x len(cols)`` array, C-ordered."""
-        width, height = len(self._cols), self._m.shape[0]
+    def dense(self, data: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Gathered ``data`` of columns ``lo:hi`` as a dense ``m.shape[0] x (hi - lo)`` array.
+
+        The array is C-ordered: each row's cells are contiguous.
+        """
+        width, height = hi - lo, self._m.shape[0]
         out = np.zeros((width, height), dtype=data.dtype)  # the transpose, C-ordered
-        _sparsetools.csr_todense(width, height, self.indptr, self.indices, data, out)
+        _sparsetools.csr_todense(width, height, self.indptr[lo : hi + 1], self.indices, data, out)
         return out.T.copy()
 
+    def sums(self, data: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Row r: the cells of columns ``bounds[r]:bounds[r + 1]`` added into zeroed slots.
 
-def _profile_topk(s: SimilarityMatrix, profile: np.ndarray, k: int, select: bool) -> np.ndarray:
-    """Profile-topk scores of every item for one sorted, unique profile."""
-    gathered = _ColumnGather(s.csc(), profile)  # columns in ascending j
-    rows, vals = gathered.indices, gathered.data
-    width = len(profile)
-    if select and k < width:
-        priorities = gathered.gather(s.priorities().data)  # the same cells, in the same order
-        block = gathered.dense(priorities)
-        block.partition(width - k, axis=1)  # in place: the block is this call's own
-        kth = block[:, width - k]
-        vals = vals * (priorities >= kth.take(rows))  # x * 1.0 and x * 0.0 are exact
-    # Adds the cells in gather order: per candidate, ascending j from 0.0.
-    return np.bincount(rows, weights=vals, minlength=s.n_items)
+        ``csr_todense`` adds each cell into slot ``(r, its row)`` in gather
+        order, so every slot is a left-to-right sum, over the columns in the
+        order of ``cols``, starting from 0.
+        """
+        rows, height = len(bounds) - 1, self._m.shape[0]
+        out = np.zeros((rows, height), dtype=data.dtype)
+        _sparsetools.csr_todense(rows, height, self.indptr[bounds], self.indices, data, out)
+        return out
 
 
-def _score_rows(s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode) -> Iterator[np.ndarray]:
-    """Yield the dense score vector of each row of ``x``, in row order.
+def _selection_k(s: SimilarityMatrix, mode: ScoringMode) -> int | None:
+    """The k that profile-topk selects by on ``s``; None when no row of ``s`` holds more."""
+    if mode.kind == SCORING_PROFILE_TOPK and int(np.diff(s.indptr).max(initial=0)) > mode.k:
+        return mode.k
+    return None
 
-    ``x`` is a binary users x items CSR matrix; its rows are the profiles,
-    sorted by item index.
+
+def _score_chunk(
+    s: SimilarityMatrix, profiles: np.ndarray, bounds: np.ndarray, k: int | None
+) -> np.ndarray:
+    """The dense users x items scores of a chunk of users.
+
+    User r's profile is ``profiles[bounds[r]:bounds[r + 1]]``, sorted and
+    unique; ``k`` is :func:`_selection_k`'s.
     """
-    if mode.kind == SCORING_PROFILE_TOPK:
-        # A matrix whose rows all hold <= k entries leaves nothing to select.
-        select = int(np.diff(s.indptr).max(initial=0)) > mode.k
-        for r in range(x.shape[0]):
-            profile = x.indices[x.indptr[r] : x.indptr[r + 1]]
-            yield _profile_topk(s, profile, mode.k, select)
-        return
-    product = x @ s.csc().T
-    for r in range(x.shape[0]):
-        lo, hi = product.indptr[r], product.indptr[r + 1]
-        scores = np.zeros(s.n_items, dtype=np.float64)
-        scores[product.indices[lo:hi]] = product.data[lo:hi]
-        yield scores
+    gathered = _ColumnGather(s.csc(), profiles)  # user after user, each in ascending j
+    vals, rows = gathered.data, gathered.indices
+    if k is not None:
+        priorities = gathered.gather(s.priorities().data)  # the same cells, in the same order
+        for r in np.flatnonzero(np.diff(bounds) > k).tolist():
+            lo, hi = bounds[r], bounds[r + 1]
+            block = gathered.dense(priorities, lo, hi)  # this user's items x |P|
+            block.partition(hi - lo - k, axis=1)  # in place: the block is this call's own
+            kth = block[:, hi - lo - k]
+            cells = slice(gathered.indptr[lo], gathered.indptr[hi])
+            vals[cells] *= priorities[cells] >= kth.take(rows[cells])  # x * 1.0, x * 0.0: exact
+    return gathered.sums(vals, bounds)
+
+
+def _rank(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's first n positive entries in (-value, column) order.
+
+    Returns ``(sizes, columns, values)``: ``sizes[r]`` entries of row r, row
+    after row.  Only the entries at or above a row's n-th largest value are
+    sorted.
+    """
+    if n < 1:
+        raise ContractError(f"n must be >= 1, got {n}")
+    width = block.shape[1]
+    floor = np.nextafter(0.0, 1.0)  # the smallest positive float: ">= floor" is "> 0.0"
+    if n < width:
+        floor = np.maximum(np.partition(block, width - n, axis=1)[:, width - n], floor)[:, None]
+    at = np.flatnonzero(block >= floor)  # the flat scan is several times a 2-D nonzero's speed
+    rows, cols = np.divmod(at, width)
+    vals = block.ravel()[at]
+    order = np.lexsort((-vals, rows))  # stable: equal values keep ascending column
+    counts = np.bincount(rows, minlength=len(block))
+    keep = order[_ranks(counts) <= n]  # ties at the n-th value may leave a row more
+    return np.minimum(counts, n), cols[keep], vals[keep]
+
+
+def _lists(users: Iterable[int], sizes: np.ndarray, items: np.ndarray, scores: np.ndarray
+           ) -> list[RecommendationList]:
+    """One list per user: ``sizes[r]`` of the (item, score) entries, user after user."""
+    entries = list(zip(items.tolist(), scores.tolist()))
+    ends = np.cumsum(sizes).tolist()
+    return [RecommendationList(user, entries[end - size : end])
+            for user, size, end in zip(users, sizes.tolist(), ends)]
 
 
 def score_user(
@@ -234,10 +275,7 @@ def score_user(
         raise ContractError(
             f"profile indices out of range [0, {s.n_items}): {profile.min()}..{profile.max()}"
         )
-    x = sp.csr_matrix(
-        (np.ones(len(profile)), profile, [0, len(profile)]), shape=(1, s.n_items)
-    )
-    return next(_score_rows(s, x, mode))
+    return _score_chunk(s, profile, np.array([0, len(profile)]), _selection_k(s, mode))[0]
 
 
 def recommend_topn(
@@ -247,18 +285,11 @@ def recommend_topn(
 
     ``seen`` may be any iterable of item indices; an ndarray is used as it is.
     """
-    if n < 1:
-        raise ContractError(f"n must be >= 1, got {n}")
-    candidates = scores > 0.0
+    block = np.array(scores, dtype=np.float64, ndmin=2)  # a copy: ``scores`` stays as it is
     if not isinstance(seen, np.ndarray):
         seen = np.fromiter(seen, dtype=np.int64)
-    candidates[seen] = False
-    (items,) = np.nonzero(candidates)
-    vals = scores[items]
-    order = first_k(vals, n)
-    return RecommendationList(
-        user=user, entries=list(zip(items[order].tolist(), vals[order].tolist()))
-    )
+    block[0, seen] = 0.0
+    return _lists([user], *_rank(block, n))[0]
 
 
 def recommend_all(
@@ -270,26 +301,36 @@ def recommend_all(
     on the universe ``s`` was built in; ``users`` are ascending row indices of
     ``x``.  Each user's row is both the scored profile and the excluded seen
     set.  Lists come back in the order of ``users``, so the output is
-    independent of the block size.
+    independent of the chunk size.
     """
     if s.n_items != x.shape[1]:
         raise ContractError(
             f"matrix has {s.n_items} items but the train matrix has {x.shape[1]}"
         )
-    # The compiled gathers of profile-topk check no bounds: this check is theirs.
+    # The compiled kernels check no bounds: this check is theirs.
     if len(x.indices) and (x.indices.min() < 0 or x.indices.max() >= s.n_items):
         raise ContractError(
             f"the train matrix holds item indices outside [0, {s.n_items}): "
             f"{x.indices.min()}..{x.indices.max()}"
         )
 
+    k = _selection_k(s, mode)
+    starts, ends = x.indptr[users], x.indptr[users + 1]
+    # cost[r]: the gathered cells plus dense cells of users [0, r).
+    cells = np.concatenate(([0], np.cumsum(np.diff(s.csc().indptr)[x.indices])))
+    cost = np.concatenate(([0], np.cumsum(cells[ends] - cells[starts] + s.n_items)))
+    del cells
     out: list[RecommendationList] = []
-    for start in range(0, len(users), USER_BLOCK):
-        block_users = users[start : start + USER_BLOCK]
-        block = x[block_users]
-        for r, scores in enumerate(_score_rows(s, block, mode)):
-            seen = block.indices[block.indptr[r] : block.indptr[r + 1]]
-            out.append(recommend_topn(scores, seen, n, user=int(block_users[r])))
+    lo = 0
+    while lo < len(users):
+        hi = max(int(np.searchsorted(cost, cost[lo] + CHUNK_CELLS, side="right")) - 1, lo + 1)
+        sizes = ends[lo:hi] - starts[lo:hi]
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        profiles = x.indices[np.repeat(starts[lo:hi] - bounds[:-1], sizes) + np.arange(bounds[-1])]
+        block = _score_chunk(s, profiles, bounds, k)
+        block[np.repeat(np.arange(hi - lo), sizes), profiles] = 0.0  # the seen items
+        out += _lists(users[lo:hi].tolist(), *_rank(block, n))
+        lo = hi
     return out
 
 

@@ -124,7 +124,11 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
 
     in_test = np.zeros(ds.n_interactions, dtype=bool)
     in_test[slot[np.arange(ds.n_interactions) - starts[owner] >= n_train[owner]]] = True
-    return SplitPair(ds.take(canonical[~in_test]), ds.take(canonical[in_test]))
+    # Test side first: experiment frees the train side once its matrix is
+    # built, and allocated last, it lies at the top of the heap, from where
+    # the allocator can hand its pages back instead of keeping them resident.
+    test = ds.take(canonical[in_test])
+    return SplitPair(ds.take(canonical[~in_test]), test)
 
 
 def canonical_order(ds: InteractionDataset) -> np.ndarray:

@@ -309,6 +309,13 @@ def in_order_scores(
     return scores
 
 
+def brute_top_n(scores: list[float], seen: set[int], n: int) -> list[tuple[int, float]]:
+    """The first n positive candidates outside ``seen``, by score descending, then item."""
+    candidates = [i for i, v in enumerate(scores) if v > 0.0 and i not in seen]
+    ranked = sorted(candidates, key=lambda i: (-scores[i], i))
+    return [(i, scores[i]) for i in ranked[:n]]
+
+
 def brute_dcg(gains) -> float:
     total = 0.0
     for pos, rel in enumerate(gains, start=1):

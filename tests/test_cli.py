@@ -334,6 +334,9 @@ def _renamed(payload, name, old, new):
          "config.threshold.cutoff is not a number"),
         (lambda p: _config(p, threshold={"cutoff": 3, "mode": "above"}),
          "config.threshold.mode is not 'gt' or 'ge'"),
+        # Written as -Infinity, which Python's json reads and RFC 8259 has not.
+        (lambda p: _config(p, threshold={"cutoff": float("-inf"), "mode": "gt"}),
+         "config.threshold.cutoff is not a number with a finite value"),
         (lambda p: _config(p, column_map={"usr": "uid"}),
          "config.column_map is not null or a dict of strs to strs, its keys among user, item, "
          "rating, timestamp"),
@@ -342,7 +345,8 @@ def _renamed(payload, name, old, new):
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
          "float-n", "ratio-above-one", "int-ratio", "text-ratio", "unknown-format",
          "int-column", "list-column-map", "text-cutoff", "null-cutoff", "unknown-preset",
-         "unknown-idcg-mode", "nan-cutoff", "unknown-threshold-mode", "unknown-column-field"],
+         "unknown-idcg-mode", "nan-cutoff", "unknown-threshold-mode", "infinite-cutoff",
+         "unknown-column-field"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))
@@ -415,6 +419,24 @@ def test_bad_experiment_setting_refused_before_any_work(data_file, tmp_path, cap
     assert run_cli("experiment", *argv, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith("error [experiment] ") and message in err and "[load]" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["flag", "config-file"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "-infinity"])
+def test_infinite_threshold_refused_before_any_work(tmp_path, capsys, where, text):
+    # --threshold=-inf ran, and report.json held "cutoff": -Infinity, which is not JSON.
+    if where == "flag":
+        argv = ["--data", tmp_path / "ghost.inter", f"--threshold={text}"]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data = {tmp_path / 'ghost.inter'}\nthreshold = {text}\n", encoding="utf-8")
+        argv = ["--config", cfg]
+    capsys.readouterr()
+    assert run_cli("experiment", *argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [experiment] ") and "[load]" not in err
+    assert "threshold.cutoff is not a number with a finite value" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -263,6 +263,8 @@ def test_config_validation(ratings_file, tmp_path):
         {"k": 0}, {"n": True}, {"train_ratio": 1}, {"train_ratio": 1.5}, {"format": "tsv"},
         {"column_map": {"usr": "uid"}}, {"column_map": {"user": 7}},
         {"threshold": ImplicitThreshold("3")}, {"threshold": ImplicitThreshold(float("nan"))},
+        {"threshold": ImplicitThreshold(float("-inf"))},
+        {"threshold": ImplicitThreshold(float("inf"))},
         {"seeds": ()}, {"seeds": (21, 21)},
         {"presets": ("mystery",)}, {"idcg_modes": ("bogus",)},
     ],
@@ -280,6 +282,16 @@ def test_report_refuses_what_validate_refuses(ratings_file, tmp_path, overrides)
     message = f"not an experiment report: config.{refused.value}"
     with pytest.raises(SchemaError, match=re.escape(message)):
         load_report(path)
+
+
+def test_report_json_refuses_non_finite_numbers(ratings_file, tmp_path):
+    # json's default writes -Infinity, which RFC 8259 has not: no file is written.
+    payload = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
+    payload = payload.to_json_dict()
+    payload["config"]["threshold"]["cutoff"] = float("-inf")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(payload, ("json",), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_emit_rejects_unknown_format(ratings_file, tmp_path):

@@ -26,6 +26,7 @@ from conftest import (
     as_rows,
     dataset_from_rows,
     oracle_load_interactions,
+    oracle_to_implicit,
     pair_set,
 )
 
@@ -343,6 +344,25 @@ def test_to_implicit_collapses_duplicates_keeping_earliest():
     out = to_implicit(ds, ImplicitThreshold(3, "gt"))
     assert out.n_interactions == 2
     assert as_rows(out) == [("a", "x", 1.0, 2.0), ("a", "y", 1.0, 1.0)]
+
+
+TIE_ROWS = st.lists(st.tuples(
+    st.sampled_from(["a", "b", "c"]), st.sampled_from(["x", "y", "z"]),
+    st.sampled_from([1.0, 3.0, 4.0, 5.0]), st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.0, 1e300]),
+), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=TIE_ROWS,
+       threshold=st.sampled_from([ImplicitThreshold(3, "gt"), ImplicitThreshold(1, "ge")]))
+def test_property_to_implicit_matches_oracle_on_ties(rows, threshold):
+    """Heavy timestamp ties (-0.0 ties with 0.0) and duplicate pairs: the rows,
+    each pair's earliest timestamp (its first row of them on ties) at the
+    pair's first position, and the ids, as the per-row oracle keeps them."""
+    out = to_implicit(make_ds(rows), threshold)
+    want_rows, want_users, want_items = oracle_to_implicit(rows, threshold.passes)
+    assert repr(as_rows(out)) == repr(want_rows)  # repr tells -0.0 from 0.0
+    assert (out.user_ids, out.item_ids) == (want_users, want_items)
 
 
 def test_to_implicit_idempotent_for_admissible_thresholds():

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
 
 from conftest import (
     Interaction,
+    brute_top_n,
     dataset_from_rows,
     in_order_scores,
     item_sets,
@@ -33,7 +35,7 @@ from conftest import (
     recommend_split,
 )
 from test_ingest import FLOATS, IDS
-from test_knn import sim_from_dense, to_dense
+from test_knn import row, sim_from_dense, to_dense
 
 SUM_ALL = ScoringMode("sum-all")
 
@@ -226,12 +228,26 @@ def test_property_column_gather_is_scipy_indexing(data):
     assert got.indptr.tolist() == want.indptr.tolist()
     assert got.indices.tolist() == want.indices.tolist()
     assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
-    block = got.dense(got.data)
+    block = got.dense(got.data, 0, len(cols))
     assert block.flags.c_contiguous and block.dtype == dtype
     assert block.tobytes() == want.toarray().tobytes()
     want_other = sp.csc_matrix((other, m.indices, m.indptr), shape=m.shape)[:, cols]
     assert got.gather(other).tobytes() == want_other.data.tobytes()
     assert got.indices.tolist() == want.indices.tolist()  # gather writes the same rows again
+    lo = data.draw(st.integers(0, len(cols)), label="lo")
+    hi = data.draw(st.integers(lo, len(cols)), label="hi")
+    assert got.dense(got.data, lo, hi).tobytes() == m[:, cols[lo:hi]].toarray().tobytes()
+    if dtype is np.float64:  # sums: runs of columns, each slot added in column order from 0.0
+        bounds = np.array(sorted(data.draw(st.lists(st.integers(0, len(cols)), min_size=1),
+                                           label="bounds")))
+        want_sums = []
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            slots = [0.0] * n_rows
+            for c in cols[a:b].tolist():
+                for i in range(n_rows):
+                    slots[i] += dense[i][c]
+            want_sums.append(slots)
+        assert got.sums(got.data, bounds).tolist() == want_sums
 
 
 def test_scoring_matches_dense_oracle_both_modes():
@@ -253,8 +269,8 @@ def test_scoring_matches_dense_oracle_both_modes():
 
 
 def test_sum_all_adds_in_ascending_j():
-    # (0.1 + 0.2) + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit: the
-    # sparse product must add in ascending j, as the contract says.
+    # (0.1 + 0.2) + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit: both
+    # modes must add in ascending j, as the contract says.
     s = sim_from_dense(
         [[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4], strategy=STRATEGY_TOPK, k=4
     )
@@ -314,34 +330,90 @@ def test_property_profile_topk_tie_heavy(data):
         assert score_user(s, [j], topk_mode(1)).tolist() == [row[j] for row in dense]
 
 
-def per_user_lists(s, pair, mode, n):
-    """Reference for recommend_all: one score_user + recommend_topn per user."""
+def oracle_lists(s, pair, mode, n):
+    """Reference for recommend_all: the in-order oracle's scores and a brute top-N per test user."""
+    dense = to_dense(s)
     profiles = item_sets(pair.train)
-    users = sorted(item_sets(pair.test))
     return [
-        recommend_topn(score_user(s, profiles.get(u, ()), mode), profiles.get(u, ()), n, user=u)
-        for u in users
+        RecommendationList(u, brute_top_n(
+            in_order_scores(dense, profiles.get(u, set()), mode.kind, mode.k),
+            profiles.get(u, set()), n,
+        ))
+        for u in sorted(item_sets(pair.test))
     ]
+
+
+def counting_chunks(mp):
+    """Patch the chunk kernel to record each call's user count; returns that list."""
+    sizes = []
+    kernel = recommend._score_chunk
+
+    def counted(s, profiles, bounds, k):
+        sizes.append(len(bounds) - 1)
+        return kernel(s, profiles, bounds, k)
+
+    mp.setattr(recommend, "_score_chunk", counted)
+    return sizes
 
 
 def test_recommend_all_crosses_user_blocks():
     rng = random.Random(606)
     rows = [
         Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 50)))
-        for u in range(2 * recommend.USER_BLOCK + 37)
+        for u in range(137)
         for i in rng.sample(range(25), rng.randint(5, 12))  # >= 5: one test row
     ]
     pair = split_holdout(dataset_from_rows(rows), SplitConfig(0.8, 7))
-    assert len(set(pair.test.users.tolist())) > 2 * recommend.USER_BLOCK
     s_full = cosine_similarity(build_matrix(pair.train))
     for s in (s_full, truncate_topk(s_full, 3)):
         for mode in (SUM_ALL, topk_mode(3)):
-            assert recommend_split(s, pair, mode, 5) == per_user_lists(s, pair, mode, 5)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recommend, "CHUNK_CELLS", 1000)
+                chunks = counting_chunks(mp)
+                assert recommend_split(s, pair, mode, 5) == oracle_lists(s, pair, mode, 5)
+            assert 2 < len(chunks) < len(np.unique(pair.test.users))  # chunks of several users
+
+
+def test_recommend_all_chunk_edge_cases():
+    """An empty profile, users whose cells alone exceed the budget, and one chunk
+    mixing profiles of at most k and of more than k items under selection."""
+    rng = random.Random(4242)
+    n_items = 12
+    dense = [[0.0 if i == j else rng.choice((0.0, 0.1, 0.3, 0.3, 0.7)) for j in range(n_items)]
+             for i in range(n_items)]
+    dense = [[dense[min(i, j)][max(i, j)] for j in range(n_items)] for i in range(n_items)]
+    s = sim_from_dense(dense)  # full: rows of more than k = 2 entries, so profile-topk selects
+    assert max(len(row(s, i)[0]) for i in range(n_items)) > 2
+    profiles = [[], [3], [1, 5], [0, 2, 4, 6, 8], list(range(n_items)), [7, 9, 11]]
+    indices = np.array([j for p in profiles for j in p], dtype=np.int64)
+    indptr = np.cumsum([0] + [len(p) for p in profiles])
+    x = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(profiles), n_items))
+    users = np.arange(len(profiles))
+    for mode in (SUM_ALL, topk_mode(2)):
+        want = [
+            RecommendationList(u, brute_top_n(
+                in_order_scores(dense, set(profiles[u]), mode.kind, mode.k), set(profiles[u]), 4))
+            for u in users.tolist()
+        ]
+        # Budget s.nnz: user 4 gathers every column, s.nnz cells, so it is a chunk alone.
+        for budget in (1, s.nnz, 2**62):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(recommend, "CHUNK_CELLS", budget)
+                chunks = counting_chunks(mp)
+                assert recommend_all(s, x, mode, 4, users) == want
+            if budget == 1:
+                assert chunks == [1] * len(profiles)
+            elif budget == s.nnz:
+                assert {4, 5} <= set(np.cumsum([0] + chunks).tolist())  # user 4 alone
+            else:
+                assert chunks == [len(profiles)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_property_blocked_kernel_matches_oracles(data):
+    """recommend_all == the in-order oracle and a brute top-N, with the chunk
+    budget at its smallest (a user per chunk), drawn, or huge (one chunk)."""
     n_users = data.draw(st.integers(2, 14), label="n_users")
     n_items = data.draw(st.integers(2, 9), label="n_items")
     cells = data.draw(
@@ -353,8 +425,8 @@ def test_property_blocked_kernel_matches_oracles(data):
         label="cells",
     )
     k = data.draw(st.integers(1, n_items), label="k")
-    n = data.draw(st.integers(1, n_items), label="n")
-    block = data.draw(st.integers(1, 5), label="block")
+    n = data.draw(st.integers(1, n_items + 1), label="n")
+    budget = data.draw(st.sampled_from([1, 2**62]) | st.integers(1, 60), label="budget")
     seed = data.draw(st.integers(0, 999), label="seed")
     ds = dataset_from_rows(
         Interaction(f"u{u}", f"i{i}", 1.0, float(u * i % 7)) for u, i in sorted(cells)
@@ -364,14 +436,43 @@ def test_property_blocked_kernel_matches_oracles(data):
     for s in (s_full, truncate_topk(s_full, k)):
         dense = to_dense(s)
         for mode in (SUM_ALL, topk_mode(k)):
-            want = per_user_lists(s, pair, mode, n)
+            want = oracle_lists(s, pair, mode, n)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(recommend, "USER_BLOCK", block)
+                mp.setattr(recommend, "CHUNK_CELLS", budget)
                 assert recommend_split(s, pair, mode, n) == want
             for profile in item_sets(pair.train).values():
                 assert score_user(s, profile, mode).tolist() == in_order_scores(
                     dense, profile, mode.kind, mode.k
                 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_rank_matches_brute(data):
+    """The block ranker == a brute top-N of every row: tie-heavy rows, all-zero
+    and negative entries, rows with fewer than n positives, n past the width."""
+    rows = data.draw(st.integers(0, 6), label="rows")
+    width = data.draw(st.integers(1, 12), label="width")
+    cells = data.draw(st.lists(st.sampled_from((-0.2, 0.0, 0.0, 0.4, 0.4, 0.9, 5e-324)),
+                               min_size=rows * width, max_size=rows * width))
+    block = np.array(cells, dtype=np.float64).reshape(rows, width)
+    if rows and data.draw(st.booleans(), label="a zero row"):
+        block[0] = 0.0
+    n = data.draw(st.integers(1, width + 2), label="n")
+    sizes, items, scores = recommend._rank(block.copy(), n)
+    want = [brute_top_n(row_values, set(), n) for row_values in block.tolist()]
+    assert sizes.tolist() == [len(entries) for entries in want]
+    assert list(zip(items.tolist(), scores.tolist())) == [e for entries in want for e in entries]
+
+
+def test_csr_todense_adds_repeated_cells_in_array_order():
+    # Scores rest on csr_todense adding cells into their slot in array order:
+    # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit.
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    for cells in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]):
+        out = np.zeros((1, 2))
+        _sparsetools.csr_todense(1, 2, np.array([0, 3]), np.array([1, 1, 1]), np.array(cells), out)
+        assert out.tolist() == [[0.0, (0.0 + cells[0] + cells[1]) + cells[2]]]
 
 
 def run_preset(preset_name, s_full, pair, k, n):
