@@ -3,10 +3,11 @@
 Subcommands: stats, preprocess, split, train, recommend, evaluate,
 experiment, report.  ``experiment`` is the replication path; its flags can
 also come from a key=value config file, with command-line flags taking
-precedence.  Both go through the one parser per setting that
-``_EXPERIMENT_SETTINGS`` names, and a setting given neither way takes
-``ExperimentConfig``'s default.  Exit code is 0 on success, 2 on any tagged
-failure.
+precedence.  Every flag of every subcommand, and every config-file key, goes
+through the one parser per flag that ``_FLAGS`` names.  A flag not given
+takes the default its subcommand lists in ``_COMMANDS``, or else
+``ExperimentConfig``'s default for the keyword it sets.  Exit code is 0 on
+success, 2 on any tagged failure, argparse's own refusals included.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
-    DEFAULT_SEEDS,
     REPORT_FORMATS,
     ExperimentConfig,
     check_formats,
@@ -29,8 +29,6 @@ from .harness import (
     run_experiment,
 )
 from .ingest import (
-    FORMATS,
-    THRESHOLD_MODES,
     ImplicitThreshold,
     load_interactions,
     save_interactions,
@@ -46,21 +44,16 @@ from .knn import (
     save_similarity,
     truncate_topk,
 )
-from .metrics import IDCG_MODES, IDCG_TRUNCATED, report_from_gains, user_gains
+from .metrics import IDCG_MODES, report_from_gains, user_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
 from .split import SplitConfig, save_split, split_holdout
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in _parse_list(text))
-
-
-def _parse_idcg(text: str) -> tuple[str, ...]:
-    return IDCG_MODES if text == "both" else _parse_list(text)
+    """The comma-separated entries of ``text``; ``ValueError`` when it holds none."""
+    if not (parts := tuple(part.strip() for part in text.split(",") if part.strip())):
+        raise ValueError("an empty list")
+    return parts
 
 
 def _parse_column_map(text: str) -> dict[str, str]:
@@ -73,23 +66,36 @@ def _parse_column_map(text: str) -> dict[str, str]:
     return out
 
 
-# Each experiment flag, which is also its config-file key: its text's parser and the
-# keyword it sets (cutoff and mode make the threshold; out and emit are no config field).
-_EXPERIMENT_SETTINGS = {
+# Each flag of every subcommand (an experiment flag is also a config-file key): its
+# text's parser and the keyword it sets (cutoff and mode make the threshold).
+_FLAGS = {
     "data": (str, "data"),
+    "train": (str, "train"),
+    "test": (str, "test"),
+    "recs": (str, "recs"),
+    "matrix": (str, "matrix"),
+    "input": (str, "input"),
     "format": (str, "format"),
     "column-map": (_parse_column_map, "column_map"),
     "threshold": (float, "cutoff"),
     "threshold-mode": (str, "mode"),
     "ratio": (float, "train_ratio"),
-    "seeds": (_parse_seeds, "seeds"),
+    "seeds": (lambda text: tuple(int(s) for s in _parse_list(text)), "seeds"),
+    "strategy": (str, "strategy"),
     "k": (int, "k"),
     "topn": (int, "n"),
     "preset": (_parse_list, "presets"),
-    "idcg": (_parse_idcg, "idcg_modes"),
+    "idcg": (lambda text: IDCG_MODES if text == "both" else _parse_list(text), "idcg_modes"),
     "out": (str, "out"),
     "emit": (lambda text: check_formats(_parse_list(text)), "emit"),
 }
+_CONFIG = ExperimentConfig("", ImplicitThreshold(0))  # the defaults every subcommand shares
+_REQUIRED = object()
+
+
+def _default(flag: str, listed):
+    """A flag's value when not given: the one its subcommand lists, else ``_CONFIG``'s."""
+    return getattr(_CONFIG, _FLAGS[flag][1], None) if listed is None else listed
 
 
 def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
@@ -111,25 +117,18 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _add_data_args(p: argparse.ArgumentParser, flag: str = "--data") -> None:
-    p.add_argument(flag, required=True, help="interaction file path")
-    p.add_argument("--format", default="atomic", choices=FORMATS)
-    p.add_argument("--column-map", type=_parse_column_map, default=None,
-                   help="logical=actual column pairs, e.g. user=uid,item=movie")
-
-
 def _threshold(cutoff: float, mode: str | None) -> ImplicitThreshold:
     """The threshold, with ImplicitThreshold's default mode where none was given."""
     return ImplicitThreshold(cutoff) if mode is None else ImplicitThreshold(cutoff, mode)
 
 
 def _cmd_stats(args) -> int:
-    if args.threshold is None and args.threshold_mode is not None:
+    if args.cutoff is None and args.mode is not None:
         raise ValueError("--threshold-mode needs --threshold")
+    threshold = None if args.cutoff is None else _threshold(args.cutoff, args.mode)
     ds = load_interactions(args.data, args.format, args.column_map)
     payload = {"dataset": Path(args.data).stem, "before": stats(ds).as_dict()}
-    if args.threshold is not None:
-        threshold = _threshold(args.threshold, args.threshold_mode)
+    if threshold is not None:
         payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
     print(json.dumps(payload, indent=2))
@@ -137,8 +136,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
+    threshold = _threshold(args.cutoff, args.mode)
     ds = load_interactions(args.data, args.format, args.column_map)
-    implicit = to_implicit(ds, _threshold(args.threshold, args.threshold_mode))
+    implicit = to_implicit(ds, threshold)
     path = save_interactions(implicit, Path(args.out, f"{Path(args.data).stem}.implicit.inter"))
     print(path)
     return 0
@@ -148,7 +148,7 @@ def _cmd_split(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
     stem = Path(args.data).stem
     for seed in args.seeds:
-        pair = split_holdout(ds, SplitConfig(train_ratio=args.ratio, seed=seed))
+        pair = split_holdout(ds, SplitConfig(train_ratio=args.train_ratio, seed=seed))
         train_path, test_path = save_split(pair, args.out, f"{stem}.seed{seed}")
         print(train_path)
         print(test_path)
@@ -156,6 +156,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.strategy not in (STRATEGY_FULL, STRATEGY_TOPK):
+        raise ValueError(f"bad strategy {args.strategy!r}: not {STRATEGY_FULL} or {STRATEGY_TOPK}")
     ds = load_interactions(args.data, args.format, args.column_map)
     s = cosine_similarity(build_matrix(ds))
     if args.strategy == STRATEGY_TOPK:
@@ -180,7 +182,10 @@ def _codes(ids: list[str], universe: list[str]) -> np.ndarray:
 
 
 def _cmd_recommend(args) -> int:
-    preset = PRESETS[args.preset]
+    name = ",".join(args.presets)  # --preset is a list flag; recommend runs one preset
+    if name not in PRESETS:
+        raise ValueError(f"bad preset {name!r}: not one of {', '.join(sorted(PRESETS))}")
+    preset = PRESETS[name]
     train = load_interactions(args.train, args.format, args.column_map)
     test = _load_test(args)
     # Score in the train file's own universe, the one train saved its matrix in.
@@ -204,16 +209,16 @@ def _cmd_recommend(args) -> int:
         if (s.strategy, s.k) != (preset.matrix_strategy, want_k):
             raise ContractError(
                 f"{args.matrix} is a {s.strategy} matrix with k={s.k or 0}, but preset "
-                f"{args.preset} with --k {args.k} needs a {preset.matrix_strategy} matrix "
+                f"{name} with --k {args.k} needs a {preset.matrix_strategy} matrix "
                 f"with k={want_k or 0}"
             )
     else:
         s = cosine_similarity(x)
         if preset.matrix_strategy == STRATEGY_TOPK:
             s = truncate_topk(s, args.k)
-    recs = recommend_all(s, x, preset.scoring_mode(args.k), args.topn, users)
+    recs = recommend_all(s, x, preset.scoring_mode(args.k), args.n, users)
     path = save_recommendations(
-        recs, train, Path(args.out, f"{Path(args.train).stem}.{args.preset}.recs.tsv")
+        recs, train, Path(args.out, f"{Path(args.train).stem}.{name}.recs.tsv")
     )
     print(path)
     return 0
@@ -233,9 +238,9 @@ def _cmd_evaluate(args) -> int:
     order = np.argsort(rows, kind="stable")  # keeps each list's rank order
     items = _codes(item_ids, test.item_ids)[items[order]]
     sizes = np.bincount(rows, minlength=test.n_users)
-    hits, n_relevant = user_gains(test, np.arange(test.n_users), items, sizes, args.topn)
-    payload = {mode: report_from_gains(test.user_ids, hits, n_relevant, args.topn, mode).as_dict()
-               for mode in args.idcg}
+    hits, n_relevant = user_gains(test, np.arange(test.n_users), items, sizes, args.n)
+    payload = {mode: report_from_gains(test.user_ids, hits, n_relevant, args.n, mode).as_dict()
+               for mode in args.idcg_modes}
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -244,27 +249,11 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> tuple[ExperimentConfig, str, tuple[str, ...]]:
-    """Config, output directory and report formats: flags over config file over defaults."""
-    texts = _read_config_file(args.config, set(_EXPERIMENT_SETTINGS)) if args.config else {}
-    texts.update((flag, text) for flag in _EXPERIMENT_SETTINGS
-                 if (text := getattr(args, flag.replace("-", "_"))) is not None)
-    values = {}
-    for flag, text in texts.items():
-        parse, keyword = _EXPERIMENT_SETTINGS[flag]
-        try:
-            values[keyword] = parse(text)
-        except ValueError as e:
-            raise ValueError(f"bad {flag} {text!r}: {e}") from None
-    if missing := next((flag for flag in ("threshold", "data") if flag not in texts), None):
-        raise ValueError(f"experiment requires --{missing} (or {missing}= in the config file)")
-    out, formats = values.pop("out", "out"), values.pop("emit", REPORT_FORMATS)
-    threshold = _threshold(values.pop("cutoff"), values.pop("mode", None))
-    return ExperimentConfig(threshold=threshold, **values), out, formats
-
-
 def _cmd_experiment(args) -> int:
-    cfg, out, formats = _experiment_config(args)
+    values = vars(args)
+    out, formats = values.pop("out"), values.pop("emit")
+    threshold = _threshold(values.pop("cutoff"), values.pop("mode"))
+    cfg = ExperimentConfig(threshold=threshold, **values)
     result = run_experiment(cfg)
     written = emit_report(result.to_json_dict(), formats, out, result.timings)
     for (preset, seed, mode), rep in result.cells.items():
@@ -284,84 +273,101 @@ def _cmd_report(args) -> int:
     return 0
 
 
+_DATA = {"format": None, "column-map": None}
+# Each subcommand: its handler, its help and its flags, each with the default it takes
+# when not given: _REQUIRED, a value, or None for _default's.
+_COMMANDS = {
+    "stats": (_cmd_stats, "dataset statistics, optionally after thresholding",
+              {"data": _REQUIRED, **_DATA, "threshold": None, "threshold-mode": None}),
+    "preprocess": (_cmd_preprocess, "convert explicit ratings to implicit feedback",
+                   {"data": _REQUIRED, **_DATA, "threshold": _REQUIRED, "threshold-mode": None,
+                    "out": "out"}),
+    "split": (_cmd_split, "seeded per-user holdout split of an implicit dataset",
+              {"data": _REQUIRED, **_DATA, "ratio": None, "seeds": None, "out": "out"}),
+    "train": (_cmd_train, "build and persist an item-item similarity matrix",
+              {"data": _REQUIRED, **_DATA, "strategy": STRATEGY_TOPK, "k": None, "out": "out"}),
+    "recommend": (_cmd_recommend, "emit top-N recommendations for test users",
+                  {"train": _REQUIRED, "test": _REQUIRED, **_DATA, "matrix": None,
+                   "preset": ("recbole",), "k": None, "topn": None, "out": "out"}),
+    "evaluate": (_cmd_evaluate, "score a recommendation dump against a test set",
+                 {"recs": _REQUIRED, "test": _REQUIRED, **_DATA, "topn": None, "idcg": None,
+                  "out": None}),
+    "experiment": (_cmd_experiment, "full preset x seed x IDCG-mode replication run",
+                   {"data": _REQUIRED, **_DATA, "threshold": _REQUIRED, "threshold-mode": None,
+                    "ratio": None, "seeds": None, "k": None, "topn": None, "preset": None,
+                    "idcg": None, "out": "out", "emit": REPORT_FORMATS}),
+    "report": (_cmd_report, "re-emit reports from a stored report.json",
+               {"input": _REQUIRED, "emit": ("csv", "md"), "out": "out"}),
+}
+
+
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """Each flag of ``args.command`` parsed into its keyword: the flag's text over
+    experiment's config file over the flag's default."""
+    flags = _COMMANDS[args.command][2]
+    texts = {flag: text for flag in flags
+             if (text := getattr(args, flag.replace("-", "_"))) is not None}
+    if getattr(args, "config", None):
+        texts = {**_read_config_file(args.config, set(flags)), **texts}
+    values = {}
+    for flag, listed in flags.items():
+        parse, keyword = _FLAGS[flag]
+        if flag not in texts:
+            values[keyword] = _default(flag, listed)
+            continue
+        try:
+            values[keyword] = parse(texts[flag])
+        except ValueError as e:
+            raise ValueError(f"bad {flag} {texts[flag]!r}: {e}") from None
+    if missing := [f for f, listed in flags.items() if listed is _REQUIRED and f not in texts]:
+        where = f" (or {missing[0]}= in the config file)" if args.command == "experiment" else ""
+        raise ValueError(f"{args.command} requires --{missing[0]}{where}")
+    return argparse.Namespace(**values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own refusals (an unknown subcommand, a flag without its value)
+    as one line tagged with the subcommand, where one is known, not as a usage dump."""
+
+    def error(self, message):
+        raise ExperimentError(self.prog.split()[-1], message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="itemknn-bench",
         description="Item-based KNN recommendation with pluggable similarity "
         "strategies, scoring modes, and nDCG semantics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="dataset statistics, optionally after thresholding")
-    _add_data_args(p)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=None)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("preprocess", help="convert explicit ratings to implicit feedback")
-    _add_data_args(p)
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--threshold-mode", choices=THRESHOLD_MODES, default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_preprocess)
-
-    p = sub.add_parser("split", help="seeded per-user holdout split of an implicit dataset")
-    _add_data_args(p)
-    p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--seeds", type=_parse_seeds, default=DEFAULT_SEEDS)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_split)
-
-    p = sub.add_parser("train", help="build and persist an item-item similarity matrix")
-    _add_data_args(p)
-    p.add_argument("--strategy", choices=[STRATEGY_FULL, STRATEGY_TOPK], default=STRATEGY_TOPK)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("recommend", help="emit top-N recommendations for test users")
-    p.add_argument("--train", required=True, help="train interaction file")
-    _add_data_args(p, "--test")
-    p.add_argument("--matrix", default=None, help="previously trained similarity file")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="recbole")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--topn", type=int, default=10)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_recommend)
-
-    p = sub.add_parser("evaluate", help="score a recommendation dump against a test set")
-    p.add_argument("--recs", required=True, help="recommendation dump file")
-    _add_data_args(p, "--test")
-    p.add_argument("--topn", type=int, default=10)
-    p.add_argument("--idcg", type=_parse_idcg, default=(IDCG_TRUNCATED,))
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("experiment", help="full preset x seed x IDCG-mode replication run")
-    p.add_argument("--config", default=None, help="key=value config file")
-    for flag in _EXPERIMENT_SETTINGS:  # text, parsed as a config file's is
-        p.add_argument(f"--{flag}", default=None)
-    p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("report", help="re-emit reports from a stored report.json")
-    p.add_argument("--input", required=True)
-    p.add_argument("--emit", type=_parse_list, default=("csv", "md"))
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_report)
-
+    sub = parser.add_subparsers(dest="command")
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "experiment":
+            p.add_argument("--config", help="key=value file of the other flags; a flag wins")
+        for flag, listed in flags.items():  # text, parsed as a config file's is
+            default = _default(flag, listed)
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            p.add_argument(f"--{flag}", help="required" if default is _REQUIRED
+                           else None if default is None else f"default: {default}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.prog  # until argparse has read the subcommand
     try:
-        return args.func(args)
+        args, unknown = parser.parse_known_args(argv)
+        if (command := args.command) is None:
+            parser.error(f"no subcommand (one of {', '.join(_COMMANDS)})")
+        if unknown:  # argparse hands a subcommand's unknown flags up to the top parser
+            raise ExperimentError(command, f"unrecognized arguments: {' '.join(unknown)}")
+        return _COMMANDS[command][0](_settings(args))
     except ExperimentError as e:
         print(f"error {e}", file=sys.stderr)
         return 2
     except (SchemaError, ContractError, ValueError, OSError, KeyError) as e:
-        print(f"error [{args.command}] {e}", file=sys.stderr)
+        print(f"error [{command}] {e}", file=sys.stderr)
         return 2
 
 

@@ -819,3 +819,87 @@ def test_evaluate_counts_item_absent_from_test_as_miss(tmp_path, capsys):
         brute_ndcg([0, 1], 1, 3, "truncated"), brute_precision([0, 1], 3), brute_recall([0, 1], 1)
     ]
     assert per_user["a"] == [brute_ndcg([1], 2, 3, "truncated"), 1 / 3, 0.5]
+
+
+@pytest.fixture(scope="module")
+def valid_flags(data_file, experiment_out, tmp_path_factory):
+    """Per subcommand, flags it runs with: the toy file, its seed-42 split and a dump."""
+    work = tmp_path_factory.mktemp("flags")
+    implicit, train, test = (work / f"toy.implicit{part}.inter"
+                             for part in ("", ".seed42.train", ".seed42.test"))
+    assert run_cli("preprocess", "--data", data_file, "--threshold", "3", "--out", work) == 0
+    assert run_cli("split", "--data", implicit, "--seeds", "42", "--out", work) == 0
+    assert run_cli("recommend", "--train", train, "--test", test, "--out", work) == 0
+    return {
+        "stats": {"data": implicit},
+        "preprocess": {"data": data_file, "threshold": "3"},
+        "split": {"data": implicit, "seeds": "42"},
+        "train": {"data": train},
+        "recommend": {"train": train, "test": test},
+        "evaluate": {"recs": work / "toy.implicit.seed42.train.recbole.recs.tsv", "test": test},
+        "experiment": {"data": data_file, "threshold": "3"},
+        "report": {"input": experiment_out / "report.json"},
+    }
+
+
+FLAG_REFUSALS = [
+    ("train", {"k": "abc"}, "bad k 'abc'"),
+    ("recommend", {"k": "2.5"}, "bad k '2.5'"),
+    ("evaluate", {"topn": "abc"}, "bad topn 'abc'"),
+    ("experiment", {"topn": "ten"}, "bad topn 'ten'"),
+    ("split", {"seeds": "1,x"}, "bad seeds '1,x'"),
+    ("train", {"strategy": "nope"}, "bad strategy 'nope'"),
+    ("recommend", {"preset": "nope"}, "bad preset 'nope'"),
+    ("recommend", {"preset": "recbole,recbole"}, "bad preset 'recbole,recbole'"),
+    ("evaluate", {"idcg": "nope"}, "unknown IDCG mode 'nope'"),
+    ("experiment", {"idcg": "nope"}, "unknown IDCG mode 'nope'"),
+    ("report", {"emit": "yaml"}, "bad emit 'yaml'"),
+    # An empty list: split wrote nothing, evaluate {} and report no file, all with exit 0.
+    ("split", {"seeds": ","}, "bad seeds ','"),
+    ("evaluate", {"idcg": ""}, "bad idcg ''"),
+    ("recommend", {"preset": ""}, "bad preset ''"),
+    ("experiment", {"emit": ""}, "bad emit ''"),
+    ("experiment", {"preset": ","}, "bad preset ','"),
+    ("report", {"emit": " , "}, "bad emit ' , '"),
+    ("stats", {"data": None}, "stats requires --data"),
+    ("preprocess", {"threshold": None}, "preprocess requires --threshold"),
+    ("split", {"data": None}, "split requires --data"),
+    ("train", {"data": None}, "train requires --data"),
+    ("recommend", {"test": None}, "recommend requires --test"),
+    ("evaluate", {"recs": None}, "evaluate requires --recs"),
+    ("experiment", {"data": None}, "experiment requires --data"),
+    ("report", {"input": None}, "report requires --input"),
+    # argparse takes -inf for an option, so --threshold has no value.
+    ("stats", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
+    ("preprocess", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
+    ("experiment", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
+] + [(command, {"bogus": "1"}, "unrecognized arguments: --bogus 1") for command in (
+    "stats", "preprocess", "split", "train", "recommend", "evaluate", "experiment", "report")]
+
+
+@pytest.mark.parametrize("command, change, message", FLAG_REFUSALS,
+                         ids=[f"{c}-{m}" for c, _, m in FLAG_REFUSALS])
+def test_every_flag_refusal_is_one_tagged_line(valid_flags, tmp_path, capsys, command, change,
+                                               message):
+    # Each was argparse's untagged usage dump, or (an empty list) an exit 0 without the work.
+    flags = {**valid_flags[command], **change, "out": tmp_path / "out"}
+    if command == "stats":
+        del flags["out"]
+    argv = [x for flag, value in flags.items() if value is not None for x in (f"--{flag}", value)]
+    capsys.readouterr()
+    assert run_cli(command, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error [{command}] ") and captured.err.count("\n") == 1
+    assert message in captured.err and "[load]" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "error [itemknn-bench] no subcommand"),
+    (["nope"], "error [itemknn-bench] argument command: invalid choice: 'nope'"),
+])
+def test_subcommand_refusal_is_one_tagged_line(capsys, argv, message):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
