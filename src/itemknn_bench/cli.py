@@ -4,7 +4,8 @@ Subcommands: stats, preprocess, split, train, recommend, evaluate,
 experiment, report.  ``experiment`` is the replication path; its flags can
 also come from a key=value config file, with command-line flags taking
 precedence.  Every flag of every subcommand, and every config-file key, goes
-through the one parser per flag that ``_FLAGS`` names.  A flag not given
+through the one parser per flag that ``_FLAGS`` names, and every given value
+through experiment's one config check before any work.  A flag not given
 takes the default its subcommand lists in ``_COMMANDS``, or else
 ``ExperimentConfig``'s default for the keyword it sets.  Exit code is 0 on
 success, 2 on any tagged failure, argparse's own refusals included.
@@ -23,6 +24,7 @@ from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
     REPORT_FORMATS,
     ExperimentConfig,
+    _config_fault,
     check_formats,
     emit_report,
     load_report,
@@ -59,10 +61,12 @@ def _parse_list(text: str) -> tuple[str, ...]:
 def _parse_column_map(text: str) -> dict[str, str]:
     out = {}
     for pair in _parse_list(text):
-        key, _, value = pair.partition("=")
+        key, _, value = (part.strip() for part in pair.partition("="))
         if not value:
             raise ValueError(f"entry {pair!r} is not field=column")
-        out[key.strip()] = value.strip()
+        if key in out:
+            raise ValueError(f"field {key!r} is mapped twice")
+        out[key] = value
     return out
 
 
@@ -107,7 +111,7 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
             continue
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise ValueError(f"{path}: bad config line {raw!r} (want key=value)")
+            raise ValueError(f"{path}: line {line_no}: bad config line {raw!r} (want key=value)")
         if key not in keys:
             raise ValueError(f"{path}: line {line_no}: unknown key {key!r} "
                              f"(known: {', '.join(sorted(keys))})")
@@ -117,18 +121,10 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
     return values
 
 
-def _threshold(cutoff: float, mode: str | None) -> ImplicitThreshold:
-    """The threshold, with ImplicitThreshold's default mode where none was given."""
-    return ImplicitThreshold(cutoff) if mode is None else ImplicitThreshold(cutoff, mode)
-
-
 def _cmd_stats(args) -> int:
-    if args.cutoff is None and args.mode is not None:
-        raise ValueError("--threshold-mode needs --threshold")
-    threshold = None if args.cutoff is None else _threshold(args.cutoff, args.mode)
     ds = load_interactions(args.data, args.format, args.column_map)
     payload = {"dataset": Path(args.data).stem, "before": stats(ds).as_dict()}
-    if threshold is not None:
+    if (threshold := args.threshold) is not None:
         payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
     print(json.dumps(payload, indent=2))
@@ -136,9 +132,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    threshold = _threshold(args.cutoff, args.mode)
     ds = load_interactions(args.data, args.format, args.column_map)
-    implicit = to_implicit(ds, threshold)
+    implicit = to_implicit(ds, args.threshold)
     path = save_interactions(implicit, Path(args.out, f"{Path(args.data).stem}.implicit.inter"))
     print(path)
     return 0
@@ -182,9 +177,9 @@ def _codes(ids: list[str], universe: list[str]) -> np.ndarray:
 
 
 def _cmd_recommend(args) -> int:
-    name = ",".join(args.presets)  # --preset is a list flag; recommend runs one preset
-    if name not in PRESETS:
-        raise ValueError(f"bad preset {name!r}: not one of {', '.join(sorted(PRESETS))}")
+    if len(args.presets) != 1:  # --preset is a list flag of known presets
+        raise ValueError(f"bad preset {','.join(args.presets)!r}: recommend runs one preset")
+    name = args.presets[0]
     preset = PRESETS[name]
     train = load_interactions(args.train, args.format, args.column_map)
     test = _load_test(args)
@@ -252,8 +247,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_experiment(args) -> int:
     values = vars(args)
     out, formats = values.pop("out"), values.pop("emit")
-    threshold = _threshold(values.pop("cutoff"), values.pop("mode"))
-    cfg = ExperimentConfig(threshold=threshold, **values)
+    cfg = ExperimentConfig(**values)
     result = run_experiment(cfg)
     written = emit_report(result.to_json_dict(), formats, out, result.timings)
     for (preset, seed, mode), rep in result.cells.items():
@@ -303,7 +297,8 @@ _COMMANDS = {
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:
     """Each flag of ``args.command`` parsed into its keyword: the flag's text over
-    experiment's config file over the flag's default."""
+    experiment's config file over the flag's default.  Every given value then passes
+    experiment's config check, so a bad one is refused as ``bad <flag> '<text>': ...``."""
     flags = _COMMANDS[args.command][2]
     texts = {flag: text for flag in flags
              if (text := getattr(args, flag.replace("-", "_"))) is not None}
@@ -322,6 +317,21 @@ def _settings(args: argparse.Namespace) -> argparse.Namespace:
     if missing := [f for f, listed in flags.items() if listed is _REQUIRED and f not in texts]:
         where = f" (or {missing[0]}= in the config file)" if args.command == "experiment" else ""
         raise ValueError(f"{args.command} requires --{missing[0]}{where}")
+    if "threshold-mode" in texts and "threshold" not in texts:
+        raise ValueError("--threshold-mode needs --threshold")
+    # Every given value by experiment's config rules, before the handler reads a file; data
+    # stays out, as recommend, evaluate and report take none.
+    given = {_FLAGS[flag][1]: values[_FLAGS[flag][1]] for flag in texts if flag != "data"}
+    cfg = {**_CONFIG.as_dict(), **{key: list(v) if isinstance(v, tuple) else v
+                                   for key, v in given.items()}}
+    threshold = cfg["threshold"]
+    threshold.update({key: given[key] for key in ("cutoff", "mode") if key in given})
+    if "threshold" in flags:  # cutoff and mode make one threshold (None for stats without)
+        del values["cutoff"], values["mode"]
+        values["threshold"] = ImplicitThreshold(**threshold) if "threshold" in texts else None
+    if fault := _config_fault(cfg):  # its first word names the field: a flag's keyword
+        flag = next(f for f in texts if _FLAGS[f][1] == fault.split()[0].rpartition(".")[2])
+        raise ValueError(f"bad {flag} {texts[flag]!r}: {fault}")
     return argparse.Namespace(**values)
 
 

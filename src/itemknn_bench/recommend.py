@@ -283,11 +283,15 @@ def recommend_topn(
 ) -> RecommendationList:
     """Top-n unseen positively scored items, by score descending then item ascending.
 
-    ``seen`` may be any iterable of item indices; an ndarray is used as it is.
+    ``seen`` may be any iterable of item indices in ``[0, len(scores))``; an
+    ndarray is used as it is.
     """
     block = np.array(scores, dtype=np.float64, ndmin=2)  # a copy: ``scores`` stays as it is
     if not isinstance(seen, np.ndarray):
         seen = np.fromiter(seen, dtype=np.int64)
+    if len(seen) and (seen.min() < 0 or seen.max() >= block.shape[1]):
+        raise ContractError(f"seen indices out of range [0, {block.shape[1]}): "
+                            f"{seen.min()}..{seen.max()}")
     block[0, seen] = 0.0
     return _lists([user], *_rank(block, n))[0]
 

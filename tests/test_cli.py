@@ -400,6 +400,8 @@ def test_unknown_report_format_refused_before_any_work(data_file, experiment_out
         ("threshold", "high", "bad threshold 'high'"),
         ("threshold", "nan", "threshold.cutoff is not a number"),
         ("preset", "mystery", "unknown preset 'mystery'"),
+        ("column-map", "user=u,user=uid", "bad column-map 'user=u,user=uid': field 'user' is "
+         "mapped twice"),
     ],
 )
 def test_bad_experiment_setting_refused_before_any_work(data_file, tmp_path, capsys, where,
@@ -473,6 +475,7 @@ def test_experiment_config_file_and_precedence(data_file, tmp_path, capsys):
         ("column_map = user=u", "unknown key 'column_map'"),
         ("config = x", "unknown key 'config'"),
         ("threshold = 4", "key 'threshold' is repeated"),
+        ("not a line", "bad config line 'not a line' (want key=value)"),
     ],
 )
 def test_experiment_config_file_refuses_bad_key(data_file, tmp_path, capsys, line, message):
@@ -873,6 +876,26 @@ FLAG_REFUSALS = [
     ("stats", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
     ("preprocess", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
     ("experiment", {"threshold": "-inf"}, "argument --threshold: expected one argument"),
+    # Each value below passed, or was refused only after the load (or the cosine), in the
+    # library's own words; experiment's config check now refuses it first, for every subcommand.
+    ("stats", {"threshold": "inf"}, "bad threshold 'inf': threshold.cutoff is not a number"),
+    ("preprocess", {"threshold": "nan"}, "bad threshold 'nan': threshold.cutoff is not a number"),
+    ("split", {"seeds": "1,1"}, "bad seeds '1,1': seeds is not a non-empty list of distinct"),
+    ("evaluate", {"idcg": "truncated,truncated"},
+     "bad idcg 'truncated,truncated': idcg_modes is not a non-empty list of distinct"),
+    ("stats", {"column-map": "bogus=x"}, "bad column-map 'bogus=x': column_map is not"),
+    ("recommend", {"column-map": "bogus=x"}, "bad column-map 'bogus=x': column_map is not"),
+    ("train", {"k": "0"}, "bad k '0': k is not an int >= 1"),
+    ("train", {"strategy": "full", "k": "0"}, "bad k '0': k is not an int"),
+    ("recommend", {"topn": "0"}, "bad topn '0': n is not an int >= 1"),
+    ("recommend", {"k": "0", "preset": "lenskit-original"}, "bad k '0': k is not an int >= 1"),
+    ("evaluate", {"topn": "0"}, "bad topn '0': n is not an int >= 1"),
+    ("split", {"ratio": "1.5"}, "bad ratio '1.5': train_ratio is not a float in (0, 1]"),
+    # The last entry for a field silently won, and experiment stored it in report.json.
+    ("stats", {"column-map": "user=bogus,user=user_id"},
+     "bad column-map 'user=bogus,user=user_id': field 'user' is mapped twice"),
+    ("experiment", {"column-map": "user=bogus,user=user_id"},
+     "bad column-map 'user=bogus,user=user_id': field 'user' is mapped twice"),
 ] + [(command, {"bogus": "1"}, "unrecognized arguments: --bogus 1") for command in (
     "stats", "preprocess", "split", "train", "recommend", "evaluate", "experiment", "report")]
 

@@ -102,6 +102,13 @@ def test_recommend_topn_excludes_seen():
     assert rl.entries == [(1, 0.4)]
 
 
+@pytest.mark.parametrize("seen", [[-1], [3], np.array([0, 3]), np.array([-2, 1], dtype=np.int32)])
+def test_recommend_topn_rejects_seen_out_of_range(seen):
+    # seen=[-1] silently dropped the last item; seen=[3] raised an untagged IndexError.
+    with pytest.raises(ContractError, match=r"seen indices out of range \[0, 3\)"):
+        recommend_topn(np.array([0.9, 0.4, 0.2]), seen=seen, n=10)
+
+
 def test_recommend_topn_tie_breaks_by_index():
     rl = recommend_topn(np.array([0.5, 0.5]), seen=[], n=1)
     assert rl.entries == [(0, 0.5)]
