@@ -2,12 +2,7 @@
 scoring modes, and nDCG semantics, plus a deterministic experiment harness."""
 
 from .errors import ContractError, ExperimentError, RowParseError, SchemaError
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    emit_report,
-    run_experiment,
-)
+from .harness import ExperimentConfig, emit_report, run_experiment
 from .ingest import (
     DatasetStats,
     ImplicitThreshold,

@@ -24,6 +24,7 @@ from .errors import ContractError, ExperimentError, SchemaError
 from .harness import (
     REPORT_FORMATS,
     ExperimentConfig,
+    _canonical_json,
     _config_fault,
     check_formats,
     emit_report,
@@ -236,11 +237,11 @@ def _cmd_evaluate(args) -> int:
     hits, n_relevant = user_gains(test, np.arange(test.n_users), items, sizes, args.n)
     payload = {mode: report_from_gains(test.user_ids, hits, n_relevant, args.n, mode).as_dict()
                for mode in args.idcg_modes}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
+    text = _canonical_json(payload)
+    print(text.decode("utf-8"), end="")
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        Path(args.out, "evaluation.json").write_text(text + "\n", encoding="utf-8")
+        Path(args.out, "evaluation.json").write_bytes(text)
     return 0
 
 
@@ -248,14 +249,16 @@ def _cmd_experiment(args) -> int:
     values = vars(args)
     out, formats = values.pop("out"), values.pop("emit")
     cfg = ExperimentConfig(**values)
-    result = run_experiment(cfg)
-    written = emit_report(result.to_json_dict(), formats, out, result.timings)
-    for (preset, seed, mode), rep in result.cells.items():
-        print(
-            f"{cfg.dataset} preset={preset} seed={seed} idcg={mode} "
-            f"nDCG@{cfg.n}={rep.mean_ndcg:.4f} precision={rep.mean_precision:.4f} "
-            f"recall={rep.mean_recall:.4f}"
-        )
+    payload, timings = run_experiment(cfg)
+    written = emit_report(payload, formats, out, timings)
+    for seed in cfg.seeds:
+        for preset in cfg.presets:
+            for mode, rep in payload["results"][preset][str(seed)].items():
+                print(
+                    f"{cfg.dataset} preset={preset} seed={seed} idcg={mode} "
+                    f"nDCG@{cfg.n}={rep['mean_ndcg']:.4f} "
+                    f"precision={rep['mean_precision']:.4f} recall={rep['mean_recall']:.4f}"
+                )
     for path in written:
         print(path)
     return 0

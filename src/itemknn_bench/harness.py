@@ -23,7 +23,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,27 +78,6 @@ class ExperimentConfig:
                 **{key: list(fields[key]) for key in ("seeds", "presets", "idcg_modes")}}
 
 
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    stats_before: DatasetStats
-    stats_after: DatasetStats
-    cells: dict[tuple[str, int, str], MetricReport]
-    timings: dict[str, float] = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        """The deterministic content of ``report.json``; timings deliberately excluded."""
-        results: dict = {}
-        for (preset, seed, mode), rep in self.cells.items():
-            results.setdefault(preset, {}).setdefault(str(seed), {})[mode] = rep.as_dict()
-        return {
-            "config": self.config.as_dict(),
-            "stats_before": self.stats_before.as_dict(),
-            "stats_after": self.stats_after.as_dict(),
-            "results": results,
-        }
-
-
 def _config_fault(cfg: dict) -> str | None:
     """What, in ``cfg`` as :meth:`ExperimentConfig.as_dict` lays it out, no experiment runs with."""
     columns, threshold, ratio = cfg["column_map"], cfg["threshold"], cfg["train_ratio"]
@@ -116,18 +95,20 @@ def _config_fault(cfg: dict) -> str | None:
         ("threshold.cutoff", type(threshold["cutoff"]) in (int, float)
          and -math.inf < threshold["cutoff"] < math.inf, "a number with a finite value"),
         ("train_ratio", type(ratio) is float and 0.0 < ratio <= 1.0, "a float in (0, 1]"),
-        ("k", type(cfg["k"]) is int and cfg["k"] >= 1, "an int >= 1"),
-        ("n", type(cfg["n"]) is int and cfg["n"] >= 1, "an int >= 1"),
+        # k and n meet int32 row lengths and size arrays; a seed is 64 bits, and
+        # seeds equal mod 2**64 would run one split under two names.
+        ("k", type(cfg["k"]) is int and 1 <= cfg["k"] < 2**31, "an int >= 1 and < 2**31"),
+        ("n", type(cfg["n"]) is int and 1 <= cfg["n"] < 2**31, "an int >= 1 and < 2**31"),
     ):
         if not ok:
             return f"{name} is not {what}"
-    for name, kind, one, many, known in (
-        ("seeds", int, "seed", "ints", None),
-        ("presets", str, "preset", "presets", PRESETS),
-        ("idcg_modes", str, "IDCG mode", "IDCG modes", IDCG_MODES),
+    for name, valid, one, many, known in (
+        ("seeds", lambda v: type(v) is int and 0 <= v < 2**64, "seed", "ints in [0, 2**64)", None),
+        ("presets", lambda v: type(v) is str, "preset", "presets", PRESETS),
+        ("idcg_modes", lambda v: type(v) is str, "IDCG mode", "IDCG modes", IDCG_MODES),
     ):
         values, fault = cfg[name], f"{name} is not a non-empty list of distinct {many}"
-        if not (isinstance(values, list) and values and all(type(v) is kind for v in values)):
+        if not (isinstance(values, list) and values and all(map(valid, values))):
             return fault  # before set() hashes them
         if len(set(values)) < len(values):
             repeated = next(v for v in values if values.count(v) > 1)
@@ -141,7 +122,7 @@ def load_report(path: str | Path) -> dict:
     """The payload of a stored ``report.json``, as :func:`emit_report` takes it.
 
     Raises ``SchemaError`` unless the file is JSON laid out as
-    :meth:`ExperimentResult.to_json_dict` lays it out: each dict holds
+    :func:`run_experiment`'s payload: each dict holds
     exactly its keys, the config is one that :meth:`ExperimentConfig.validate`
     accepts, and every cell's means are floats.  So each report format
     renders, into its output directory, what an experiment could have written.
@@ -167,7 +148,7 @@ def load_report(path: str | Path) -> dict:
     keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
     if fault := _config_fault(cfg):
         fail(f"config.{fault}")
-    cell_keys = MetricReport(1, IDCG_TRUNCATED).as_dict()
+    cell_keys = MetricReport(1, IDCG_TRUNCATED, {}, 0.0, 0.0, 0.0).as_dict()
     for preset, by_seed in keyed(payload["results"], cfg["presets"], "results").items():
         for seed, by_mode in keyed(by_seed, map(str, cfg["seeds"]), f"results.{preset}").items():
             for mode, rep in keyed(by_mode, cfg["idcg_modes"], f"results.{preset}.{seed}").items():
@@ -190,8 +171,9 @@ def _phase(name: str, timings: dict[str, float]):
         timings[name] = timings.get(name, 0.0) + (time.perf_counter() - start)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full preset x seed x IDCG-mode grid for one dataset."""
+def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, float]]:
+    """Run the full preset x seed x IDCG-mode grid for one dataset; returns the
+    ``report.json`` payload, as :func:`load_report` returns it, and the seconds per phase."""
     cfg.validate()
     timings: dict[str, float] = {}
 
@@ -210,13 +192,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
         stats_after = stats(implicit)
 
-    cells: dict[tuple[str, int, str], MetricReport] = {}
+    results: dict = {preset: {} for preset in cfg.presets}
     for seed in cfg.seeds:
-        _run_seed(cfg, implicit, seed, cells, timings)
-    return ExperimentResult(cfg, stats_before, stats_after, cells, timings)
+        _run_seed(cfg, implicit, seed, results, timings)
+    return {"config": cfg.as_dict(), "stats_before": stats_before.as_dict(),
+            "stats_after": stats_after.as_dict(), "results": results}, timings
 
 
-def _run_seed(cfg, implicit, seed, cells, timings) -> None:
+def _run_seed(cfg, implicit, seed, results, timings) -> None:
     """One seed's split, matrices and evaluations, freed when it returns.
 
     The train side goes once its matrix is built: the cosine and the
@@ -247,10 +230,10 @@ def _run_seed(cfg, implicit, seed, cells, timings) -> None:
         with _phase("recommend", timings):
             recs = recommend_all(s, x, preset.scoring_mode(cfg.k), cfg.n, users)
         with _phase("evaluate", timings):
-            for mode in cfg.idcg_modes:
-                cells[(preset_name, seed, mode)] = evaluate(
-                    recs, test, cfg.n, mode, preset=preset_name, seed=seed
-                )
+            results[preset_name][str(seed)] = {
+                mode: evaluate(recs, test, cfg.n, mode, preset=preset_name, seed=seed).as_dict()
+                for mode in cfg.idcg_modes
+            }
 
 
 def _canonical_json(payload: dict) -> bytearray:
@@ -306,8 +289,8 @@ def emit_report(
 ) -> list[Path]:
     """Write the requested report files from a ``report.json`` payload; returns their paths.
 
-    ``payload`` is :meth:`ExperimentResult.to_json_dict`'s, or a stored
-    ``report.json`` read back.  ``json`` emits the canonical ``report.json``,
+    ``payload`` is :func:`run_experiment`'s, or a stored ``report.json``
+    read back.  ``json`` emits the canonical ``report.json``,
     plus ``timings.json`` when ``timings`` are given (they vary run to run);
     ``csv`` emits ``report.csv`` and the per-dataset figure-data file; ``md``
     emits the seed-column table.  Every text is rendered before the first

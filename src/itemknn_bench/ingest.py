@@ -325,7 +325,8 @@ def load_interactions(
     ``column_map`` maps the logical fields ``user``, ``item``, ``rating``,
     ``timestamp`` to actual column names; unmapped fields use the defaults
     (``user_id``, ``item_id``, ``rating``, ``timestamp``).  A missing
-    timestamp column yields timestamp 0.0 for every row.
+    default timestamp column yields timestamp 0.0 for every row; a column
+    that ``column_map`` names must exist.
 
     Raises ``FileNotFoundError``, ``SchemaError`` for a missing or twice
     mapped column, and the row faults of :func:`read_table`.
@@ -341,7 +342,7 @@ def load_interactions(
         spec = [None] * (line.count(sep) + 1)
         for logical, kind in zip(("user", "item", "rating", "timestamp"), (str, str, float, float)):
             c = pos.get(name := columns[logical])
-            if c is None and logical != "timestamp":
+            if c is None and (logical != "timestamp" or logical in (column_map or {})):
                 raise SchemaError(f"{path}: missing column {name!r} (for {logical!r})")
             if c is not None:
                 if spec[c]:

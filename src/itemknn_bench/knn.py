@@ -129,8 +129,8 @@ def first_k(values: np.ndarray, k: int) -> np.ndarray:
 
     Larger values come first, and among equal values the smaller position;
     the positions come back in that order, ``min(k, len(values))`` of them
-    (k >= 0).  This is the one (-value, index) order of the package: matrix
-    rows rank their neighbours by it, and top-N lists their candidates.
+    (k >= 0).  Matrix rows rank their neighbours by it; top-N lists rank
+    their candidates in the same order through ``recommend._rank``.
     When k is below the length, ``np.partition`` finds the k-th largest
     value and only the entries at or above it, ties included, are sorted;
     the sort is stable, so equal values keep ascending position.

@@ -17,7 +17,7 @@ and :func:`report_from_gains`, which work on all lists at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,18 +37,18 @@ class UserMetrics(NamedTuple):
     recall: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricReport:
     """Per-user and mean metric values under one declared configuration."""
 
     n: int
     idcg_mode: str
+    per_user: dict[str, UserMetrics]
+    mean_ndcg: float
+    mean_precision: float
+    mean_recall: float
     preset: str | None = None
     seed: int | None = None
-    per_user: dict[str, UserMetrics] = field(default_factory=dict)
-    mean_ndcg: float = 0.0
-    mean_precision: float = 0.0
-    mean_recall: float = 0.0
 
     @property
     def n_users(self) -> int:
@@ -64,7 +64,7 @@ class MetricReport:
             "mean_precision": self.mean_precision,
             "mean_recall": self.mean_recall,
             "n_users": self.n_users,
-            "per_user": {u: list(m) for u, m in self.per_user.items()},
+            "per_user": self.per_user,
         }
 
 
@@ -104,15 +104,22 @@ def user_gains(
 
 
 def report_from_gains(
-    users: Sequence[str], hits: np.ndarray, n_relevant: np.ndarray, n: int, mode: str
+    users: Sequence[str],
+    hits: np.ndarray,
+    n_relevant: np.ndarray,
+    n: int,
+    mode: str,
+    preset: str | None = None,
+    seed: int | None = None,
 ) -> MetricReport:
     """Assemble a report from the :func:`user_gains` arrays of the named users.
 
     DCG is the last column of a row-wise ``np.cumsum`` of the hits times the
     discounts ``1 / log2(i + 1)``, and IDCG a prefix of the discounts'
     cumsum: both add left to right from 0.0, as the series reads.  Means are
-    arithmetic means over exactly the evaluated users, computed with exact
-    summation so they are independent of user order.
+    arithmetic means over the report's own per-user entries (a repeated name
+    keeps its last row; no entries give 0.0), computed with exact summation
+    so they are independent of user order.
     """
     if mode not in IDCG_MODES:
         raise ValueError(f"unknown IDCG mode {mode!r} (expected one of {IDCG_MODES})")
@@ -130,15 +137,12 @@ def report_from_gains(
     # so that the next seed's cosine reuses this memory: otherwise paper-grid's
     # peak RSS rose by 1-2 MB.
     del dcg, ideal, n_hits, ndcg, precision, recall
-    report = MetricReport(n=n, idcg_mode=mode)
-    report.per_user = {user: UserMetrics(*row) for user, row in zip(users, rows)}
-    if report.per_user:
-        count = len(report.per_user)
-        values = report.per_user.values()
-        report.mean_ndcg = math.fsum(m.ndcg for m in values) / count
-        report.mean_precision = math.fsum(m.precision for m in values) / count
-        report.mean_recall = math.fsum(m.recall for m in values) / count
-    return report
+    per_user = {user: UserMetrics(*row) for user, row in zip(users, rows)}
+
+    def mean(field: int) -> float:
+        return math.fsum(m[field] for m in per_user.values()) / max(len(per_user), 1)
+
+    return MetricReport(n, mode, per_user, mean(0), mean(1), mean(2), preset, seed)
 
 
 def evaluate(
@@ -158,7 +162,4 @@ def evaluate(
     sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
     hits, n_relevant = user_gains(test, users, items, sizes, n)
     names = [test.user_ids[user] for user in users.tolist()]
-    report = report_from_gains(names, hits, n_relevant, n, mode)
-    report.preset = preset
-    report.seed = seed
-    return report
+    return report_from_gains(names, hits, n_relevant, n, mode, preset, seed)

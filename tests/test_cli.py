@@ -286,6 +286,9 @@ def _renamed(payload, name, old, new):
     results = payload["results"]
     if name == "presets":
         results = {new if p == old else p: by_seed for p, by_seed in results.items()}
+    elif name == "seeds":
+        results = {p: {str(new) if s == str(old) else s: by_mode for s, by_mode in by_seed.items()}
+                   for p, by_seed in results.items()}
     else:
         results = {p: {s: {new if m == old else m: c for m, c in by_mode.items()}
                        for s, by_mode in by_seed.items()} for p, by_seed in results.items()}
@@ -340,13 +343,21 @@ def _renamed(payload, name, old, new):
         (lambda p: _config(p, column_map={"usr": "uid"}),
          "config.column_map is not null or a dict of strs to strs, its keys among user, item, "
          "rating, timestamp"),
+        # Each of these rendered a k, n or seed no run can use: an OverflowError, or a seed
+        # that runs the split of the seed it equals mod 2**64.
+        (lambda p: _config(p, k=2**31), "config.k is not an int >= 1 and < 2**31"),
+        (lambda p: _config(p, n=2**63), "config.n is not an int >= 1 and < 2**31"),
+        (lambda p: _renamed(p, "seeds", 42, 2**64 + 42),
+         "config.seeds is not a non-empty list of distinct ints in [0, 2**64)"),
+        (lambda p: _renamed(p, "seeds", 21, -1),
+         "config.seeds is not a non-empty list of distinct ints in [0, 2**64)"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
          "float-n", "ratio-above-one", "int-ratio", "text-ratio", "unknown-format",
          "int-column", "list-column-map", "text-cutoff", "null-cutoff", "unknown-preset",
          "unknown-idcg-mode", "nan-cutoff", "unknown-threshold-mode", "infinite-cutoff",
-         "unknown-column-field"],
+         "unknown-column-field", "huge-k", "huge-n", "seed-above-64-bits", "negative-seed"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))
@@ -891,6 +902,18 @@ FLAG_REFUSALS = [
     ("recommend", {"k": "0", "preset": "lenskit-original"}, "bad k '0': k is not an int >= 1"),
     ("evaluate", {"topn": "0"}, "bad topn '0': n is not an int >= 1"),
     ("split", {"ratio": "1.5"}, "bad ratio '1.5': train_ratio is not a float in (0, 1]"),
+    # OverflowError tracebacks, refusals after load, split and cosine in numpy's words, and
+    # seeds equal mod 2**64 that ran one split under several names.
+    ("train", {"k": "2147483648"}, "bad k '2147483648': k is not an int >= 1 and < 2**31"),
+    ("experiment", {"k": "100000000000000000000"}, "k is not an int >= 1 and < 2**31"),
+    ("recommend", {"topn": "9223372036854775808"}, "n is not an int >= 1 and < 2**31"),
+    ("evaluate", {"topn": "100000000000000000000"}, "n is not an int >= 1 and < 2**31"),
+    ("experiment", {"seeds": "1,18446744073709551617"},
+     "bad seeds '1,18446744073709551617': seeds is not a non-empty list of distinct ints in "
+     "[0, 2**64)"),
+    ("split", {"seeds": "-1"}, "seeds is not a non-empty list of distinct ints in [0, 2**64)"),
+    ("recommend", {"preset": "recbole,lenskit-original"},
+     "bad preset 'recbole,lenskit-original': recommend runs one preset"),
     # The last entry for a field silently won, and experiment stored it in report.json.
     ("stats", {"column-map": "user=bogus,user=user_id"},
      "bad column-map 'user=bogus,user=user_id': field 'user' is mapped twice"),
@@ -926,3 +949,43 @@ def test_subcommand_refusal_is_one_tagged_line(capsys, argv, message):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["experiment", "split"])
+def test_mapped_column_missing_from_file_is_refused(data_file, tmp_path, capsys, command):
+    # Every timestamp read as 0.0, which changed the split and every number; the run exited 0.
+    argv = ["--data", data_file, "--column-map", "timestamp=ts_typo", "--out", tmp_path / "out"]
+    if command == "experiment":
+        argv += ["--threshold", "3"]
+    assert run_cli(command, *argv) == 2
+    captured = capsys.readouterr()
+    tag = "load" if command == "experiment" else command  # experiment tags its phase
+    assert captured.err.startswith(f"error [{tag}] ") and captured.err.count("\n") == 1
+    assert "missing column 'ts_typo' (for 'timestamp')" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_ascii_ids_stay_utf8_and_evaluate_writes_what_it_prints(tmp_path, capsys):
+    # evaluation.json wrote a non-ASCII user id as a \\u escape, unlike report.json.
+    rows = [Interaction(f"\u00fc{u}", f"m{i}", 5.0, float(u * i % 11))
+            for u in range(6) for i in range(u % 3, u % 3 + 6)]
+    data = save_interactions(dataset_from_rows(rows), tmp_path / "utf.inter")
+    work = tmp_path / "work"
+    assert run_cli("preprocess", "--data", data, "--threshold", "3", "--out", work) == 0
+    implicit = capsys.readouterr().out.strip()
+    assert run_cli("split", "--data", implicit, "--seeds", "42", "--out", work) == 0
+    train, test = capsys.readouterr().out.split()
+    assert run_cli("recommend", "--train", train, "--test", test, "--out", work) == 0
+    recs = capsys.readouterr().out.strip()
+    assert run_cli("evaluate", "--recs", recs, "--test", test, "--idcg", "both",
+                   "--out", work / "eval") == 0
+    printed = capsys.readouterr().out
+    written = (work / "eval" / "evaluation.json").read_bytes()
+    assert written == printed.encode("utf-8")
+    assert set(json.loads(written)["truncated"]["per_user"]) == set(load_interactions(test).user_ids)
+    assert run_cli("experiment", "--data", data, "--threshold", "3", "--seeds", "42",
+                   "--out", work / "exp") == 0
+    report = (work / "exp" / "report.json").read_bytes()
+    for text in (written, report):
+        assert '"\u00fc0"'.encode("utf-8") in text and b"\\u" not in text

@@ -58,23 +58,30 @@ def toy_config(ratings_file, **overrides):
 
 
 def emit(res, out_dir, formats=REPORT_FORMATS):
-    """Every report file of ``res``, as ``experiment`` writes them."""
-    return emit_report(res.to_json_dict(), formats, out_dir, res.timings)
+    """Every report file of ``res``, ``run_experiment``'s result, as ``experiment`` writes them."""
+    payload, timings = res
+    return emit_report(payload, formats, out_dir, timings)
+
+
+def cells_of(payload):
+    """Every cell of a ``report.json`` payload, keyed by (preset, seed, IDCG mode)."""
+    return {(preset, int(seed), mode): cell for preset, by_seed in payload["results"].items()
+            for seed, by_mode in by_seed.items() for mode, cell in by_mode.items()}
 
 
 def test_cell_cardinality(ratings_file, tmp_path):
     cfg = toy_config(ratings_file)
-    res = run_experiment(cfg)
-    assert len(res.cells) == 3 * 3 * 2
+    payload, _ = run_experiment(cfg)
+    assert len(cells_of(payload)) == 3 * 3 * 2
     for preset in cfg.presets:
         for seed in cfg.seeds:
             for mode in cfg.idcg_modes:
-                assert (preset, seed, mode) in res.cells
+                assert (preset, seed, mode) in cells_of(payload)
 
 
 def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
     cfg = toy_config(ratings_file, seeds=(42,))
-    res = run_experiment(cfg)
+    payload, _ = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
     pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, 42))
     for preset_name in cfg.presets:
@@ -85,13 +92,13 @@ def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
         recs = recommend_split(s, pair, preset.scoring_mode(cfg.k), cfg.n)
         for mode in cfg.idcg_modes:
             fresh = evaluate(recs, pair.test, cfg.n, mode, preset=preset_name, seed=42)
-            assert fresh == res.cells[(preset_name, 42, mode)]
+            assert fresh.as_dict() == payload["results"][preset_name]["42"][mode]
 
 
 def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
     # Users whose interactions all land in train get no list and no metrics.
     cfg = toy_config(ratings_file)
-    res = run_experiment(cfg)
+    payload, _ = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
     for seed in cfg.seeds:
         test = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed)).test
@@ -99,7 +106,7 @@ def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
         assert tested < set(implicit.user_ids)
         for preset in cfg.presets:
             for mode in cfg.idcg_modes:
-                assert set(res.cells[(preset, seed, mode)].per_user) == tested
+                assert set(payload["results"][preset][str(seed)][mode]["per_user"]) == tested
 
 
 def test_adjusted_and_recbole_reports_identical(tmp_path):
@@ -118,14 +125,14 @@ def test_adjusted_and_recbole_reports_identical(tmp_path):
         presets=("lenskit-adjusted", "recbole"),
         idcg_modes=("truncated", "fixed-k"),
     )
-    res = run_experiment(cfg)
+    results = run_experiment(cfg)[0]["results"]
     for seed in cfg.seeds:
         for mode in cfg.idcg_modes:
-            adjusted = res.cells[("lenskit-adjusted", seed, mode)]
-            recbole = res.cells[("recbole", seed, mode)]
-            assert adjusted.n_users > 0
-            assert adjusted.per_user == recbole.per_user
-            assert adjusted.mean_ndcg == recbole.mean_ndcg
+            adjusted = results["lenskit-adjusted"][str(seed)][mode]
+            recbole = results["recbole"][str(seed)][mode]
+            assert adjusted["n_users"] > 0
+            assert adjusted["per_user"] == recbole["per_user"]
+            assert adjusted["mean_ndcg"] == recbole["mean_ndcg"]
 
 
 def test_csv_row_cardinality_two_presets(ratings_file, tmp_path):
@@ -158,7 +165,7 @@ def test_json_round_trip(ratings_file, tmp_path):
     paths = emit(res, tmp_path / "run")
     report_path = next(p for p in paths if p.name == "report.json")
     payload = json.loads(report_path.read_text())
-    assert payload == res.to_json_dict()
+    assert payload == json.loads(json.dumps(res[0]))  # per-user tuples as JSON lists
     again = emit_report(payload, REPORT_FORMATS, tmp_path / "again")
     assert [p.name for p in again] == [p.name for p in paths if p.name != "timings.json"]
     for path in again:
@@ -171,7 +178,7 @@ def test_cross_format_consistency(ratings_file, tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text())
     with (tmp_path / "report.csv").open() as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(res.cells)
+    assert len(rows) == len(cells_of(res[0]))
     for row in rows:
         cell = payload["results"][row["preset"]][row["seed"]][row["idcg_mode"]]
         assert float(row["ndcg"]) == cell["mean_ndcg"]
@@ -184,21 +191,22 @@ def test_cross_format_consistency(ratings_file, tmp_path):
             assert float(row["ndcg"]) == cell["mean_ndcg"]
     # markdown shows the same values at 4 decimals
     md = (tmp_path / "report.md").read_text()
-    for (preset, seed, mode), rep in res.cells.items():
-        assert f"{rep.mean_ndcg:.4f}" in md
+    for rep in cells_of(res[0]).values():
+        assert f"{rep['mean_ndcg']:.4f}" in md
 
 
 def test_markdown_seed_columns_and_average(ratings_file, tmp_path):
     cfg = toy_config(ratings_file, idcg_modes=("truncated",))
     res = run_experiment(cfg)
     emit(res, tmp_path)
+    results = res[0]["results"]
     lines = (tmp_path / "report.md").read_text().splitlines()
     header = next(l for l in lines if l.startswith("| "))
     assert [c.strip() for c in header.strip("|").split("|")] == ["", "21", "42", "84", "Avg."]
     for preset in cfg.presets:
         row = next(l for l in lines if l.startswith(f"| {preset} "))
         cells = [c.strip() for c in row.strip("|").split("|")]
-        values = [res.cells[(preset, seed, "truncated")].mean_ndcg for seed in cfg.seeds]
+        values = [results[preset][str(seed)]["truncated"]["mean_ndcg"] for seed in cfg.seeds]
         assert cells[1:4] == [f"{v:.4f}" for v in values]
         assert cells[4] == f"{sum(values) / 3:.4f}"
 
@@ -267,6 +275,7 @@ def test_config_validation(ratings_file, tmp_path):
         {"threshold": ImplicitThreshold(float("inf"))},
         {"seeds": ()}, {"seeds": (21, 21)},
         {"presets": ("mystery",)}, {"idcg_modes": ("bogus",)},
+        {"k": 2**31}, {"n": 2**63}, {"seeds": (-1,)}, {"seeds": (21, 2**64 + 21)},
     ],
     ids=lambda o: "-".join(f"{k}={v!r}" for k, v in o.items()),
 )
@@ -276,9 +285,9 @@ def test_report_refuses_what_validate_refuses(ratings_file, tmp_path, overrides)
     bad = toy_config(ratings_file, **overrides)
     with pytest.raises(ValueError) as refused:
         bad.validate()
-    payload = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
+    payload, _ = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
     path = tmp_path / "report.json"
-    path.write_text(json.dumps({**payload.to_json_dict(), "config": bad.as_dict()}))
+    path.write_text(json.dumps({**payload, "config": bad.as_dict()}))
     message = f"not an experiment report: config.{refused.value}"
     with pytest.raises(SchemaError, match=re.escape(message)):
         load_report(path)
@@ -286,8 +295,7 @@ def test_report_refuses_what_validate_refuses(ratings_file, tmp_path, overrides)
 
 def test_report_json_refuses_non_finite_numbers(ratings_file, tmp_path):
     # json's default writes -Infinity, which RFC 8259 has not: no file is written.
-    payload = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
-    payload = payload.to_json_dict()
+    payload, _ = run_experiment(toy_config(ratings_file, seeds=(21,), presets=("recbole",)))
     payload["config"]["threshold"]["cutoff"] = float("-inf")
     with pytest.raises(ValueError, match="not JSON compliant"):
         emit_report(payload, ("json",), tmp_path / "out")

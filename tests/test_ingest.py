@@ -88,6 +88,14 @@ def test_load_missing_column(tmp_path):
         load_interactions(path)
 
 
+def test_load_mapped_timestamp_column_must_exist(tmp_path):
+    # A named column the file lacks gave every row timestamp 0.0, so another split and
+    # other numbers; only the default timestamp column may be absent.
+    path = write_atomic(tmp_path / "r.inter", ["a\tx\t4.0\t1\n"])
+    with pytest.raises(SchemaError, match=re.escape("missing column 'ts_typo' (for 'timestamp')")):
+        load_interactions(path, "atomic", {"timestamp": "ts_typo"})
+
+
 def test_load_column_mapped_twice(tmp_path):
     path = write_atomic(tmp_path / "twice.inter", ["a\tx\t4.0\t1\n"])
     with pytest.raises(SchemaError, match="'user_id' is mapped twice"):
