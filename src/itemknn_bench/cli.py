@@ -14,7 +14,6 @@ success, 2 on any tagged failure, argparse's own refusals included.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -47,7 +46,7 @@ from .knn import (
     save_similarity,
     truncate_topk,
 )
-from .metrics import IDCG_MODES, report_from_gains, user_gains
+from .metrics import IDCG_MODES, report_from_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
 from .split import SplitConfig, save_split, split_holdout
 
@@ -128,7 +127,7 @@ def _cmd_stats(args) -> int:
     if (threshold := args.threshold) is not None:
         payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
-    print(json.dumps(payload, indent=2))
+    print(_canonical_json(payload).decode("utf-8"), end="")
     return 0
 
 
@@ -234,9 +233,8 @@ def _cmd_evaluate(args) -> int:
     order = np.argsort(rows, kind="stable")  # keeps each list's rank order
     items = _codes(item_ids, test.item_ids)[items[order]]
     sizes = np.bincount(rows, minlength=test.n_users)
-    hits, n_relevant = user_gains(test, np.arange(test.n_users), items, sizes, args.n)
-    payload = {mode: report_from_gains(test.user_ids, hits, n_relevant, args.n, mode).as_dict()
-               for mode in args.idcg_modes}
+    payload = {mode: report_from_gains(test, np.arange(test.n_users), items, sizes, args.n,
+                                       mode).as_dict() for mode in args.idcg_modes}
     text = _canonical_json(payload)
     print(text.decode("utf-8"), end="")
     if args.out:

@@ -124,8 +124,10 @@ def load_report(path: str | Path) -> dict:
     Raises ``SchemaError`` unless the file is JSON laid out as
     :func:`run_experiment`'s payload: each dict holds
     exactly its keys, the config is one that :meth:`ExperimentConfig.validate`
-    accepts, and every cell's means are floats.  So each report format
-    renders, into its output directory, what an experiment could have written.
+    accepts, and every cell's metrics are floats and its ``n``, IDCG mode,
+    preset, seed and ``n_users`` are those its config, keys and users give.
+    So each report format renders, into its output directory, what an
+    experiment could have written.
     """
 
     def fail(what: str):
@@ -152,9 +154,20 @@ def load_report(path: str | Path) -> dict:
     for preset, by_seed in keyed(payload["results"], cfg["presets"], "results").items():
         for seed, by_mode in keyed(by_seed, map(str, cfg["seeds"]), f"results.{preset}").items():
             for mode, rep in keyed(by_mode, cfg["idcg_modes"], f"results.{preset}.{seed}").items():
-                rep = keyed(rep, cell_keys, f"results.{preset}.{seed}.{mode}")
+                rep = keyed(rep, cell_keys, cell := f"results.{preset}.{seed}.{mode}")
                 if not all(type(rep[f"mean_{m}"]) is float for m in ("ndcg", "precision", "recall")):
-                    fail(f"a mean of results.{preset}.{seed}.{mode} is not a float")
+                    fail(f"a mean of {cell} is not a float")
+                per_user = rep["per_user"]
+                if not isinstance(per_user, dict) or not all(
+                    type(v) is list and len(v) == 3 and all(type(x) is float for x in v)
+                    for v in per_user.values()
+                ):
+                    fail(f"{cell}.per_user is not a dict of three floats per user")
+                # By type too: 10.0 == 10 and True == 1, but an experiment writes neither.
+                for key, want in zip(("n", "idcg_mode", "preset", "seed", "n_users"),
+                                     (cfg["n"], mode, preset, int(seed), len(per_user))):
+                    if (type(rep[key]), rep[key]) != (type(want), want):
+                        fail(f"{cell}.{key} is not {want!r}")
     return payload
 
 

@@ -10,15 +10,15 @@ The two IDCG semantics reflect a real divergence between evaluation stacks:
 
 Relevance is binary throughout this artifact (implicit feedback): a listed
 item is a hit, gain 1, when it is among its user's test items.  Both the
-experiment and the ``evaluate`` subcommand go through :func:`user_gains`
-and :func:`report_from_gains`, which work on all lists at once.
+experiment and the ``evaluate`` subcommand go through one function,
+:func:`report_from_gains`, which takes all lists at once by their hit ranks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,28 +68,36 @@ class MetricReport:
         }
 
 
-def user_gains(
-    test: InteractionDataset, users: np.ndarray, items: np.ndarray, sizes: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The hits of ranked lists against ``test``, and each list's user's relevant count.
+def report_from_gains(
+    test: InteractionDataset, users: np.ndarray, items: np.ndarray, sizes: np.ndarray, n: int,
+    mode: str, preset: str | None = None, seed: int | None = None,
+) -> MetricReport:
+    """The report of ranked lists against ``test``, each list's user keyed by its test id.
 
     List r belongs to user code ``users[r]`` and holds the next ``sizes[r]``
     codes of ``items``, best first; every code is one of ``test``'s, and an
-    item code of -1 is an item ``test`` lacks, which is a miss.  Returns a
-    bool ``hits`` block of ``len(users)`` x ``n`` (False past a short list's
-    end) and ``n_relevant``, the number of distinct test items of each
-    list's user.  Every list's user must hold at least one test interaction
-    and no list may be longer than ``n`` (contract).
+    item code of -1 is an item ``test`` lacks, which is a miss.  Every
+    list's user must hold at least one test interaction and no list may be
+    longer than ``n`` (contract).
+
+    A hit is a (list, rank) pair.  DCG is the ``np.bincount`` of the hits'
+    discounts ``1 / log2(rank + 1)``, which adds each list's in rank order
+    from 0.0, as the series reads; truncated IDCG is a prefix of the
+    discounts' cumsum, and fixed-k IDCG one running sum over n discounts.
+    Means are arithmetic means over the report's own per-user entries (a
+    repeated user keeps its last list; no entries give 0.0), computed with
+    exact summation so they are independent of user order.
     """
     if n < 1:
         raise ContractError(f"cutoff n must be >= 1, got {n}")
-    if len(sizes) and sizes.max() > n:
-        raise ContractError(f"a list of {sizes.max()} items is longer than the cutoff {n}")
+    if mode not in IDCG_MODES:
+        raise ValueError(f"unknown IDCG mode {mode!r} (expected one of {IDCG_MODES})")
+    if (longest := sizes.max(initial=0)) > n:
+        raise ContractError(f"a list of {longest} items is longer than the cutoff {n}")
     relevant = np.unique(test.users * test.n_items + test.items)  # one key per test pair
-    counts = np.bincount(relevant // test.n_items, minlength=test.n_users)
     known = (users >= 0) & (users < test.n_users)
     n_relevant = np.zeros(len(users), dtype=np.int64)
-    n_relevant[known] = counts[users[known]]
+    n_relevant[known] = np.bincount(relevant // test.n_items, minlength=test.n_users)[users[known]]
     if not n_relevant.all():
         user = users[np.argmin(n_relevant)]
         name = test.user_ids[user] if 0 <= user < test.n_users else int(user)
@@ -97,47 +105,29 @@ def user_gains(
     rows = np.repeat(np.arange(len(users)), sizes)
     # A -1 item gets key -1, which no pair has; user * n_items - 1 would be a
     # pair of the previous user.
-    keys = np.where(items >= 0, users[rows] * test.n_items + items, -1)
-    hits = np.zeros((len(users), n), dtype=bool)
-    hits[rows, _ranks(sizes) - 1] = np.isin(keys, relevant)
-    return hits, n_relevant
-
-
-def report_from_gains(
-    users: Sequence[str],
-    hits: np.ndarray,
-    n_relevant: np.ndarray,
-    n: int,
-    mode: str,
-    preset: str | None = None,
-    seed: int | None = None,
-) -> MetricReport:
-    """Assemble a report from the :func:`user_gains` arrays of the named users.
-
-    DCG is the last column of a row-wise ``np.cumsum`` of the hits times the
-    discounts ``1 / log2(i + 1)``, and IDCG a prefix of the discounts'
-    cumsum: both add left to right from 0.0, as the series reads.  Means are
-    arithmetic means over the report's own per-user entries (a repeated name
-    keeps its last row; no entries give 0.0), computed with exact summation
-    so they are independent of user order.
-    """
-    if mode not in IDCG_MODES:
-        raise ValueError(f"unknown IDCG mode {mode!r} (expected one of {IDCG_MODES})")
-    if (n_relevant < 1).any():
-        raise ContractError("every evaluated user needs n_relevant >= 1")
-    discounts = np.array([1.0 / math.log2(i + 1.0) for i in range(1, n + 1)])
-    dcg = np.cumsum(hits * discounts, axis=1)[:, -1]
-    ideal = np.minimum(n_relevant, n) if mode == IDCG_TRUNCATED else np.full(len(hits), n)
-    n_hits = hits.sum(axis=1)
-    ndcg = dcg / np.cumsum(discounts)[ideal - 1]
-    precision = n_hits / n
-    recall = np.minimum(n_hits / n_relevant, 1.0)
-    rows = list(zip(ndcg.tolist(), precision.tolist(), recall.tolist()))
+    hit = np.isin(np.where(items >= 0, users[rows] * test.n_items + items, -1), relevant)
+    rows, ranks = rows[hit], _ranks(sizes)[hit]
+    ideal = np.minimum(n_relevant, n)
+    # Up to the longest list or truncated ideal, not to n.
+    discounts = np.array([1.0 / math.log2(i + 1.0)
+                          for i in range(1, max(longest, ideal.max(initial=0)) + 1)])
+    # Bit for bit the series over all n ranks, in which a miss adds 0.0.
+    dcg = np.bincount(rows, weights=discounts[ranks - 1], minlength=len(users))
+    n_hits = np.bincount(rows, minlength=len(users))
+    if mode == IDCG_TRUNCATED:
+        idcg = np.cumsum(discounts)[ideal - 1]
+    else:
+        idcg = 0.0
+        for i in range(1, n + 1):
+            idcg += 1.0 / math.log2(i + 1.0)
+    metrics = list(zip((dcg / idcg).tolist(), (n_hits / n).tolist(),
+                       np.minimum(n_hits / n_relevant, 1.0).tolist()))
     # Freed before the report's objects are allocated above them on the heap,
     # so that the next seed's cosine reuses this memory: otherwise paper-grid's
     # peak RSS rose by 1-2 MB.
-    del dcg, ideal, n_hits, ndcg, precision, recall
-    per_user = {user: UserMetrics(*row) for user, row in zip(users, rows)}
+    del relevant, known, n_relevant, rows, hit, ranks, ideal, discounts, dcg, n_hits, idcg
+    per_user = {test.user_ids[user]: UserMetrics(*row)
+                for user, row in zip(users.tolist(), metrics)}
 
     def mean(field: int) -> float:
         return math.fsum(m[field] for m in per_user.values()) / max(len(per_user), 1)
@@ -155,11 +145,9 @@ def evaluate(
 ) -> MetricReport:
     """Score recommendation lists against a test dataset on the same id universe.
 
-    Users are keyed by external id in the report; see :func:`user_gains`.
+    Users are keyed by external id in the report; see :func:`report_from_gains`.
     """
     users = np.array([rl.user for rl in recs], dtype=np.int64)
     items = np.array([item for rl in recs for item, _ in rl.entries], dtype=np.int64)
     sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
-    hits, n_relevant = user_gains(test, users, items, sizes, n)
-    names = [test.user_ids[user] for user in users.tolist()]
-    return report_from_gains(names, hits, n_relevant, n, mode, preset, seed)
+    return report_from_gains(test, users, items, sizes, n, mode, preset, seed)

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from itemknn_bench.cli import main
 from itemknn_bench.ingest import (
+    ImplicitThreshold,
     load_interactions,
     save_interactions,
+    stats,
+    to_implicit,
 )
 from itemknn_bench.knn import build_matrix, cosine_similarity, truncate_topk
 from itemknn_bench.metrics import evaluate
@@ -52,6 +55,22 @@ def test_stats_before_and_after(data_file, capsys):
     assert payload["before"]["n_users"] == 20
     assert payload["after"]["n_interactions"] < payload["before"]["n_interactions"]
     assert payload["threshold"] == {"cutoff": 3.0, "mode": "gt"}
+
+
+def test_stats_prints_utf8_json(data_file, tmp_path, capsys):
+    # Through the writer of report.json: sorted keys, and a non-ASCII stem as
+    # itself, not as a \u escape.
+    path = tmp_path / "données.inter"
+    path.write_bytes(data_file.read_bytes())
+    assert run_cli("stats", "--data", path, "--threshold", "3") == 0
+    out = capsys.readouterr().out
+    assert '"dataset": "données"' in out
+    ds = load_interactions(path)
+    assert json.loads(out) == {
+        "dataset": "données", "before": stats(ds).as_dict(),
+        "after": stats(to_implicit(ds, ImplicitThreshold(3.0))).as_dict(),
+        "threshold": {"cutoff": 3.0, "mode": "gt"},
+    }
 
 
 def test_stats_threshold_mode_needs_threshold(data_file, capsys):
@@ -281,6 +300,12 @@ def _text_mean(payload):
     return payload
 
 
+def _cell(payload, **values):
+    """``payload`` with ``values`` set in its recbole, seed 42, fixed-k cell."""
+    payload["results"]["recbole"]["42"]["fixed-k"].update(values)
+    return payload
+
+
 def _renamed(payload, name, old, new):
     """``payload`` with ``old`` renamed ``new`` in config list ``name`` and in results."""
     results = payload["results"]
@@ -351,13 +376,33 @@ def _renamed(payload, name, old, new):
          "config.seeds is not a non-empty list of distinct ints in [0, 2**64)"),
         (lambda p: _renamed(p, "seeds", 21, -1),
          "config.seeds is not a non-empty list of distinct ints in [0, 2**64)"),
+        # Each of these re-emitted, with exit 0, a cell no experiment writes.
+        (lambda p: _cell(p, n=10), "results.recbole.42.fixed-k.n is not 5"),
+        (lambda p: _cell(p, n=5.0), "results.recbole.42.fixed-k.n is not 5"),
+        (lambda p: _cell(p, idcg_mode="truncated"),
+         "results.recbole.42.fixed-k.idcg_mode is not 'fixed-k'"),
+        (lambda p: _cell(p, preset="lenskit-original"),
+         "results.recbole.42.fixed-k.preset is not 'recbole'"),
+        (lambda p: _cell(p, seed=21), "results.recbole.42.fixed-k.seed is not 42"),
+        (lambda p: _cell(p, seed="42"), "results.recbole.42.fixed-k.seed is not 42"),
+        (lambda p: _cell(p, n_users=2, per_user={"u0": [0.5, 0.1, 1.0]}),
+         "results.recbole.42.fixed-k.n_users is not 1"),
+        (lambda p: _cell(p, n_users=99, per_user={"u0": "bad"}),
+         "results.recbole.42.fixed-k.per_user is not a dict of three floats per user"),
+        (lambda p: _cell(p, n_users=1, per_user={"u0": [1, 0.0, 0.0]}),
+         "results.recbole.42.fixed-k.per_user is not a dict of three floats per user"),
+        (lambda p: _cell(p, n_users=1, per_user={"u0": [0.5, 0.5]}),
+         "results.recbole.42.fixed-k.per_user is not a dict of three floats per user"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
          "float-n", "ratio-above-one", "int-ratio", "text-ratio", "unknown-format",
          "int-column", "list-column-map", "text-cutoff", "null-cutoff", "unknown-preset",
          "unknown-idcg-mode", "nan-cutoff", "unknown-threshold-mode", "infinite-cutoff",
-         "unknown-column-field", "huge-k", "huge-n", "seed-above-64-bits", "negative-seed"],
+         "unknown-column-field", "huge-k", "huge-n", "seed-above-64-bits", "negative-seed",
+         "cell-n", "cell-float-n", "cell-idcg-mode", "cell-preset", "cell-seed",
+         "cell-text-seed", "cell-n-users", "cell-text-metrics", "cell-int-metric",
+         "cell-two-metrics"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from itemknn_bench.metrics import (
     MetricReport,
     evaluate,
     report_from_gains,
-    user_gains,
 )
 from itemknn_bench.recommend import RecommendationList
 
@@ -28,12 +29,28 @@ from conftest import (
 
 
 def gain_report(cases, n, mode=IDCG_TRUNCATED) -> MetricReport:
-    """One report_from_gains call over (gains, n_relevant) cases; users "0", "1", ..."""
-    hits = np.zeros((len(cases), n), dtype=bool)
-    for r, (gains, _) in enumerate(cases):
-        hits[r, : len(gains)] = [g > 0 for g in gains]
-    n_relevant = np.array([n_relevant for _, n_relevant in cases], dtype=np.int64)
-    return report_from_gains([str(r) for r in range(len(cases))], hits, n_relevant, n, mode)
+    """One report_from_gains call over (gains, n_relevant) cases; users "0", "1", ...
+
+    User r's test items are codes 0, 1, ..., n_relevant - 1.  Its list names
+    a hit as the next of them it has not listed yet (the first again once
+    all are listed, as a list with more hits than relevant items needs; -1
+    when there are none), and a miss as -1, an item the test lacks.
+    """
+    relevant = [n_relevant for _, n_relevant in cases]
+    test = InteractionDataset(
+        users=np.repeat(np.arange(len(cases)), relevant),
+        items=np.concatenate([np.arange(count) for count in relevant]),
+        ratings=np.ones(sum(relevant)), timestamps=np.zeros(sum(relevant)),
+        user_ids=[str(r) for r in range(len(cases))],
+        item_ids=[f"i{j}" for j in range(max(relevant))],
+    )
+    items = []
+    for gains, n_relevant in cases:
+        unlisted = itertools.cycle(range(n_relevant))
+        items += [next(unlisted, -1) if g > 0 else -1 for g in gains]
+    sizes = np.array([len(gains) for gains, _ in cases], dtype=np.int64)
+    return report_from_gains(test, np.arange(len(cases)), np.array(items, dtype=np.int64),
+                             sizes, n, mode)
 
 
 def one_user(gains, n_relevant, n, mode=IDCG_TRUNCATED):
@@ -74,9 +91,10 @@ def test_ndcg_contract_errors():
         timestamps=np.zeros(3), user_ids=["a", "b", "c", "d"], item_ids=["x", "y", "z"],
     )
 
-    def gains(users, sizes, n=10):
+    def gains(users, sizes, n=10, mode=IDCG_TRUNCATED):
         users, sizes = np.array(users), np.array(sizes)
-        return user_gains(test, users, np.zeros(sizes.sum(), dtype=np.int64), sizes, n)
+        items = np.zeros(sizes.sum(), dtype=np.int64)
+        return report_from_gains(test, users, items, sizes, n, mode)
 
     with pytest.raises(ContractError, match="longer than the cutoff 10"):
         gains([0], [11])
@@ -86,25 +104,27 @@ def test_ndcg_contract_errors():
         gains([7], [1])
     with pytest.raises(ContractError, match="n must be >= 1"):
         gains([0], [0], n=0)
-    hits, n_relevant = gains([0, 1], [1, 0])
+    assert gains([0, 1], [1, 0]).n_users == 2
     with pytest.raises(ValueError, match="unknown IDCG mode"):
-        report_from_gains(["a", "b"], hits, n_relevant, 10, "other")
-    with pytest.raises(ContractError, match="n_relevant >= 1"):
-        report_from_gains(["a", "b"], hits, np.array([1, 0]), 10, IDCG_TRUNCATED)
+        gains([0, 1], [1, 0], mode="other")
 
 
-def test_user_gains_hits_block():
+def test_hits_keyed_by_pair():
     # Items x, y, z are codes 0, 1, 2.  User b's first item is one the test
     # lacks (-1): its key must not be b * 3 - 1 == 2, the pair (a, z).
     test = InteractionDataset(
         users=np.array([0, 1, 0, 0]), items=np.array([0, 1, 2, 2]), ratings=np.ones(4),
         timestamps=np.zeros(4), user_ids=["a", "b"], item_ids=["x", "y", "z"],
     )
-    hits, n_relevant = user_gains(
-        test, np.array([0, 1]), np.array([1, 2, -1, 1]), np.array([2, 2]), 3
+    rep = report_from_gains(
+        test, np.array([0, 1]), np.array([1, 2, -1, 1]), np.array([2, 2]), 3, IDCG_TRUNCATED
     )
-    assert hits.tolist() == [[False, True, False], [False, True, False]]
-    assert n_relevant.tolist() == [2, 1]  # the repeated pair (a, z) counts once
+    # Each list hits at rank 2 only; the repeated pair (a, z) counts once, so a
+    # holds 2 relevant items and b 1.
+    for user, n_relevant in (("a", 2), ("b", 1)):
+        want = (brute_ndcg([0, 1], n_relevant, 3, IDCG_TRUNCATED),
+                brute_precision([0, 1], 3), brute_recall([0, 1], n_relevant))
+        assert rep.per_user[user] == want
 
 
 def test_precision_examples():
@@ -246,3 +266,19 @@ def test_evaluate_permutation_invariant():
     assert forward.mean_precision == backward.mean_precision
     assert forward.mean_recall == backward.mean_recall
 
+
+@pytest.mark.parametrize("mode", [IDCG_TRUNCATED, IDCG_FIXED_K])
+def test_memory_does_not_grow_with_cutoff(mode):
+    # Short lists at a cutoff of 2**20: one bool per rank of one list alone is 1 MiB.
+    cases = [([1, 0, 1], 2), ([0, 0, 0, 1], 5), ([], 1)]
+    n = 2**20
+    tracemalloc.start()
+    try:
+        rep = gain_report(cases, n, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for (gains, n_relevant), got in zip(cases, rep.per_user.values()):
+        assert got == (brute_ndcg(gains, n_relevant, n, mode), brute_precision(gains, n),
+                       brute_recall(gains, n_relevant))
