@@ -40,7 +40,7 @@ from .ingest import (
     to_implicit,
 )
 from .knn import STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
-from .metrics import IDCG_MODES, IDCG_TRUNCATED, MetricReport, evaluate
+from .metrics import IDCG_MODES, IDCG_TRUNCATED, MetricReport, evaluate, mean_of
 from .recommend import PRESETS, recommend_all
 from .split import SplitConfig, split_holdout
 
@@ -124,8 +124,9 @@ def load_report(path: str | Path) -> dict:
     Raises ``SchemaError`` unless the file is JSON laid out as
     :func:`run_experiment`'s payload: each dict holds
     exactly its keys, the config is one that :meth:`ExperimentConfig.validate`
-    accepts, and every cell's metrics are floats and its ``n``, IDCG mode,
-    preset, seed and ``n_users`` are those its config, keys and users give.
+    accepts, and every cell's metrics are floats, its ``n``, IDCG mode,
+    preset, seed and ``n_users`` are those its config, keys and users give,
+    and its means are those of its ``per_user`` values.
     So each report format renders, into its output directory, what an
     experiment could have written.
     """
@@ -168,6 +169,9 @@ def load_report(path: str | Path) -> dict:
                                      (cfg["n"], mode, preset, int(seed), len(per_user))):
                     if (type(rep[key]), rep[key]) != (type(want), want):
                         fail(f"{cell}.{key} is not {want!r}")
+                for field, m in enumerate(("ndcg", "precision", "recall")):
+                    if rep[f"mean_{m}"] != mean_of(per_user, field):  # bit for bit
+                        fail(f"{cell}.mean_{m} is not the mean of its per_user values")
     return payload
 
 

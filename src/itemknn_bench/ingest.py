@@ -45,8 +45,13 @@ THRESHOLD_MODES = ("gt", "ge")
 # memory: a chunk of text and its fields, not a file's.
 CHUNK_CHARS = 1 << 16
 CHUNK_LINES = 4096
+# read_table codes an id written as a number below this through a table of its
+# codes, of at most this many entries; any other id through a dict.
+NUMBERED_IDS = 1 << 20
 # The ASCII characters that int() and float() strip, less the line ends, and "_".
 _SPACE_OR_UNDERSCORE = " \t\x0b\x0c\x1c\x1d\x1e\x1f_"
+# 10**1, ..., 10**19: a uint64 m has 1 + (the number of these <= m) decimal digits.
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,11 +171,28 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
 
     The file is read twice, ``CHUNK_CHARS`` characters at a time: once to
     count the rows, so that each column is allocated once at its size, then
-    in chunks completed to a line end.  numpy checks a chunk's field counts on
-    its UTF-8 bytes and parses its number fields, and a dict codes its ids, so
-    no Python object is made per line; a chunk is split into lines only to
-    name a faulty one.  So the file must be seekable, and a file that changes
-    between the passes is a ``SchemaError``.  ``sep`` is one ASCII character.
+    in chunks completed to a line end.  So the file must be seekable, and a
+    file that changes between the passes is a ``SchemaError``.  ``sep`` is
+    one ASCII character.  numpy checks a chunk's field counts on its UTF-8
+    bytes, and finds each field's bounds from the separators and line ends,
+    so no Python object is made per line; a chunk is split into lines only
+    to name a faulty one.  Per chunk and column:
+
+    * a number column whose fields are all 1 to 15 ASCII digits is parsed
+      from the chunk's bytes by :func:`_digit_fields`: such a field is
+      plain, finite and exact in float64;
+    * any other number column, such as one holding a sign, a point, an
+      exponent or a fault, falls back to numpy's ``kind()`` parse of the
+      column's fields, after the plain-field check, which names the first
+      faulty line;
+    * an id column whose fields are all such digits, below ``NUMBERED_IDS``
+      and with no leading 0, is coded by a numpy gather from number to
+      code, which :meth:`_Codes.numbered` fills in first-appearance order;
+    * any other id column is coded by a dict, one lookup per field.
+
+    The chunk is split into fields only for a column off these paths, so a
+    table of integers or of numbered ids, such as a matrix file or the
+    interaction files of the benchmark, is never split.
     """
     with Path(path).open(encoding="utf-8") as fh:  # universal newlines: CRLF reads as LF
         first = fh.readline()
@@ -195,16 +217,31 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
             # character holds: line r ends after (r + 1) * (n - 1) separators.
             raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
             ends = np.flatnonzero(raw == 10)
-            seps = np.searchsorted(np.flatnonzero(raw == ord(sep)), ends)
+            stops = np.flatnonzero(raw == ord(sep))
+            seps = np.searchsorted(stops, ends)
             rows = len(ends)
             if line - 2 + rows > total:
                 raise SchemaError(f"{path}: the file changed while it was read")
             if '"' in text or np.any(seps != (n - 1) * np.arange(1, rows + 1)):
                 _row_fault(path, line, text, sep, n)
-            fields = text.replace("\n", sep).split(sep)
-            plain = _plain(text, sep)
+            # Field c of row r is raw[lo:hi]: it starts after the row's separator
+            # c - 1, or the line end before the row, and ends at its separator c,
+            # or its line end.
+            stops = stops.reshape(rows, n - 1)
+            fields = None  # split only for an id column or a number column off the digit path
             at = slice(line - 2, line - 2 + rows)
             for c, name, kind in read:
+                lo = stops[:, c - 1] + 1 if c else np.concatenate(([0], ends[:-1] + 1))
+                hi = stops[:, c] if c < n - 1 else ends
+                values = _digit_fields(raw, lo, hi)
+                if values is not None and kind is str:
+                    values = codes[name].numbered(values, raw, lo, hi)
+                if values is not None:
+                    table[name][at] = values
+                    continue
+                if fields is None:
+                    fields = text.replace("\n", sep).split(sep)
+                    plain = _plain(text, sep)
                 column = fields[c : n * rows : n]
                 if kind is str:
                     table[name][at] = np.fromiter(map(codes[name].__getitem__, column), int, rows)
@@ -233,11 +270,39 @@ def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dic
 
 
 class _Codes(dict):
-    """Id -> dense code, in first-appearance order: an unseen id takes the next code."""
+    """Id -> dense code, in first-appearance order: an unseen id takes the next code.
+
+    ``by_number[v]`` is the code of the id ``str(v)``, or -1 where it is not
+    filled in yet: :meth:`numbered` fills it from the dict, so an id has one
+    code whichever way a chunk codes it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.by_number = np.empty(0, np.int64)
 
     def __missing__(self, key: str) -> int:
         self[key] = code = len(self)
         return code
+
+    def numbered(self, values: np.ndarray, raw: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray | None:
+        """The codes of the ids ``raw[lo:hi]``, the digit fields of the
+        numbers ``values``, or ``None`` unless each is below
+        ``NUMBERED_IDS`` and has no leading 0, so that it is ``str`` of its
+        value."""
+        top = int(values.max())
+        if top >= NUMBERED_IDS or ((raw[lo] == ord("0")) & (hi - lo > 1)).any():
+            return None
+        if top >= len(self.by_number):
+            grown = np.full(min(max(top + 1, 2 * len(self.by_number)), NUMBERED_IDS), -1, np.int64)
+            grown[: len(self.by_number)] = self.by_number
+            self.by_number = grown
+        unseen = np.flatnonzero(self.by_number[values] < 0)
+        _, first = np.unique(values[unseen], return_index=True)
+        for t in unseen[np.sort(first)].tolist():  # in first-appearance order
+            self.by_number[values[t]] = self[raw[lo[t] : hi[t]].tobytes().decode()]
+        return self.by_number[values]
 
 
 def _row_fault(path, line: int, text: str, sep: str, n: int):
@@ -248,6 +313,32 @@ def _row_fault(path, line: int, text: str, sep: str, n: int):
             raise RowParseError(path, j, f"{seps + 1} fields, want {n}")
         if '"' in row:
             raise RowParseError(path, j, 'a ": fields are not csv-quoted')
+
+
+def _digit_fields(raw: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """The int64 values of the fields ``raw[lo:hi]`` if each is 1 to 15 ASCII
+    digits, else ``None``.
+
+    The fields are read right-aligned, one digit position of all of them at a
+    time, from the widest field's first: each value is multiplied by ten and
+    its field's digit there added, a byte before a field's start counting as
+    0.  So a leading 0 adds nothing, as ``int`` and ``float`` read it, and 15
+    digits stay below 2**53, so the values are exact as float64 too.  Each
+    step's arrays hold one entry per field, not one per byte.
+    """
+    sizes = hi - lo
+    if sizes.min() < 1 or (width := int(sizes.max())) > 15:
+        return None
+    values = np.zeros(len(hi), np.int64)
+    for back in range(width, 0, -1):
+        at = hi - back
+        digit = raw[np.maximum(at, 0)] - np.uint8(48)  # a byte that is no digit wraps above 9
+        digit[at < lo] = 0
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+    return values
 
 
 def _plain(text: str, sep: str) -> bool:
@@ -272,13 +363,27 @@ def write_table(path: str | Path, header: str, columns) -> Path:
     codes, ids), written as the ids, or an integer or float64 array.
     ``columns`` is a list of columns, or an iterator of such lists that
     hold the rows block by block, all laid out like the first, so a caller
-    can make its rows a block at a time.  Ints are written in full and floats
-    with 17 significant digits, which round-trips every double.  Lines end in
-    LF and the file is UTF-8.  Rows are formatted ``CHUNK_LINES`` at a time,
-    so no whole column becomes a Python list.  Creates the file's directory.
-    Raises ``SchemaError``, naming the path and the id, for an id holding a
-    tab, which would read back as two fields.  A write that raises removes
-    its file.
+    can make its rows a block at a time.  Lines end in LF and the file is
+    UTF-8.  Creates the file's directory.  Raises ``SchemaError``, naming the
+    path and the id, for an id holding a tab, which would read back as two
+    fields.  A write that raises removes its file.
+
+    Rows are rendered ``CHUNK_LINES`` at a time into one byte buffer by
+    numpy, so no Python object is made per field:
+
+    * an id column is gathered from its ids' UTF-8 bytes, encoded once per
+      write into one buffer;
+    * an integer column is written in full, its digits by repeated division
+      by 10 of its magnitude as uint64, so int64's minimum is exact;
+    * a float chunk whose values are all integral, below 2**53 in magnitude
+      and not -0.0 is written as those integers, the text ``"{:.17g}"``
+      gives them.
+
+    A chunk with any other float, such as a dump's scores, falls back to
+    one string per field, floats by ``"{:.17g}"``: 17 significant digits,
+    which round-trip every double.  Such floats are long, and the int64
+    byte indices of a copy into the buffer would take eight times their
+    text: in the step-by-step chain, those raised the next steps' peak RSS.
     """
     path = Path(path)
     blocks = iter([columns] if isinstance(columns, list) else columns)
@@ -288,23 +393,97 @@ def write_table(path: str | Path, header: str, columns) -> Path:
         tabbed = [x for x in ids or () if "\t" in x]
         if tabbed:
             raise SchemaError(f"{path}: id {tabbed[0]!r} holds a tab, the field separator")
+    packed = [None if ids is None else _packed(ids) for _, ids in pairs]
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Each column's text: its ids, or the number written in full.
-    text = [ids.__getitem__ if ids is not None else "{:.17g}".format if values.dtype.kind == "f"
-            else str for values, ids in pairs]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with path.open("wb") as fh:
         try:
-            fh.write(header + "\n")
+            fh.write(header.encode("utf-8") + b"\n")
             for pairs in chain([pairs], map(as_pairs, blocks)):
                 for lo in range(0, len(pairs[0][0]), CHUNK_LINES):
-                    fields = [map(f, values[lo : lo + CHUNK_LINES].tolist())
-                              for (values, _), f in zip(pairs, text)]
-                    fh.write("\n".join(map("\t".join, zip(*fields))))
-                    fh.write("\n")
+                    fh.write(_lines([(values[lo : lo + CHUNK_LINES], ids) for values, ids in pairs],
+                                    packed))
         except BaseException:
             path.unlink()
             raise
     return path
+
+
+def _packed(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``texts`` as one UTF-8 byte buffer, and each text's start and length in it."""
+    joined = "".join(texts)
+    flat = joined.encode("utf-8")
+    sizes = map(len, texts if len(flat) == len(joined) else (x.encode("utf-8") for x in texts))
+    lengths = np.fromiter(sizes, np.int64, len(texts))
+    return np.frombuffer(flat, np.uint8), np.cumsum(lengths) - lengths, lengths
+
+
+def _lines(columns: list[tuple], packed: list) -> bytes | np.ndarray:
+    """The bytes of the rows of ``columns``, (values, ids) per column as
+    :func:`write_table` takes them, tab-separated and LF-ended.
+
+    ``packed`` holds, per column, ``None`` for a number column, or the id
+    column's :func:`_packed` ids.
+    """
+    if not all(ids is not None or _integral(values) for values, ids in columns):
+        text = [ids.__getitem__ if ids is not None else "{:.17g}".format
+                if values.dtype.kind == "f" else str for values, ids in columns]
+        fields = [map(f, values.tolist()) for (values, _), f in zip(columns, text)]
+        return ("\n".join(map("\t".join, zip(*fields))) + "\n").encode("utf-8")
+    fields = [_field(values, ids) for (values, _), ids in zip(columns, packed)]
+    line = sum(lengths for lengths, _ in fields) + len(fields)  # each field, then a tab or LF
+    ends = np.cumsum(line)
+    buf = np.full(ends[-1], ord("\t"), np.uint8)
+    buf[ends - 1] = ord("\n")
+    at = ends - line
+    for lengths, fill in fields:
+        fill(buf, at)
+        at = at + lengths + 1
+    return buf
+
+
+def _integral(values: np.ndarray) -> bool:
+    """Whether a number column's ``"{:.17g}"`` or ``str`` text is that of its
+    values as int64: every float is integral, below 2**53 in magnitude and
+    not -0.0."""
+    if values.dtype.kind != "f":
+        return True
+    integral = (np.trunc(values) == values) & (np.abs(values) < 2.0**53)
+    return bool((integral & ~(np.signbit(values) & (values == 0))).all())
+
+
+def _field(values: np.ndarray, ids: tuple | None) -> tuple[np.ndarray, Callable]:
+    """A column's text in a chunk: each field's byte length, and a function
+    that writes the fields into a buffer at the given starts.  A float
+    column is :func:`_integral`."""
+    if ids is not None:
+        flat, starts, lengths = ids
+        return lengths[values], partial(_copy, flat, starts[values], lengths[values])
+    if values.dtype.kind == "f":
+        values = values.astype(np.int64)
+    negative = values < 0
+    u = values.astype(np.uint64)  # a negative value wraps to 2**64 + value
+    magnitude = np.where(negative, ~u + np.uint64(1), u)
+    lengths = negative + 1
+    for power in _POWERS[_POWERS <= magnitude.max()]:
+        lengths += magnitude >= power
+
+    def fill(buf: np.ndarray, at: np.ndarray):
+        buf[at[negative]] = ord("-")
+        m, end = magnitude, at + lengths - 1
+        while len(m):  # the last digit of each number with digits left
+            q = m // np.uint64(10)
+            buf[end] = (m - q * np.uint64(10)).astype(np.uint8) + np.uint8(48)
+            left = np.flatnonzero(q)
+            m, end = q[left], end[left] - 1
+
+    return lengths, fill
+
+
+def _copy(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray, buf: np.ndarray,
+          at: np.ndarray):
+    """Copy the byte strings ``flat[starts:starts + lengths]`` into ``buf`` at ``at``."""
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    buf[np.repeat(at, lengths) + within] = flat[np.repeat(starts, lengths) + within]
 
 
 def check_rows(path: str | Path, bad: np.ndarray, message: Callable[[int], str]) -> None:

@@ -283,20 +283,17 @@ def item_digest(item_ids: list[str]) -> str:
     return hashlib.sha256("\n".join(item_ids).encode("utf-8")).hexdigest()
 
 
-def _count_blocks(s: SimilarityMatrix) -> Iterator[list[tuple[np.ndarray, list[str]]]]:
-    """The rows of a matrix file: ``(i, i, n_i)``, then ``(i, j, c_ij)`` in chunks.
+def _count_blocks(s: SimilarityMatrix) -> Iterator[list[np.ndarray]]:
+    """The rows of a matrix file as integer columns: ``(i, i, n_i)``, then
+    ``(i, j, c_ij)`` in chunks.
 
     Each chunk recovers its counts as ``rint(v * sqrt(n_i * n_j))`` and
     divides them back with the cosine's own :func:`_divide`; a value that
     does not come back bit for bit, or whose count is not in
     ``[1, min(n_i, n_j)]``, is no cosine of counts, and is refused.
-    Indices and counts are small, so they go out as id columns of their
-    decimal labels, made once, instead of one ``str`` per value.
     """
-    index = [str(i) for i in range(s.n_items)]
-    count = [str(c) for c in range(int(s.n_i.max(initial=0)) + 1)]
     users = np.flatnonzero(s.n_i)
-    yield [(users, index), (users, index), (s.n_i[users].astype(np.int64), count)]
+    yield [users, users, s.n_i[users].astype(np.int64)]
     for at, rows in _chunks(s.indptr, s.nnz):
         cols, vals = s.cols[at], s.vals[at]
         counts = np.rint(vals * np.sqrt(s.n_i[rows] * s.n_i[cols]))
@@ -310,7 +307,7 @@ def _count_blocks(s: SimilarityMatrix) -> Iterator[list[tuple[np.ndarray, list[s
                 f"over sqrt(n_i * n_j), with n_i = {s.n_i[rows[t]]:g}, n_j = {s.n_i[cols[t]]:g}"
             )
         keep = cols > rows if s.strategy == STRATEGY_FULL else slice(None)
-        yield [(rows[keep], index), (cols[keep], index), (counts[keep].astype(np.int64), count)]
+        yield [rows[keep], cols[keep], counts[keep].astype(np.int64)]
 
 
 def save_similarity(s: SimilarityMatrix, path: str | Path, item_ids: list[str]) -> Path:

@@ -128,11 +128,15 @@ def report_from_gains(
     del relevant, known, n_relevant, rows, hit, ranks, ideal, discounts, dcg, n_hits, idcg
     per_user = {test.user_ids[user]: UserMetrics(*row)
                 for user, row in zip(users.tolist(), metrics)}
+    means = (mean_of(per_user, field) for field in range(3))
+    return MetricReport(n, mode, per_user, *means, preset, seed)
 
-    def mean(field: int) -> float:
-        return math.fsum(m[field] for m in per_user.values()) / max(len(per_user), 1)
 
-    return MetricReport(n, mode, per_user, mean(0), mean(1), mean(2), preset, seed)
+def mean_of(per_user: dict, field: int) -> float:
+    """The mean of field ``field`` (0 nDCG, 1 precision, 2 recall) over the
+    users of ``per_user``, 0.0 for none.  ``math.fsum`` sums exactly, so the
+    users' order does not change the bits."""
+    return math.fsum(m[field] for m in per_user.values()) / max(len(per_user), 1)
 
 
 def evaluate(

@@ -176,6 +176,28 @@ def oracle_load_interactions(
     return rows, first_appearance(r[0] for r in rows), first_appearance(r[1] for r in rows)
 
 
+def oracle_table_bytes(header: str, blocks: Iterable[list]) -> bytes:
+    """Reference text of a table: the header, then one tab-joined line per row.
+
+    Each field is one Python string: an id column, (codes, ids), gives
+    ``ids[code]``, an integer column ``str(int)`` and a float column
+    ``"{:.17g}".format``.  Lines end in LF, and the text is UTF-8.
+    """
+    lines = [header]
+    for block in blocks:
+        fields = []
+        for column in block:
+            if isinstance(column, tuple):
+                codes, ids = column
+                fields.append([ids[c] for c in codes.tolist()])
+            elif column.dtype.kind == "f":
+                fields.append(["{:.17g}".format(v) for v in column.tolist()])
+            else:
+                fields.append([str(int(v)) for v in column.tolist()])
+        lines += ["\t".join(row) for row in zip(*fields)]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def oracle_to_implicit(data: list[tuple], passes) -> tuple[list[tuple], list[str], list[str]]:
     """Per-row binarization: (rows, user ids, item ids) of the implicit dataset.
 

@@ -393,6 +393,11 @@ def _renamed(payload, name, old, new):
          "results.recbole.42.fixed-k.per_user is not a dict of three floats per user"),
         (lambda p: _cell(p, n_users=1, per_user={"u0": [0.5, 0.5]}),
          "results.recbole.42.fixed-k.per_user is not a dict of three floats per user"),
+        # Re-emitted with exit 0, its report.md showing the edited mean.
+        (lambda p: _cell(p, mean_ndcg=0.5),
+         "results.recbole.42.fixed-k.mean_ndcg is not the mean of its per_user values"),
+        (lambda p: _cell(p, mean_recall=0.0),
+         "results.recbole.42.fixed-k.mean_recall is not the mean of its per_user values"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
@@ -402,7 +407,7 @@ def _renamed(payload, name, old, new):
          "unknown-column-field", "huge-k", "huge-n", "seed-above-64-bits", "negative-seed",
          "cell-n", "cell-float-n", "cell-idcg-mode", "cell-preset", "cell-seed",
          "cell-text-seed", "cell-n-users", "cell-text-metrics", "cell-int-metric",
-         "cell-two-metrics"],
+         "cell-two-metrics", "cell-edited-mean", "cell-edited-recall"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))

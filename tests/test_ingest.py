@@ -26,6 +26,7 @@ from conftest import (
     as_rows,
     dataset_from_rows,
     oracle_load_interactions,
+    oracle_table_bytes,
     oracle_to_implicit,
     pair_set,
 )
@@ -238,6 +239,13 @@ def test_file_that_changes_between_passes_refused(tmp_path, monkeypatch, rows):
         load_interactions(path)
 
 ID_TEXT = st.text(alphabet="abz09:_-. éü日本", max_size=4)
+# Ids written as numbers: read_table codes a chunk of these through a table,
+# unless one has a leading 0, reaches NUMBERED_IDS or has more than 15 digits.
+NUMBERED_ID = st.one_of(
+    st.integers(0, 30).map(str),
+    st.sampled_from(["0", "00", "007", "7", str(ingest.NUMBERED_IDS - 1),
+                     str(ingest.NUMBERED_IDS), "123456789012345", "1234567890123456"]),
+)
 NUMBER_TEXT = st.one_of(
     st.integers(-10**6, 10**6).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -261,7 +269,8 @@ def test_property_load_interactions_matches_oracle(tmp_path_factory, data):
     names = {f: (f"my{f}" if renamed else ingest.DEFAULT_COLUMNS[f]) for f in logical}
     extras = [f"extra{e}" for e in range(data.draw(st.integers(0, 2), label="extras"))]
     fields = data.draw(st.permutations(logical + extras), label="fields")
-    kinds = {"user": ID_TEXT, "item": ID_TEXT, "rating": NUMBER_TEXT, "timestamp": NUMBER_TEXT}
+    ids = {f: data.draw(st.sampled_from([ID_TEXT, NUMBERED_ID]), label=f) for f in ("user", "item")}
+    kinds = {**ids, "rating": NUMBER_TEXT, "timestamp": NUMBER_TEXT}
     rows = [
         [data.draw(kinds.get(f, ID_TEXT)) for f in fields]
         for _ in range(data.draw(st.integers(0, 12), label="n_rows"))
@@ -521,3 +530,159 @@ def test_property_write_table_read_table_round_trip(tmp_path_factory, columns, c
         else:
             assert got.dtype == want.dtype
             assert np.array_equal(got.view(np.int64), want.view(np.int64))  # bit for bit
+
+
+INT_EDGES = [-(2**63), 2**63 - 1, -(2**63) + 1, -1, 0, 9, 10, -10, 10**18, 10**18 - 1]
+FLOAT_EDGES = [0.0, -0.0, 2.0**53 - 1, 2.0**53, -(2.0**53 - 1), 1e16, 1e17, 1e300, 5e-324,
+               1.0, -3.0, 0.5, -7.25, float("nan"), float("inf"), -float("inf")]
+WRITTEN_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t"))
+COLUMN_VALUES = {
+    int: st.one_of(st.sampled_from(INT_EDGES), st.integers(-(2**63), 2**63 - 1),
+                   st.integers(-1000, 1000)),
+    # Whole chunks of integral floats below 2**53 take the integer path.
+    "integral": st.one_of(st.sampled_from([0.0, -0.0, 2.0**53 - 1, -(2.0**53 - 1), 1.0, -3.0,
+                                           2.0**53, 1e16, 1e17, -1e17, 1e300]),
+                          st.integers(-(2**53) + 1, 2**53 - 1).map(float)),
+    float: st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(),
+                     st.integers(-(2**53) + 1, 2**53 - 1).map(float)),
+}
+
+
+@st.composite
+def blocks(draw, chunk: int):
+    """Blocks of columns laid out alike: a layout, then rows block by block."""
+    layout = draw(st.lists(st.sampled_from([str, int, "integral", float]), min_size=1, max_size=4))
+    ids = {c: draw(st.lists(WRITTEN_IDS | st.sampled_from(["", "é", "日本", "a b", "\x00"]),
+                            min_size=1, max_size=6, unique=True))
+           for c, kind in enumerate(layout) if kind is str}
+    sizes = st.one_of(st.integers(0, 3 * chunk + 1), st.sampled_from([chunk - 1, chunk, chunk + 1]))
+    out = []
+    for n in draw(st.lists(sizes, min_size=1, max_size=4)):
+        block = []
+        for c, kind in enumerate(layout):
+            if kind is str:
+                codes = draw(st.lists(st.integers(0, len(ids[c]) - 1), min_size=n, max_size=n))
+                block.append((np.array(codes, dtype=np.int64), ids[c]))
+            else:
+                dtype = np.int64 if kind is int else np.float64
+                values = draw(st.lists(COLUMN_VALUES[kind], min_size=n, max_size=n))
+                block.append(np.array(values, dtype=dtype))
+        out.append(block)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), chunk=st.integers(1, 5), as_list=st.booleans())
+def test_property_write_table_bytes_match_oracle(tmp_path_factory, data, chunk, as_list):
+    drawn = data.draw(blocks(chunk), label="blocks")
+    header = "\t".join(f"c{i}" for i in range(len(drawn[0])))
+    path = tmp_path_factory.mktemp("written") / "t.tsv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "CHUNK_LINES", chunk)
+        ingest.write_table(path, header, drawn[0] if as_list else iter(drawn))
+    assert path.read_bytes() == oracle_table_bytes(header, drawn[:1] if as_list else drawn)
+
+
+@pytest.mark.parametrize("value", FLOAT_EDGES + [float(2**63), -(2.0**63), 123.0, 1e-5])
+def test_write_table_float_bytes_match_oracle(tmp_path, value):
+    # Each value alone in its chunk, then with an integral and a non-integral one.
+    for values in ([value], [value, 3.0], [value, 0.25]):
+        columns = [np.array(values)]
+        ingest.write_table(tmp_path / "t.tsv", "x", columns)
+        assert (tmp_path / "t.tsv").read_bytes() == oracle_table_bytes("x", [columns])
+
+
+@pytest.mark.parametrize("rows", [0, 4095, 4096, 4097, 2 * 4096 + 1])
+def test_write_table_bytes_match_oracle_at_chunk_sizes(tmp_path, rows):
+    # The module's own CHUNK_LINES, with every kind of column across chunk ends.
+    assert ingest.CHUNK_LINES == 4096
+    rng = np.random.default_rng(rows)
+    ids = ["", "é", "日本", "u1", "a b"]
+    integral = rng.integers(-(2**53) + 1, 2**53, rows).astype(np.float64)
+    mixed = integral.copy()
+    mixed[rows // 2 : rows // 2 + 1] = 0.5  # one chunk falls back to "{:.17g}"
+    columns = [(rng.integers(0, len(ids), rows), ids),
+               rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True), integral, mixed,
+               rng.standard_normal(rows)]
+    header = "id\tint\tintegral\tmixed\tfloat"
+    ingest.write_table(tmp_path / "t.tsv", header, columns)
+    assert (tmp_path / "t.tsv").read_bytes() == oracle_table_bytes(header, [columns])
+
+
+# Each field once as a float column and once as an int column, such as a
+# matrix file's counts: read_table's value, or its RowParseError message.
+# A field of 1-15 digits is parsed from the chunk's bytes; the rest are not.
+NUMBER_FIELDS = [
+    ("7", 7, 7.0),
+    ("007", 7, 7.0),
+    ("123456789012345", 123456789012345, 123456789012345.0),
+    ("1234567890123456", 1234567890123456, 1234567890123456.0),
+    ("98765432109876543", 98765432109876543, 9.8765432109876544e16),
+    ("-5", -5, -5.0),
+    ("3.5", "bad x '3.5'", 3.5),
+    ("1e3", "bad x '1e3'", 1000.0),
+    ("+9", "bad x '+9'", "bad x '+9'"),
+    (" 9", "bad x ' 9'", "bad x ' 9'"),
+    ("9_0", "bad x '9_0'", "bad x '9_0'"),
+    ("inf", "bad x 'inf'", "non-finite x inf"),
+    ("", "bad x ''", "bad x ''"),
+    # The bytes after and before "0"-"9": ":" and "/".
+    ("4:", "bad x '4:'", "bad x '4:'"),
+    ("/4", "bad x '/4'", "bad x '/4'"),
+    ("٣", "bad x '٣'", "bad x '٣'"),
+]
+
+
+@pytest.mark.parametrize("with_ids", [True, False], ids=["with-ids", "numbers-only"])
+@pytest.mark.parametrize("kind", [int, float])
+@pytest.mark.parametrize("field, as_int, as_float", NUMBER_FIELDS, ids=[f[0] for f in NUMBER_FIELDS])
+def test_read_table_number_fields(tmp_path, with_ids, kind, field, as_int, as_float):
+    # Line 3 holds the field, between two digit-only rows of the same chunk.
+    want = as_int if kind is int else as_float
+    rows = [["a", "1"], ["b", field], ["c", "20"]]
+    path = tmp_path / "t.tsv"
+    body = "".join("\t".join(row if with_ids else row[1:]) + "\n" for row in rows)
+    path.write_text(("id\tx\n" if with_ids else "x\n") + body, encoding="utf-8")
+    spec = [("id", str), ("x", kind)] if with_ids else [("x", kind)]
+    for chars in (1, 4, 1 << 16):  # the field in a chunk of its own and in one chunk with all
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "CHUNK_CHARS", chars)
+            if isinstance(want, str):
+                with pytest.raises(RowParseError) as e:
+                    ingest.read_table(path, "\t", lambda line: spec)
+                assert (e.value.line_no, str(e.value)) == (3, f"{path}: line 3: {want}")
+                continue
+            got = ingest.read_table(path, "\t", lambda line: spec)["x"]
+        assert got.dtype == (np.int64 if kind is int else np.float64)
+        assert got.tolist() == [1, want, 20] and type(got.tolist()[1]) is kind
+
+
+@pytest.mark.parametrize("kind", [int, float])
+def test_read_table_chunk_of_digit_and_other_fields(tmp_path, monkeypatch, kind):
+    # One column of one chunk mixes digit-only fields and others; each chunk
+    # of the smaller reads takes the digit path or the fallback on its own.
+    fields = ["7", "007", "-5", "123456789012345", "0", "1234567890123456", "42"]
+    path = tmp_path / "m.tsv"
+    path.write_text("i\tx\n" + "".join(f"{i}\t{f}\n" for i, f in enumerate(fields)),
+                    encoding="utf-8")
+    spec = [("i", int), ("x", kind)]
+    for chars in (1, 5, 9, 1 << 16):
+        monkeypatch.setattr(ingest, "CHUNK_CHARS", chars)
+        table = ingest.read_table(path, "\t", lambda line: spec)
+        assert table["i"].tolist() == list(range(len(fields)))
+        assert table["x"].tolist() == [kind(f) for f in fields]
+
+
+@pytest.mark.parametrize("chars", [1, 6, 20, 1 << 16])
+def test_read_table_numbered_ids_code_as_dict(tmp_path, monkeypatch, chars):
+    # Chunks of numbered ids go through the table, the others through the
+    # dict ("007", "u", a value at NUMBERED_IDS); each id keeps one code,
+    # the first-appearance one, whichever way its chunks are read.
+    ids = ["7", "10", "007", "7", "0", "u", "10", str(ingest.NUMBERED_IDS), "0", "u",
+           str(ingest.NUMBERED_IDS - 1), "3", "007", "3", "7"]
+    path = tmp_path / "t.tsv"
+    path.write_text("id\n" + "".join(f"{x}\n" for x in ids), encoding="utf-8")
+    monkeypatch.setattr(ingest, "CHUNK_CHARS", chars)
+    codes, universe = ingest.read_table(path, "\t", lambda line: [("id", str)])["id"]
+    assert universe == list(dict.fromkeys(ids))
+    assert codes.tolist() == [universe.index(x) for x in ids]
