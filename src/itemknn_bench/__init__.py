@@ -31,9 +31,9 @@ from .recommend import (
     PRESETS,
     Preset,
     RecommendationList,
+    Recommendations,
     ScoringMode,
     recommend_all,
-    recommend_topn,
     score_user,
 )
 from .split import SplitConfig, SplitPair, split_holdout

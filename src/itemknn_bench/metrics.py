@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractError
 from .ingest import InteractionDataset
-from .recommend import RecommendationList, _ranks
+from .recommend import Recommendations, _ranks
 
 IDCG_TRUNCATED = "truncated"
 IDCG_FIXED_K = "fixed-k"
@@ -140,7 +140,7 @@ def mean_of(per_user: dict, field: int) -> float:
 
 
 def evaluate(
-    recs: list[RecommendationList],
+    recs: Recommendations,
     test: InteractionDataset,
     n: int,
     mode: str,
@@ -151,7 +151,4 @@ def evaluate(
 
     Users are keyed by external id in the report; see :func:`report_from_gains`.
     """
-    users = np.array([rl.user for rl in recs], dtype=np.int64)
-    items = np.array([item for rl in recs for item, _ in rl.entries], dtype=np.int64)
-    sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
-    return report_from_gains(test, users, items, sizes, n, mode, preset, seed)
+    return report_from_gains(test, recs.users, recs.items, recs.sizes, n, mode, preset, seed)

@@ -68,8 +68,9 @@ Top-N zeroes each user's seen items in the block and then ranks the whole
 block at once: each row's positive entries in :func:`knn.first_k`'s
 (-value, index) order, score descending, item ascending, first n.  Only the
 entries at or above a row's n-th largest value (``np.partition``) are
-sorted, by one stable ``np.lexsort``.  :func:`score_user` and
-:func:`recommend_topn` are the one-row cases of the same kernel and ranker.
+sorted, by one stable ``np.lexsort``.  The lists come back as columns, a
+:class:`Recommendations`, into which each chunk's ranked entries are copied.
+:func:`score_user` is the one-row case of the kernel.
 
 Named presets pair a matrix strategy with a scoring mode:
 
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,6 +140,30 @@ class RecommendationList:
 
     user: int
     entries: list[tuple[int, float]]
+
+
+@dataclass(frozen=True, eq=False)
+class Recommendations:
+    """Ranked lists as columns: list r is user ``users[r]``'s next ``sizes[r]``
+    entries of ``items`` and ``scores``, best first, list after list.
+
+    Iterating builds each list's :class:`RecommendationList`, of plain ints
+    and floats, on demand; compare results by ``list(recs)``.
+    """
+
+    users: np.ndarray
+    sizes: np.ndarray
+    items: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[RecommendationList]:
+        entries = list(zip(self.items.tolist(), self.scores.tolist()))
+        ends = np.cumsum(self.sizes).tolist()
+        for user, size, end in zip(self.users.tolist(), self.sizes.tolist(), ends):
+            yield RecommendationList(user, entries[end - size : end])
 
 
 class _ColumnGather:
@@ -252,15 +277,6 @@ def _rank(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.minimum(counts, n), cols[keep], vals[keep]
 
 
-def _lists(users: Iterable[int], sizes: np.ndarray, items: np.ndarray, scores: np.ndarray
-           ) -> list[RecommendationList]:
-    """One list per user: ``sizes[r]`` of the (item, score) entries, user after user."""
-    entries = list(zip(items.tolist(), scores.tolist()))
-    ends = np.cumsum(sizes).tolist()
-    return [RecommendationList(user, entries[end - size : end])
-            for user, size, end in zip(users, sizes.tolist(), ends)]
-
-
 def score_user(
     s: SimilarityMatrix, profile: Iterable[int], mode: ScoringMode
 ) -> np.ndarray:
@@ -268,7 +284,7 @@ def score_user(
 
     Returns a dense float64 vector over all items.  Candidates sharing no
     stored similarity with the profile score exactly 0.  Items inside the
-    profile are scored too; exclusion happens in :func:`recommend_topn`.
+    profile are scored too; exclusion happens in :func:`recommend_all`.
     """
     profile = np.unique(np.asarray(list(profile), dtype=np.int64))
     if len(profile) and (profile[0] < 0 or profile[-1] >= s.n_items):
@@ -278,27 +294,9 @@ def score_user(
     return _score_chunk(s, profile, np.array([0, len(profile)]), _selection_k(s, mode))[0]
 
 
-def recommend_topn(
-    scores: np.ndarray, seen: Iterable[int], n: int, user: int = 0
-) -> RecommendationList:
-    """Top-n unseen positively scored items, by score descending then item ascending.
-
-    ``seen`` may be any iterable of item indices in ``[0, len(scores))``; an
-    ndarray is used as it is.
-    """
-    block = np.array(scores, dtype=np.float64, ndmin=2)  # a copy: ``scores`` stays as it is
-    if not isinstance(seen, np.ndarray):
-        seen = np.fromiter(seen, dtype=np.int64)
-    if len(seen) and (seen.min() < 0 or seen.max() >= block.shape[1]):
-        raise ContractError(f"seen indices out of range [0, {block.shape[1]}): "
-                            f"{seen.min()}..{seen.max()}")
-    block[0, seen] = 0.0
-    return _lists([user], *_rank(block, n))[0]
-
-
 def recommend_all(
     s: SimilarityMatrix, x: sp.csr_matrix, mode: ScoringMode, n: int, users: np.ndarray
-) -> list[RecommendationList]:
+) -> Recommendations:
     """One recommendation list per user of ``users``, scored from the train matrix ``x``.
 
     ``x`` is the binary users x items train matrix of :func:`knn.build_matrix`
@@ -320,22 +318,31 @@ def recommend_all(
 
     k = _selection_k(s, mode)
     starts, ends = x.indptr[users], x.indptr[users + 1]
-    # cost[r]: the gathered cells plus dense cells of users [0, r).
     cells = np.concatenate(([0], np.cumsum(np.diff(s.csc().indptr)[x.indices])))
-    cost = np.concatenate(([0], np.cumsum(cells[ends] - cells[starts] + s.n_items)))
+    gathered = cells[ends] - cells[starts]  # each user's gathered cells
     del cells
-    out: list[RecommendationList] = []
-    lo = 0
+    # cost[r]: the gathered cells plus dense cells of users [0, r).
+    cost = np.concatenate(([0], np.cumsum(gathered + s.n_items)))
+    # A list holds at most n entries, each a gathered cell's candidate.  The
+    # columns take that bound before any chunk's temporaries: chunk outputs
+    # kept among them pinned the heap (18 MB of RSS kept after a 100K call).
+    room = int(np.minimum(gathered, min(n, s.n_items)).sum())
+    sizes, items, scores = np.empty(len(users), np.int64), np.empty(room, np.int64), np.empty(room)
+    lo = end = 0
     while lo < len(users):
         hi = max(int(np.searchsorted(cost, cost[lo] + CHUNK_CELLS, side="right")) - 1, lo + 1)
-        sizes = ends[lo:hi] - starts[lo:hi]
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        profiles = x.indices[np.repeat(starts[lo:hi] - bounds[:-1], sizes) + np.arange(bounds[-1])]
+        lengths = ends[lo:hi] - starts[lo:hi]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        profiles = x.indices[np.repeat(starts[lo:hi] - bounds[:-1], lengths)
+                             + np.arange(bounds[-1])]
         block = _score_chunk(s, profiles, bounds, k)
-        block[np.repeat(np.arange(hi - lo), sizes), profiles] = 0.0  # the seen items
-        out += _lists(users[lo:hi].tolist(), *_rank(block, n))
+        block[np.repeat(np.arange(hi - lo), lengths), profiles] = 0.0  # the seen items
+        sizes[lo:hi], chunk_items, chunk_scores = _rank(block, n)
+        items[end : end + len(chunk_items)] = chunk_items
+        scores[end : end + len(chunk_items)] = chunk_scores
+        end += len(chunk_items)
         lo = hi
-    return out
+    return Recommendations(users, sizes, items[:end], scores[:end])
 
 
 def _ranks(sizes: np.ndarray) -> np.ndarray:
@@ -343,16 +350,10 @@ def _ranks(sizes: np.ndarray) -> np.ndarray:
     return np.arange(1, sizes.sum() + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
-def save_recommendations(
-    recs: list[RecommendationList], ds: InteractionDataset, path: str | Path
-) -> Path:
+def save_recommendations(recs: Recommendations, ds: InteractionDataset, path: str | Path) -> Path:
     """Dump lists under :data:`RECS_HEADER`, one entry per line, with external ids."""
-    sizes = np.array([len(rl.entries) for rl in recs], dtype=np.int64)
-    users = np.repeat(np.array([rl.user for rl in recs], dtype=np.int64), sizes)
-    entries = [entry for rl in recs for entry in rl.entries]
-    items = np.array([item for item, _ in entries], dtype=np.int64)
-    scores = np.array([score for _, score in entries], dtype=np.float64)
-    columns = [(users, ds.user_ids), _ranks(sizes), (items, ds.item_ids), scores]
+    users = np.repeat(recs.users, recs.sizes)
+    columns = [(users, ds.user_ids), _ranks(recs.sizes), (recs.items, ds.item_ids), recs.scores]
     return write_table(path, RECS_HEADER, columns)
 
 

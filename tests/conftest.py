@@ -19,7 +19,7 @@ import pytest
 
 from itemknn_bench.ingest import InteractionDataset
 from itemknn_bench.knn import SimilarityMatrix, build_matrix
-from itemknn_bench.recommend import recommend_all
+from itemknn_bench.recommend import Recommendations, recommend_all
 
 
 class Interaction(NamedTuple):
@@ -102,6 +102,21 @@ def item_sets(ds: InteractionDataset) -> dict[int, set[int]]:
 def recommend_split(s, pair, mode, n: int):
     """``recommend_all`` for every test user of a split, scored from its train side."""
     return recommend_all(s, build_matrix(pair.train), mode, n, np.unique(pair.test.users))
+
+
+def as_recommendations(lists) -> Recommendations:
+    """Hand-built ``RecommendationList``s as the columns ``recommend_all`` returns.
+
+    A test input builder, not an oracle: ``list(as_recommendations(lists))``
+    gives the lists back.
+    """
+    lists = list(lists)
+    return Recommendations(
+        np.array([rl.user for rl in lists], dtype=np.int64),
+        np.array([len(rl.entries) for rl in lists], dtype=np.int64),
+        np.array([item for rl in lists for item, _ in rl.entries], dtype=np.int64),
+        np.array([score for rl in lists for _, score in rl.entries], dtype=np.float64),
+    )
 
 
 def entries_equal(a: SimilarityMatrix, b: SimilarityMatrix) -> bool:

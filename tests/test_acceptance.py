@@ -97,7 +97,7 @@ def test_criterion_2_alignment_equivalence():
             s_full = cosine_similarity(build_matrix(pair.train))
             adjusted = preset_lists("lenskit-adjusted", s_full, pair, k, 10)
             recbole = preset_lists("recbole", s_full, pair, k, 10)
-            assert adjusted == recbole, f"lists diverge on trial {trial} (k={k})"
+            assert list(adjusted) == list(recbole), f"lists diverge on trial {trial} (k={k})"
             for mode in (IDCG_TRUNCATED, IDCG_FIXED_K):
                 rep_a = evaluate(adjusted, pair.test, 10, mode)
                 rep_r = evaluate(recbole, pair.test, 10, mode)
@@ -114,7 +114,7 @@ def test_criterion_3_degenerate_equality():
             s_full = cosine_similarity(build_matrix(pair.train))
             original = preset_lists("lenskit-original", s_full, pair, k, 10)
             recbole = preset_lists("recbole", s_full, pair, k, 10)
-            assert original == recbole, f"lists diverge on trial {trial}"
+            assert list(original) == list(recbole), f"lists diverge on trial {trial}"
 
 
 # --- criterion 4 --------------------------------------------------------------

@@ -872,6 +872,28 @@ def test_evaluate_scores_every_test_user(tmp_path, capsys):
     assert report["per_user"] == {u: list(m) for u, m in in_memory.per_user.items()}
 
 
+def test_recommend_without_train_users_writes_header_only_dump(tmp_path, capsys):
+    # No test user is in the train file, so no user is scored: the result's
+    # columns are empty but typed, the dump holds only its header, and every
+    # test user scores 0.
+    train = save_pairs([("u1", "a"), ("u1", "b"), ("u2", "b")], tmp_path / "t.train.inter")
+    test = save_pairs([("v1", "a"), ("v2", "b"), ("v2", "c")], tmp_path / "t.test.inter")
+    x = build_matrix(load_interactions(train))
+    recs = recommend_all(cosine_similarity(x), x, PRESETS["recbole"].scoring_mode(2), 3,
+                         np.zeros(0, np.int64))
+    assert len(recs) == 0 and list(recs) == []
+    assert (recs.sizes.dtype, recs.items.dtype, recs.scores.dtype) == (
+        np.int64, np.int64, np.float64)
+    assert run_cli("recommend", "--train", train, "--test", test, "--preset", "recbole",
+                   "--k", 2, "--topn", 3, "--out", tmp_path) == 0
+    recs_path = Path(capsys.readouterr().out.strip())
+    assert recs_path.read_text(encoding="utf-8") == "user\trank\titem\tscore\n"
+    assert run_cli("evaluate", "--recs", recs_path, "--test", test, "--topn", 3,
+                   "--idcg", "both") == 0
+    for report in json.loads(capsys.readouterr().out).values():
+        assert report["per_user"] == {"v1": [0.0, 0.0, 0.0], "v2": [0.0, 0.0, 0.0]}
+
+
 def test_evaluate_counts_item_absent_from_test_as_miss(tmp_path, capsys):
     # Test codes: users a=0, b=1; items x=0, y=1, z=2.  Item w is absent from
     # the test file; a key b * 3 + (-1) == 2 would be the pair (a, z), a hit.

@@ -20,6 +20,7 @@ from itemknn_bench.metrics import (
 from itemknn_bench.recommend import RecommendationList
 
 from conftest import (
+    as_recommendations,
     brute_dcg,
     brute_idcg,
     brute_ndcg,
@@ -163,7 +164,7 @@ def three_user_fixture():
 
 def test_evaluate_three_user_fixture():
     recs, test = three_user_fixture()
-    rep = evaluate(recs, test, 3, IDCG_TRUNCATED, preset="recbole", seed=42)
+    rep = evaluate(as_recommendations(recs), test, 3, IDCG_TRUNCATED, preset="recbole", seed=42)
     assert rep.n_users == 3
     a, b, c = rep.per_user["a"], rep.per_user["b"], rep.per_user["c"]
     assert a.ndcg == brute_ndcg([1, 0], 1, 3, "truncated")
@@ -187,7 +188,7 @@ def test_evaluate_mean_of_two():
 def test_evaluate_all_empty_lists():
     recs, test = three_user_fixture()
     empty = [RecommendationList(rl.user, []) for rl in recs]
-    rep = evaluate(empty, test, 3, IDCG_TRUNCATED)
+    rep = evaluate(as_recommendations(empty), test, 3, IDCG_TRUNCATED)
     assert rep.mean_ndcg == 0.0
     assert rep.mean_precision == 0.0
     assert rep.mean_recall == 0.0
@@ -197,7 +198,7 @@ def test_evaluate_rejects_user_without_test_rows():
     recs, test = three_user_fixture()
     recs = recs + [RecommendationList(3, [(0, 0.5)])]  # no such user in test
     with pytest.raises(ContractError):
-        evaluate(recs, test, 3, IDCG_TRUNCATED)
+        evaluate(as_recommendations(recs), test, 3, IDCG_TRUNCATED)
 
 
 def random_gain_cases(rng, count):
@@ -259,8 +260,8 @@ def test_ndcg_truncated_tops_out_on_ideal_prefix():
 
 def test_evaluate_permutation_invariant():
     recs, test = three_user_fixture()
-    forward = evaluate(recs, test, 3, IDCG_TRUNCATED)
-    backward = evaluate(list(reversed(recs)), test, 3, IDCG_TRUNCATED)
+    forward = evaluate(as_recommendations(recs), test, 3, IDCG_TRUNCATED)
+    backward = evaluate(as_recommendations(reversed(recs)), test, 3, IDCG_TRUNCATED)
     assert forward.per_user == backward.per_user
     assert forward.mean_ndcg == backward.mean_ndcg
     assert forward.mean_precision == backward.mean_precision
