@@ -4,7 +4,6 @@ scoring modes, and nDCG semantics, plus a deterministic experiment harness."""
 from .errors import ContractError, ExperimentError, RowParseError, SchemaError
 from .harness import ExperimentConfig, emit_report, run_experiment
 from .ingest import (
-    DatasetStats,
     ImplicitThreshold,
     InteractionDataset,
     load_interactions,
@@ -36,6 +35,6 @@ from .recommend import (
     recommend_all,
     score_user,
 )
-from .split import SplitConfig, SplitPair, split_holdout
+from .split import split_holdout
 
 __version__ = "0.1.0"

@@ -48,7 +48,7 @@ from .knn import (
 )
 from .metrics import IDCG_MODES, report_from_gains
 from .recommend import PRESETS, load_recommendations, recommend_all, save_recommendations
-from .split import SplitConfig, save_split, split_holdout
+from .split import save_split, split_holdout
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
@@ -123,9 +123,9 @@ def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
 
 def _cmd_stats(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
-    payload = {"dataset": Path(args.data).stem, "before": stats(ds).as_dict()}
+    payload = {"dataset": Path(args.data).stem, "before": stats(ds)}
     if (threshold := args.threshold) is not None:
-        payload["after"] = stats(to_implicit(ds, threshold)).as_dict()
+        payload["after"] = stats(to_implicit(ds, threshold))
         payload["threshold"] = {"cutoff": threshold.cutoff, "mode": threshold.mode}
     print(_canonical_json(payload).decode("utf-8"), end="")
     return 0
@@ -143,8 +143,8 @@ def _cmd_split(args) -> int:
     ds = load_interactions(args.data, args.format, args.column_map)
     stem = Path(args.data).stem
     for seed in args.seeds:
-        pair = split_holdout(ds, SplitConfig(train_ratio=args.train_ratio, seed=seed))
-        train_path, test_path = save_split(pair, args.out, f"{stem}.seed{seed}")
+        train, test = split_holdout(ds, args.train_ratio, seed)
+        train_path, test_path = save_split(train, test, args.out, f"{stem}.seed{seed}")
         print(train_path)
         print(test_path)
     return 0
@@ -201,7 +201,7 @@ def _cmd_recommend(args) -> int:
     if args.matrix:
         s = load_similarity(args.matrix, train.item_ids)
         want_k = args.k if preset.matrix_strategy == STRATEGY_TOPK else None
-        if (s.strategy, s.k) != (preset.matrix_strategy, want_k):
+        if s.k != want_k:
             raise ContractError(
                 f"{args.matrix} is a {s.strategy} matrix with k={s.k or 0}, but preset "
                 f"{name} with --k {args.k} needs a {preset.matrix_strategy} matrix "

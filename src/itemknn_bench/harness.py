@@ -32,8 +32,8 @@ from .errors import ExperimentError, SchemaError
 from .ingest import (
     DEFAULT_COLUMNS,
     FORMATS,
+    STATS_KEYS,
     THRESHOLD_MODES,
-    DatasetStats,
     ImplicitThreshold,
     load_interactions,
     stats,
@@ -42,7 +42,7 @@ from .ingest import (
 from .knn import STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
 from .metrics import IDCG_MODES, IDCG_TRUNCATED, MetricReport, evaluate, mean_of
 from .recommend import PRESETS, recommend_all
-from .split import SplitConfig, split_holdout
+from .split import split_holdout
 
 REPORT_FORMATS = ("json", "csv", "md")
 
@@ -123,8 +123,9 @@ def load_report(path: str | Path) -> dict:
 
     Raises ``SchemaError`` unless the file is JSON laid out as
     :func:`run_experiment`'s payload: each dict holds
-    exactly its keys, the config is one that :meth:`ExperimentConfig.validate`
-    accepts, and every cell's metrics are floats, its ``n``, IDCG mode,
+    exactly its keys, the stats' counts are ints and their ratios floats, the
+    config is one that :meth:`ExperimentConfig.validate` accepts, and every
+    cell's metrics are floats in [0, 1], its ``n``, IDCG mode,
     preset, seed and ``n_users`` are those its config, keys and users give,
     and its means are those of its ``per_user`` values.
     So each report format renders, into its output directory, what an
@@ -146,7 +147,10 @@ def load_report(path: str | Path) -> dict:
         fail(f"not JSON: {e}")
     keyed(payload, ("config", "stats_before", "stats_after", "results"), "the top level")
     for name in ("stats_before", "stats_after"):
-        keyed(payload[name], DatasetStats.__slots__, name)
+        values = keyed(payload[name], STATS_KEYS, name)
+        for key, (want, what) in zip(STATS_KEYS, [(int, "an int")] * 3 + [(float, "a float")] * 3):
+            if type(values[key]) is not want:
+                fail(f"{name}.{key} is not {what}")
     cfg = keyed(payload["config"], ExperimentConfig("", ImplicitThreshold(0)).as_dict(), "config")
     keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
     if fault := _config_fault(cfg):
@@ -164,6 +168,9 @@ def load_report(path: str | Path) -> dict:
                     for v in per_user.values()
                 ):
                     fail(f"{cell}.per_user is not a dict of three floats per user")
+                # NaN and infinities too, which json reads and RFC 8259 has not.
+                if not all(0.0 <= x <= 1.0 for v in per_user.values() for x in v):
+                    fail(f"{cell}.per_user holds a metric outside [0, 1]")
                 # By type too: 10.0 == 10 and True == 1, but an experiment writes neither.
                 for key, want in zip(("n", "idcg_mode", "preset", "seed", "n_users"),
                                      (cfg["n"], mode, preset, int(seed), len(per_user))):
@@ -212,8 +219,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, dict[str, float]]:
     results: dict = {preset: {} for preset in cfg.presets}
     for seed in cfg.seeds:
         _run_seed(cfg, implicit, seed, results, timings)
-    return {"config": cfg.as_dict(), "stats_before": stats_before.as_dict(),
-            "stats_after": stats_after.as_dict(), "results": results}, timings
+    return {"config": cfg.as_dict(), "stats_before": stats_before,
+            "stats_after": stats_after, "results": results}, timings
 
 
 def _run_seed(cfg, implicit, seed, results, timings) -> None:
@@ -223,9 +230,7 @@ def _run_seed(cfg, implicit, seed, results, timings) -> None:
     scoring after it set a run's peak memory.
     """
     with _phase("split", timings):
-        pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed))
-    train, test = pair.train, pair.test
-    del pair
+        train, test = split_holdout(implicit, cfg.train_ratio, seed)
     if test.n_interactions == 0:
         raise ExperimentError(
             "split",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from contextlib import suppress
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -40,6 +40,8 @@ DEFAULT_COLUMNS = {
 ATOMIC_HEADER = "user_id:token\titem_id:token\trating:float\ttimestamp:float"
 FORMATS = ("atomic", "csv")
 THRESHOLD_MODES = ("gt", "ge")
+# The keys of stats(): three int counts, then three float ratios.
+STATS_KEYS = ("n_users", "n_items", "n_interactions", "avg_per_user", "avg_per_item", "sparsity")
 # read_table reads this many characters at a time, completed to a line end, and
 # write_table formats this many lines at a time, which bounds their transient
 # memory: a chunk of text and its fields, not a file's.
@@ -139,19 +141,6 @@ def _recode(codes: np.ndarray, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     rank = np.empty(len(ids), dtype=np.int64)
     rank[used] = np.arange(len(used))
     return rank[codes], [ids[c] for c in used.tolist()]
-
-
-@dataclass(frozen=True, slots=True)
-class DatasetStats:
-    n_users: int
-    n_items: int
-    n_interactions: int
-    avg_per_user: float
-    avg_per_item: float
-    sparsity: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def read_table(path: str | Path, sep: str, header: Callable[[str], list]) -> dict:
@@ -581,19 +570,12 @@ def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionData
                               user_ids, item_ids)
 
 
-def stats(ds: InteractionDataset) -> DatasetStats:
-    """Counts and derived ratios; averages and sparsity are 0 for an empty dataset."""
+def stats(ds: InteractionDataset) -> dict:
+    """The dataset's counts and derived ratios, keyed by ``STATS_KEYS``, as
+    ``report.json`` stores them; averages and sparsity are 0 for an empty dataset."""
     n_u, n_i, n_x = ds.n_users, ds.n_items, ds.n_interactions
-    if n_u == 0 or n_i == 0:
-        return DatasetStats(n_u, n_i, n_x, 0.0, 0.0, 0.0)
-    return DatasetStats(
-        n_users=n_u,
-        n_items=n_i,
-        n_interactions=n_x,
-        avg_per_user=n_x / n_u,
-        avg_per_item=n_x / n_i,
-        sparsity=1.0 - n_x / (n_u * n_i),
-    )
+    ratios = (n_x / n_u, n_x / n_i, 1.0 - n_x / (n_u * n_i)) if n_u and n_i else (0.0,) * 3
+    return dict(zip(STATS_KEYS, (n_u, n_i, n_x, *ratios)))
 
 
 def save_interactions(ds: InteractionDataset, path: str | Path) -> Path:

@@ -44,11 +44,12 @@ COSINE_CHUNK = 2**16
 class SimilarityMatrix:
     """Item-item similarities in CSR arrays; rows sorted by column index.
 
-    ``strategy`` is ``"full"`` (symmetric, every nonzero cosine stored) or
-    ``"topk"`` (row i holds only the first k entries of the full row i in
-    :func:`neighbour_orders`).  In the package only :func:`cosine_similarity`
-    and :func:`load_similarity`, which mirrors a file's upper triangle, build
-    a ``"full"`` matrix, so a full matrix is exactly its own transpose.
+    ``strategy`` is ``"full"`` (symmetric, every nonzero cosine stored) when
+    ``k`` is None, else ``"topk"`` (row i holds only the first k entries of
+    the full row i in :func:`neighbour_orders`); ``n_items`` is the row
+    count of ``indptr``.  In the package only :func:`cosine_similarity` and
+    :func:`load_similarity`, which mirrors a file's upper triangle, build a
+    ``"full"`` matrix, so a full matrix is exactly its own transpose.
 
     ``n_i`` is the number of users of each item (float64; 0 for an item
     without users): the cosine's own input, which :func:`save_similarity`
@@ -66,15 +67,21 @@ class SimilarityMatrix:
     live exactly as long as it does.
     """
 
-    n_items: int
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    strategy: str
     k: int | None = None
     n_i: np.ndarray | None = field(default=None, repr=False, compare=False)
     _csc: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
     _priorities: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def n_items(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def strategy(self) -> str:
+        return STRATEGY_FULL if self.k is None else STRATEGY_TOPK
 
     @property
     def nnz(self) -> int:
@@ -219,8 +226,7 @@ def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
     which is then dropped with the zeros; an item without users has no
     diagonal entry at all.
     """
-    n_items = b.shape[1]
-    if n_items < 1:
+    if b.shape[1] < 1:
         raise ContractError("cosine_similarity requires at least one item")
 
     ones = sp.csr_matrix((np.ones(b.nnz), b.indices, b.indptr), shape=b.shape)
@@ -230,14 +236,7 @@ def cosine_similarity(b: sp.csr_matrix) -> SimilarityMatrix:
     cooc.eliminate_zeros()
     cooc.sort_indices()
 
-    return SimilarityMatrix(
-        n_items=n_items,
-        indptr=cooc.indptr,
-        cols=cooc.indices,
-        vals=cooc.data,
-        strategy=STRATEGY_FULL,
-        n_i=n_i,
-    )
+    return SimilarityMatrix(indptr=cooc.indptr, cols=cooc.indices, vals=cooc.data, n_i=n_i)
 
 
 def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
@@ -254,7 +253,7 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
     """
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    if s.strategy == STRATEGY_TOPK and (s.k is None or k > s.k):
+    if s.k is not None and k > s.k:
         raise ContractError(
             f"cannot re-truncate a top-{s.k} matrix at k={k}: entries beyond "
             f"the stored k are no longer available"
@@ -268,11 +267,9 @@ def truncate_topk(s: SimilarityMatrix, k: int) -> SimilarityMatrix:
     indptr = np.zeros(s.n_items + 1, dtype=dtype)
     np.cumsum(lengths, out=indptr[1:])
     return SimilarityMatrix(
-        n_items=s.n_items,
         indptr=indptr,
         cols=s.cols[keep].astype(dtype, copy=False),
         vals=s.vals[keep],
-        strategy=STRATEGY_TOPK,
         k=k,
         n_i=s.n_i,
     )
@@ -424,12 +421,4 @@ def load_similarity(path: str | Path, item_ids: list[str]) -> SimilarityMatrix:
         m.sort_indices()
     indptr, cols, vals = m.indptr, m.indices, m.data
     cosine_in_place(vals, cols, indptr, n_i)
-    return SimilarityMatrix(
-        n_items=n_items,
-        indptr=indptr,
-        cols=cols,
-        vals=vals,
-        strategy=strategy,
-        k=k or None,
-        n_i=n_i,
-    )
+    return SimilarityMatrix(indptr=indptr, cols=cols, vals=vals, k=k or None, n_i=n_i)

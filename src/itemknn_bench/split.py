@@ -22,7 +22,6 @@ integer sorts, in about a quarter of the lexsort's time at 1M rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,26 +68,10 @@ def splitmix64_draw(seeds: np.ndarray, t: int) -> np.ndarray:
         return _mix(np.asarray(seeds, dtype=np.uint64) + step)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitConfig:
-    train_ratio: float = 0.8
-    seed: int = 42
-
-    def __post_init__(self):
-        if not (0.0 < self.train_ratio <= 1.0):
-            raise ValueError(f"train_ratio must be in (0, 1], got {self.train_ratio}")
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """Train/test partition sharing the source dataset's id lists."""
-
-    train: InteractionDataset
-    test: InteractionDataset
-
-
-def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
-    """Split each user's interactions into train/test by ``cfg.train_ratio``.
+def split_holdout(
+    ds: InteractionDataset, train_ratio: float, seed: int
+) -> tuple[InteractionDataset, InteractionDataset]:
+    """Split each user's interactions into ``(train, test)`` by ``train_ratio``.
 
     For a user with n interactions exactly ``ceil(train_ratio * n)`` go to
     train, so every user keeps at least one training interaction; users whose
@@ -96,8 +79,11 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
     outputs list their rows in canonical order (user, timestamp, item
     ascending) and share the source id lists.
 
-    Raises ``ContractError`` if the dataset is not implicit.
+    Raises ``ValueError`` for a ratio outside (0, 1] and ``ContractError`` if
+    the dataset is not implicit.
     """
+    if not (0.0 < train_ratio <= 1.0):
+        raise ValueError(f"train_ratio must be in (0, 1], got {train_ratio}")
     if not ds.is_implicit():
         raise ContractError("split_holdout requires an implicit dataset (all ratings 1)")
 
@@ -105,9 +91,9 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
     owner = ds.users[canonical]
     sizes = np.bincount(owner, minlength=ds.n_users)
     starts = np.cumsum(sizes) - sizes
-    n_train = np.ceil(cfg.train_ratio * sizes).astype(np.int64)
+    n_train = np.ceil(train_ratio * sizes).astype(np.int64)
     n_test = sizes - n_train
-    seeds = np.uint64(cfg.seed & _MASK64) ^ (
+    seeds = np.uint64(seed & _MASK64) ^ (
         np.arange(ds.n_users, dtype=np.uint64) * np.uint64(_GOLDEN)
     )
 
@@ -128,7 +114,7 @@ def split_holdout(ds: InteractionDataset, cfg: SplitConfig) -> SplitPair:
     # built, and allocated last, it lies at the top of the heap, from where
     # the allocator can hand its pages back instead of keeping them resident.
     test = ds.take(canonical[in_test])
-    return SplitPair(ds.take(canonical[~in_test]), test)
+    return ds.take(canonical[~in_test]), test
 
 
 def canonical_order(ds: InteractionDataset) -> np.ndarray:
@@ -146,9 +132,11 @@ def canonical_order(ds: InteractionDataset) -> np.ndarray:
     return canonical[np.argsort(users, kind="stable")]
 
 
-def save_split(pair: SplitPair, out_dir: str | Path, stem: str) -> tuple[Path, Path]:
+def save_split(
+    train: InteractionDataset, test: InteractionDataset, out_dir: str | Path, stem: str
+) -> tuple[Path, Path]:
     """Persist a split as ``<stem>.train.inter`` / ``<stem>.test.inter``."""
     out_dir = Path(out_dir)
-    train_path = save_interactions(pair.train, out_dir / f"{stem}.train.inter")
-    test_path = save_interactions(pair.test, out_dir / f"{stem}.test.inter")
+    train_path = save_interactions(train, out_dir / f"{stem}.train.inter")
+    test_path = save_interactions(test, out_dir / f"{stem}.test.inter")
     return train_path, test_path

@@ -99,9 +99,9 @@ def item_sets(ds: InteractionDataset) -> dict[int, set[int]]:
     return out
 
 
-def recommend_split(s, pair, mode, n: int):
+def recommend_split(s, train, test, mode, n: int):
     """``recommend_all`` for every test user of a split, scored from its train side."""
-    return recommend_all(s, build_matrix(pair.train), mode, n, np.unique(pair.test.users))
+    return recommend_all(s, build_matrix(train), mode, n, np.unique(test.users))
 
 
 def as_recommendations(lists) -> Recommendations:

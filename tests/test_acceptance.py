@@ -26,7 +26,7 @@ from itemknn_bench.ingest import (
 from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, truncate_topk
 from itemknn_bench.metrics import IDCG_FIXED_K, IDCG_TRUNCATED, evaluate
 from itemknn_bench.recommend import PRESETS, score_user
-from itemknn_bench.split import SplitConfig, split_holdout
+from itemknn_bench.split import split_holdout
 
 from conftest import (
     Interaction,
@@ -53,10 +53,10 @@ def criterion(number: int, title: str):
         print(f"[criterion {number}] PASS  {title}")
 
 
-def preset_lists(preset_name: str, s_full, pair, k: int, n: int):
+def preset_lists(preset_name: str, s_full, train, test, k: int, n: int):
     preset = PRESETS[preset_name]
     s = truncate_topk(s_full, k) if preset.matrix_strategy == STRATEGY_TOPK else s_full
-    return recommend_split(s, pair, preset.scoring_mode(k), n)
+    return recommend_split(s, train, test, preset.scoring_mode(k), n)
 
 
 def random_suite(count: int = 200):
@@ -64,9 +64,9 @@ def random_suite(count: int = 200):
     rng = random.Random(20240601)
     for trial in range(count):
         ds = make_implicit_dataset(rng, max_users=30, max_items=20)
-        pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 2**31)))
+        train, test = split_holdout(ds, 0.8, rng.randint(0, 2**31))
         k = (1, 2, 5)[trial % 3]
-        yield trial, ds, pair, k
+        yield trial, ds, train, test, k
 
 
 # --- criterion 1 --------------------------------------------------------------
@@ -81,10 +81,10 @@ def test_criterion_1_ml100k_preprocessing(ml100k_path):
         elapsed = time.perf_counter() - start
 
         assert raw.n_interactions == 100_000
-        assert s.n_users == 942
-        assert s.n_items == 1447
-        assert s.n_interactions == 55_375
-        assert abs(s.sparsity * 100 - 95.94) <= 0.01  # percentage points
+        assert s["n_users"] == 942
+        assert s["n_items"] == 1447
+        assert s["n_interactions"] == 55_375
+        assert abs(s["sparsity"] * 100 - 95.94) <= 0.01  # percentage points
         assert elapsed < 5.0, f"preprocessing took {elapsed:.2f}s"
 
 
@@ -93,14 +93,14 @@ def test_criterion_1_ml100k_preprocessing(ml100k_path):
 
 def test_criterion_2_alignment_equivalence():
     with criterion(2, "lenskit-adjusted == recbole on 200 random instances (exact)"):
-        for trial, ds, pair, k in random_suite(200):
-            s_full = cosine_similarity(build_matrix(pair.train))
-            adjusted = preset_lists("lenskit-adjusted", s_full, pair, k, 10)
-            recbole = preset_lists("recbole", s_full, pair, k, 10)
+        for trial, ds, train, test, k in random_suite(200):
+            s_full = cosine_similarity(build_matrix(train))
+            adjusted = preset_lists("lenskit-adjusted", s_full, train, test, k, 10)
+            recbole = preset_lists("recbole", s_full, train, test, k, 10)
             assert list(adjusted) == list(recbole), f"lists diverge on trial {trial} (k={k})"
             for mode in (IDCG_TRUNCATED, IDCG_FIXED_K):
-                rep_a = evaluate(adjusted, pair.test, 10, mode)
-                rep_r = evaluate(recbole, pair.test, 10, mode)
+                rep_a = evaluate(adjusted, test, 10, mode)
+                rep_r = evaluate(recbole, test, 10, mode)
                 assert rep_a.per_user == rep_r.per_user, f"metrics diverge on trial {trial}"
 
 
@@ -109,11 +109,11 @@ def test_criterion_2_alignment_equivalence():
 
 def test_criterion_3_degenerate_equality():
     with criterion(3, "lenskit-original == recbole when k >= n_items - 1 (exact)"):
-        for trial, ds, pair, _ in random_suite(200):
+        for trial, ds, train, test, _ in random_suite(200):
             k = max(ds.n_items - 1, 1)
-            s_full = cosine_similarity(build_matrix(pair.train))
-            original = preset_lists("lenskit-original", s_full, pair, k, 10)
-            recbole = preset_lists("recbole", s_full, pair, k, 10)
+            s_full = cosine_similarity(build_matrix(train))
+            original = preset_lists("lenskit-original", s_full, train, test, k, 10)
+            recbole = preset_lists("recbole", s_full, train, test, k, 10)
             assert list(original) == list(recbole), f"lists diverge on trial {trial}"
 
 
@@ -123,11 +123,11 @@ def test_criterion_3_degenerate_equality():
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "cosine, both scoring modes, metrics match brute force (1e-12)"):
         rng = random.Random(7777)
-        for trial, ds, pair, k in random_suite(200):
-            s_full = cosine_similarity(build_matrix(pair.train))
+        for trial, ds, train, test, k in random_suite(200):
+            s_full = cosine_similarity(build_matrix(train))
             dense = to_dense(s_full)
 
-            expected = dense_cosine_oracle(pair.train)
+            expected = dense_cosine_oracle(train)
             for i in range(ds.n_items):
                 for j in range(ds.n_items):
                     assert abs(dense[i][j] - expected[i][j]) <= 1e-12
@@ -143,10 +143,10 @@ def test_criterion_4_oracle_equivalence():
                 assert abs(got_sum[i] - want_sum[i]) <= 1e-12
                 assert abs(got_topk[i] - want_topk[i]) <= 1e-12
 
-            recs = preset_lists("recbole", s_full, pair, k, 10)
-            test_sets = item_sets(pair.test)
+            recs = preset_lists("recbole", s_full, train, test, k, 10)
+            test_sets = item_sets(test)
             for mode in (IDCG_TRUNCATED, IDCG_FIXED_K):
-                rep = evaluate(recs, pair.test, 10, mode)
+                rep = evaluate(recs, test, 10, mode)
                 for rl in recs:
                     n_relevant = len(test_sets[rl.user])
                     gains = [1.0 if i in test_sets[rl.user] else 0.0 for i, _ in rl.entries]
@@ -168,13 +168,13 @@ def test_criterion_5_idcg_mode_ordering():
     with criterion(5, "ndcg(fixed-k) <= ndcg(truncated) per user; equality iff >= N test items (or zero hits)"):
         n = 10
         checked_equal, checked_strict = 0, 0
-        for trial, ds, pair, k in random_suite(200):
-            s_full = cosine_similarity(build_matrix(pair.train))
-            recs = preset_lists("recbole", s_full, pair, k, n)
-            fixed = evaluate(recs, pair.test, n, IDCG_FIXED_K)
-            trunc = evaluate(recs, pair.test, n, IDCG_TRUNCATED)
-            test_counts = Counter(pair.test.users.tolist())
-            test_sets = item_sets(pair.test)
+        for trial, ds, train, test, k in random_suite(200):
+            s_full = cosine_similarity(build_matrix(train))
+            recs = preset_lists("recbole", s_full, train, test, k, n)
+            fixed = evaluate(recs, test, n, IDCG_FIXED_K)
+            trunc = evaluate(recs, test, n, IDCG_TRUNCATED)
+            test_counts = Counter(test.users.tolist())
+            test_sets = item_sets(test)
             for rl in recs:
                 ext = ds.user_ids[rl.user]
                 f, t = fixed.per_user[ext].ndcg, trunc.per_user[ext].ndcg

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from itemknn_bench.ingest import (
     to_implicit,
 )
 from itemknn_bench.knn import build_matrix, cosine_similarity, truncate_topk
-from itemknn_bench.metrics import evaluate
+from itemknn_bench.metrics import evaluate, mean_of
 from itemknn_bench.recommend import PRESETS, recommend_all
 
 from conftest import (
@@ -67,8 +68,8 @@ def test_stats_prints_utf8_json(data_file, tmp_path, capsys):
     assert '"dataset": "données"' in out
     ds = load_interactions(path)
     assert json.loads(out) == {
-        "dataset": "données", "before": stats(ds).as_dict(),
-        "after": stats(to_implicit(ds, ImplicitThreshold(3.0))).as_dict(),
+        "dataset": "données", "before": stats(ds),
+        "after": stats(to_implicit(ds, ImplicitThreshold(3.0))),
         "threshold": {"cutoff": 3.0, "mode": "gt"},
     }
 
@@ -306,6 +307,20 @@ def _cell(payload, **values):
     return payload
 
 
+def _metrics(payload, edit):
+    """``payload`` with each per-user metric list of its recbole, seed 42, fixed-k
+    cell replaced by ``edit(position, metrics)``, and the cell's means those of the
+    new lists, so that only the values' range is at fault."""
+    cell = payload["results"]["recbole"]["42"]["fixed-k"]
+    per_user = {u: edit(r, m) for r, (u, m) in enumerate(cell["per_user"].items())}
+    return _cell(payload, per_user=per_user, **{
+        f"mean_{m}": mean_of(per_user, f) for f, m in enumerate(("ndcg", "precision", "recall"))})
+
+
+def _stats(payload, name, **values):
+    return {**payload, name: {**payload[name], **values}}
+
+
 def _renamed(payload, name, old, new):
     """``payload`` with ``old`` renamed ``new`` in config list ``name`` and in results."""
     results = payload["results"]
@@ -398,6 +413,28 @@ def _renamed(payload, name, old, new):
          "results.recbole.42.fixed-k.mean_ndcg is not the mean of its per_user values"),
         (lambda p: _cell(p, mean_recall=0.0),
          "results.recbole.42.fixed-k.mean_recall is not the mean of its per_user values"),
+        # Written as Infinity or NaN, which Python's json reads and RFC 8259 has not:
+        # csv and md rendered inf and nan, and json failed naming no file.
+        (lambda p: _metrics(p, lambda r, m: [math.inf, *m[1:]] if r == 0 else m),
+         "results.recbole.42.fixed-k.per_user holds a metric outside [0, 1]"),
+        (lambda p: _metrics(p, lambda r, m: [m[0], -math.inf, m[2]] if r == 0 else m),
+         "results.recbole.42.fixed-k.per_user holds a metric outside [0, 1]"),
+        (lambda p: _metrics(p, lambda r, m: [*m[:2], math.nan] if r == 0 else m),
+         "results.recbole.42.fixed-k.per_user holds a metric outside [0, 1]"),
+        # Re-emitted with exit 0, report.md showing 2.0000 or -1.0000.
+        (lambda p: _metrics(p, lambda r, m: [2.0] * 3),
+         "results.recbole.42.fixed-k.per_user holds a metric outside [0, 1]"),
+        (lambda p: _metrics(p, lambda r, m: [-1.0] * 3),
+         "results.recbole.42.fixed-k.per_user holds a metric outside [0, 1]"),
+        # Each of these re-emitted a stat as a type no experiment writes.
+        (lambda p: _stats(p, "stats_before", n_users="943"), "stats_before.n_users is not an int"),
+        (lambda p: _stats(p, "stats_after", n_items=float(p["stats_after"]["n_items"])),
+         "stats_after.n_items is not an int"),
+        (lambda p: _stats(p, "stats_after", n_interactions=True),
+         "stats_after.n_interactions is not an int"),
+        (lambda p: _stats(p, "stats_before", sparsity=1), "stats_before.sparsity is not a float"),
+        (lambda p: _stats(p, "stats_after", avg_per_user=str(p["stats_after"]["avg_per_user"])),
+         "stats_after.avg_per_user is not a float"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
@@ -407,7 +444,10 @@ def _renamed(payload, name, old, new):
          "unknown-column-field", "huge-k", "huge-n", "seed-above-64-bits", "negative-seed",
          "cell-n", "cell-float-n", "cell-idcg-mode", "cell-preset", "cell-seed",
          "cell-text-seed", "cell-n-users", "cell-text-metrics", "cell-int-metric",
-         "cell-two-metrics", "cell-edited-mean", "cell-edited-recall"],
+         "cell-two-metrics", "cell-edited-mean", "cell-edited-recall", "cell-infinite-ndcg",
+         "cell-minus-infinite-precision", "cell-nan-recall", "cell-metrics-above-one",
+         "cell-negative-metrics", "stats-text-count", "stats-float-count", "stats-bool-count",
+         "stats-int-ratio", "stats-text-ratio"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))

@@ -6,6 +6,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itemknn_bench.errors import ExperimentError, SchemaError
 from itemknn_bench.harness import (
@@ -25,9 +27,9 @@ from itemknn_bench.ingest import (
 from itemknn_bench.knn import STRATEGY_TOPK, build_matrix, cosine_similarity, truncate_topk
 from itemknn_bench.metrics import evaluate
 from itemknn_bench.recommend import PRESETS
-from itemknn_bench.split import SplitConfig, split_holdout
+from itemknn_bench.split import split_holdout
 
-from conftest import Interaction, dataset_from_rows, recommend_split
+from conftest import Interaction, dataset_from_rows, item_sets, recommend_split
 
 
 @pytest.fixture(scope="module")
@@ -83,15 +85,15 @@ def test_reuse_safety_matches_from_scratch(ratings_file, tmp_path):
     cfg = toy_config(ratings_file, seeds=(42,))
     payload, _ = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
-    pair = split_holdout(implicit, SplitConfig(cfg.train_ratio, 42))
+    train, test = split_holdout(implicit, cfg.train_ratio, 42)
     for preset_name in cfg.presets:
         preset = PRESETS[preset_name]
-        s = cosine_similarity(build_matrix(pair.train))  # fresh full matrix per preset
+        s = cosine_similarity(build_matrix(train))  # fresh full matrix per preset
         if preset.matrix_strategy == STRATEGY_TOPK:
             s = truncate_topk(s, cfg.k)
-        recs = recommend_split(s, pair, preset.scoring_mode(cfg.k), cfg.n)
+        recs = recommend_split(s, train, test, preset.scoring_mode(cfg.k), cfg.n)
         for mode in cfg.idcg_modes:
-            fresh = evaluate(recs, pair.test, cfg.n, mode, preset=preset_name, seed=42)
+            fresh = evaluate(recs, test, cfg.n, mode, preset=preset_name, seed=42)
             assert fresh.as_dict() == payload["results"][preset_name]["42"][mode]
 
 
@@ -101,7 +103,7 @@ def test_evaluated_users_are_the_test_users(ratings_file, tmp_path):
     payload, _ = run_experiment(cfg)
     implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
     for seed in cfg.seeds:
-        test = split_holdout(implicit, SplitConfig(cfg.train_ratio, seed)).test
+        test = split_holdout(implicit, cfg.train_ratio, seed)[1]
         tested = {test.user_ids[u] for u in test.users.tolist()}
         assert tested < set(implicit.user_ids)
         for preset in cfg.presets:
@@ -309,3 +311,46 @@ def test_emit_rejects_unknown_format(ratings_file, tmp_path):
     with pytest.raises(ValueError, match="unknown report format 'yaml'"):
         emit(res, tmp_path / "out", ("md", "yaml"))
     assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    profiles=st.lists(st.sets(st.integers(0, 7), min_size=2), min_size=1, max_size=8),
+    seed=st.integers(0, 2**64 - 1),
+    k=st.integers(1, 4),
+    n=st.integers(1, 6),
+)
+def test_property_experiment_metrics_in_unit_range(tmp_path_factory, profiles, seed, k, n):
+    """Every per-user metric an experiment writes lies in [0, 1]; a list whose hits
+    fill ranks 1..min(R, n), for R test items, has nDCG exactly 1.0 (under fixed-k
+    IDCG only when R >= n); and load_report accepts the report emit_report writes."""
+    # At least two items per user and ratio 0.5: every user has a test side.
+    rows = [Interaction(f"u{u}", f"i{i}", 1.0, float(u * i % 3))
+            for u, items in enumerate(profiles) for i in sorted(items)]
+    work = tmp_path_factory.mktemp("experiment")
+    path = save_interactions(dataset_from_rows(rows), work / "random.inter")
+    cfg = ExperimentConfig(data=str(path), threshold=ImplicitThreshold(0, "gt"), train_ratio=0.5,
+                           seeds=(seed,), k=k, n=n, idcg_modes=("truncated", "fixed-k"))
+    payload, _ = run_experiment(cfg)
+    cells = cells_of(payload)
+    for cell in cells.values():
+        assert all(0.0 <= x <= 1.0 for metrics in cell["per_user"].values() for x in metrics)
+
+    implicit = to_implicit(load_interactions(cfg.data), cfg.threshold)
+    train, test = split_holdout(implicit, cfg.train_ratio, seed)
+    relevant = item_sets(test)
+    s_full = cosine_similarity(build_matrix(train))
+    for preset_name in cfg.presets:
+        preset = PRESETS[preset_name]
+        s = truncate_topk(s_full, k) if preset.matrix_strategy == STRATEGY_TOPK else s_full
+        for rl in recommend_split(s, train, test, preset.scoring_mode(k), n):
+            ideal = min(len(relevant[rl.user]), n)
+            hits = [r for r, (item, _) in enumerate(rl.entries, 1) if item in relevant[rl.user]]
+            if hits == list(range(1, ideal + 1)):
+                user = implicit.user_ids[rl.user]
+                assert cells[preset_name, seed, "truncated"]["per_user"][user][0] == 1.0
+                fixed = cells[preset_name, seed, "fixed-k"]["per_user"][user][0]
+                assert (fixed == 1.0) == (ideal == n)
+
+    emit_report(payload, ("json",), work / "out")
+    load_report(work / "out" / "report.json")  # SchemaError if refused

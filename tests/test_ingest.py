@@ -426,21 +426,21 @@ def test_to_implicit_exhaustive_predicate():
 def test_stats_single_cell():
     ds = make_ds([("a", "x", 1.0, 0.0)])
     s = stats(ds)
-    assert s.sparsity == 0.0
-    assert s.avg_per_user == 1.0
-    assert s.avg_per_item == 1.0
+    assert s["sparsity"] == 0.0
+    assert s["avg_per_user"] == 1.0
+    assert s["avg_per_item"] == 1.0
 
 
 def test_stats_half_dense():
     ds = make_ds([("a", "x", 1.0, 0.0), ("b", "y", 1.0, 0.0)])
-    assert stats(ds).sparsity == 0.5  # 1 - 2/4
+    assert stats(ds)["sparsity"] == 0.5  # 1 - 2/4
 
 
 def test_stats_empty():
     s = stats(make_ds([]))
-    assert (s.n_users, s.n_items, s.n_interactions) == (0, 0, 0)
-    assert s.avg_per_user == 0.0
-    assert s.sparsity == 0.0
+    assert (s["n_users"], s["n_items"], s["n_interactions"]) == (0, 0, 0)
+    assert s["avg_per_user"] == 0.0
+    assert s["sparsity"] == 0.0
 
 
 def test_stats_matches_brute_force_recount():
@@ -456,13 +456,13 @@ def test_stats_matches_brute_force_recount():
         data = as_rows(ds)
         users = {r[0] for r in data}
         items = {r[1] for r in data}
-        assert s.n_users == len(users)
-        assert s.n_items == len(items)
-        assert s.n_interactions == len(data)
-        assert 0.0 <= s.sparsity <= 1.0
+        assert s["n_users"] == len(users)
+        assert s["n_items"] == len(items)
+        assert s["n_interactions"] == len(data)
+        assert 0.0 <= s["sparsity"] <= 1.0
         if users:
-            assert s.avg_per_user == len(data) / len(users)
-            assert s.sparsity == 1.0 - len(data) / (len(users) * len(items))
+            assert s["avg_per_user"] == len(data) / len(users)
+            assert s["sparsity"] == 1.0 - len(data) / (len(users) * len(items))
 
 
 def test_index_bijectivity():

@@ -25,7 +25,7 @@ from itemknn_bench.knn import (
     save_similarity,
     truncate_topk,
 )
-from itemknn_bench.split import SplitConfig, split_holdout
+from itemknn_bench.split import split_holdout
 
 from conftest import (
     Interaction,
@@ -43,8 +43,7 @@ def ds_from_pairs(pairs):
     return dataset_from_rows([Interaction(u, i, 1.0, 0.0) for u, i in pairs])
 
 
-def sim_from_dense(dense, strategy=STRATEGY_FULL, k=None) -> SimilarityMatrix:
-    n = len(dense)
+def sim_from_dense(dense, k=None) -> SimilarityMatrix:
     indptr = [0]
     cols, vals = [], []
     for row in dense:
@@ -54,11 +53,9 @@ def sim_from_dense(dense, strategy=STRATEGY_FULL, k=None) -> SimilarityMatrix:
                 vals.append(v)
         indptr.append(len(cols))
     return SimilarityMatrix(
-        n_items=n,
         indptr=np.array(indptr, dtype=np.int32),
         cols=np.array(cols, dtype=np.int32),
         vals=np.array(vals, dtype=np.float64),
-        strategy=strategy,
         k=k,
     )
 
@@ -124,7 +121,7 @@ def test_cosine_requires_items():
 def with_unused_items(rng: random.Random) -> list[InteractionDataset]:
     """A random dataset and a split train of it, whose test-only items have no users."""
     ds = make_implicit_dataset(rng)
-    return [ds, split_holdout(ds, SplitConfig(0.5, rng.randint(0, 99))).train]
+    return [ds, split_holdout(ds, 0.5, rng.randint(0, 99))[0]]
 
 
 def test_cosine_matches_dense_oracle():
@@ -148,8 +145,7 @@ def test_cosine_chunk_boundaries(monkeypatch, chunk):
 def test_index_dtype_is_int32():
     s = cosine_similarity(build_matrix(make_implicit_dataset(random.Random(59))))
     assert (s.cols.dtype, s.indptr.dtype) == (np.int32, np.int32)
-    wide = SimilarityMatrix(s.n_items, s.indptr.astype(np.int64), s.cols.astype(np.int64),
-                            s.vals, STRATEGY_FULL)
+    wide = SimilarityMatrix(s.indptr.astype(np.int64), s.cols.astype(np.int64), s.vals)
     for topk in (truncate_topk(s, 2), truncate_topk(wide, 2)):
         assert (topk.cols.dtype, topk.indptr.dtype) == (np.int32, np.int32)
     assert knn.index_dtype(2**31 - 1) == np.int32
@@ -304,7 +300,7 @@ def count_datasets(draw):
     pairs |= {(n_users + u, n_items + u) for u in range(draw(st.integers(0, 2)))}  # loners
     ds = ds_from_pairs((f"u{u}", f"i{i}") for u, i in sorted(pairs))
     if draw(st.booleans(), label="split"):
-        ds = split_holdout(ds, SplitConfig(0.5, draw(st.integers(0, 99)))).train
+        ds = split_holdout(ds, 0.5, draw(st.integers(0, 99)))[0]
     return ds
 
 
@@ -427,7 +423,7 @@ def test_priorities_rank_each_row():
 
 
 def test_priorities_dtype_holds_n_items():
-    s = sim_from_dense([[0.0] * 300 for _ in range(300)], strategy=STRATEGY_TOPK, k=1)
+    s = sim_from_dense([[0.0] * 300 for _ in range(300)], k=1)
     assert s.priorities().dtype == np.uint16
 
 
@@ -438,7 +434,7 @@ def test_priorities_match_dense_oracle(seed):
     cell = lambda: rng.choice(values) if rng.random() < 0.6 else 0.0  # noqa: E731
     dense = [[cell() for _ in range(9)] for _ in range(9)]
     dense[4] = [0.0] * 9  # an empty row
-    got = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=9).priorities().toarray()
+    got = sim_from_dense(dense, k=9).priorities().toarray()
     assert got.tolist() == dense_priority_oracle(dense)
 
 

@@ -22,7 +22,7 @@ from itemknn_bench.recommend import (
     save_recommendations,
     score_user,
 )
-from itemknn_bench.split import SplitConfig, SplitPair, split_holdout
+from itemknn_bench.split import split_holdout
 
 from conftest import (
     Interaction,
@@ -107,13 +107,13 @@ def worked_split():
     universe = ["i0", "i1", "i2"]
     train = InteractionDataset(np.array([0]), np.array([0]), np.ones(1), np.zeros(1), ["u"], universe)
     test = InteractionDataset(np.array([0]), np.array([1]), np.ones(1), np.ones(1), ["u"], universe)
-    return SplitPair(train, test)
+    return train, test
 
 
 def test_recommend_all_worked_example():
     s = sim_from_dense([[0.0, 0.8, 0.1], [0.8, 0.0, 0.4], [0.1, 0.4, 0.0]])
-    pair = worked_split()
-    recs = recommend_all(s, build_matrix(pair.train), SUM_ALL, 10, np.array([0]))
+    train, _ = worked_split()
+    recs = recommend_all(s, build_matrix(train), SUM_ALL, 10, np.array([0]))
     assert len(recs) == 1
     assert list(recs) == [RecommendationList(0, [(1, 0.8), (2, 0.1)])]
     # The views hold plain ints and floats, as the dump writer's oracle reads them.
@@ -140,15 +140,15 @@ def test_recommend_all_scores_exactly_the_given_users():
 
 def test_recommend_all_deterministic():
     ds = make_implicit_dataset(random.Random(55))
-    pair = split_holdout(ds, SplitConfig(0.8, 21))
-    s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 3)
-    a = recommend_split(s, pair, topk_mode(3), 10)
-    b = recommend_split(s, pair, topk_mode(3), 10)
+    train, test = split_holdout(ds, 0.8, 21)
+    s = truncate_topk(cosine_similarity(build_matrix(train)), 3)
+    a = recommend_split(s, train, test, topk_mode(3), 10)
+    b = recommend_split(s, train, test, topk_mode(3), 10)
     assert list(a) == list(b)
 
 
 def test_recommend_all_checks_matrix_size():
-    x = build_matrix(worked_split().train)
+    x = build_matrix(worked_split()[0])
     with pytest.raises(ContractError, match="matrix has 1 items but the train matrix has 3"):
         recommend_all(sim_from_dense([[0.0]]), x, SUM_ALL, 5, np.array([0]))
 
@@ -236,9 +236,7 @@ def test_scoring_matches_dense_oracle_both_modes():
 def test_sum_all_adds_in_ascending_j():
     # (0.1 + 0.2) + 0.3 differs from 0.3 + 0.2 + 0.1 in the last bit: both
     # modes must add in ascending j, as the contract says.
-    s = sim_from_dense(
-        [[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4], strategy=STRATEGY_TOPK, k=4
-    )
+    s = sim_from_dense([[0.0, 0.1, 0.2, 0.3], [0.0] * 4, [0.0] * 4, [0.0] * 4], k=4)
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert score_user(s, [1, 2, 3], SUM_ALL)[0] == (0.1 + 0.2) + 0.3
     assert score_user(s, [1, 2, 3], topk_mode(3))[0] == (0.1 + 0.2) + 0.3
@@ -256,7 +254,7 @@ def test_score_user_tie_heavy_exact():
     for _ in range(40):
         n = rng.randint(3, 12)
         dense = tie_heavy_matrix(rng, n)
-        s = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=n)  # asymmetric
+        s = sim_from_dense(dense, k=n)  # asymmetric
         profile = set(rng.sample(range(n), rng.randint(1, n)))
         for k in range(1, len(profile) + 3):  # k < |P|, k = |P| and k > |P|
             got = score_user(s, profile, topk_mode(k))
@@ -286,7 +284,7 @@ def test_property_profile_topk_tie_heavy(data):
         dense = [[dense[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
         s = sim_from_dense(dense)
     else:
-        s = sim_from_dense(dense, strategy=STRATEGY_TOPK, k=n)
+        s = sim_from_dense(dense, k=n)
     profile = data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="profile")
     for k in range(1, len(profile) + 3):
         got = score_user(s, profile, topk_mode(k))
@@ -295,16 +293,16 @@ def test_property_profile_topk_tie_heavy(data):
         assert score_user(s, [j], topk_mode(1)).tolist() == [row[j] for row in dense]
 
 
-def oracle_lists(s, pair, mode, n):
+def oracle_lists(s, train, test, mode, n):
     """Reference for recommend_all: the in-order oracle's scores and a brute top-N per test user."""
     dense = to_dense(s)
-    profiles = item_sets(pair.train)
+    profiles = item_sets(train)
     return [
         RecommendationList(u, brute_top_n(
             in_order_scores(dense, profiles.get(u, set()), mode.kind, mode.k),
             profiles.get(u, set()), n,
         ))
-        for u in sorted(item_sets(pair.test))
+        for u in sorted(item_sets(test))
     ]
 
 
@@ -328,15 +326,16 @@ def test_recommend_all_crosses_user_blocks():
         for u in range(137)
         for i in rng.sample(range(25), rng.randint(5, 12))  # >= 5: one test row
     ]
-    pair = split_holdout(dataset_from_rows(rows), SplitConfig(0.8, 7))
-    s_full = cosine_similarity(build_matrix(pair.train))
+    train, test = split_holdout(dataset_from_rows(rows), 0.8, 7)
+    s_full = cosine_similarity(build_matrix(train))
     for s in (s_full, truncate_topk(s_full, 3)):
         for mode in (SUM_ALL, topk_mode(3)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recommend, "CHUNK_CELLS", 1000)
                 chunks = counting_chunks(mp)
-                assert list(recommend_split(s, pair, mode, 5)) == oracle_lists(s, pair, mode, 5)
-            assert 2 < len(chunks) < len(np.unique(pair.test.users))  # chunks of several users
+                want = oracle_lists(s, train, test, mode, 5)
+                assert list(recommend_split(s, train, test, mode, 5)) == want
+            assert 2 < len(chunks) < len(np.unique(test.users))  # chunks of several users
 
 
 def test_recommend_all_chunk_edge_cases():
@@ -396,16 +395,16 @@ def test_property_blocked_kernel_matches_oracles(data):
     ds = dataset_from_rows(
         Interaction(f"u{u}", f"i{i}", 1.0, float(u * i % 7)) for u, i in sorted(cells)
     )
-    pair = split_holdout(ds, SplitConfig(0.6, seed))
-    s_full = cosine_similarity(build_matrix(pair.train))
+    train, test = split_holdout(ds, 0.6, seed)
+    s_full = cosine_similarity(build_matrix(train))
     for s in (s_full, truncate_topk(s_full, k)):
         dense = to_dense(s)
         for mode in (SUM_ALL, topk_mode(k)):
-            want = oracle_lists(s, pair, mode, n)
+            want = oracle_lists(s, train, test, mode, n)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(recommend, "CHUNK_CELLS", budget)
-                assert list(recommend_split(s, pair, mode, n)) == want
-            for profile in item_sets(pair.train).values():
+                assert list(recommend_split(s, train, test, mode, n)) == want
+            for profile in item_sets(train).values():
                 assert score_user(s, profile, mode).tolist() == in_order_scores(
                     dense, profile, mode.kind, mode.k
                 )
@@ -440,10 +439,10 @@ def test_csr_todense_adds_repeated_cells_in_array_order():
         assert out.tolist() == [[0.0, (0.0 + cells[0] + cells[1]) + cells[2]]]
 
 
-def run_preset(preset_name, s_full, pair, k, n):
+def run_preset(preset_name, s_full, train, test, k, n):
     preset = PRESETS[preset_name]
     s = truncate_topk(s_full, k) if preset.matrix_strategy == STRATEGY_TOPK else s_full
-    return recommend_split(s, pair, preset.scoring_mode(k), n)
+    return recommend_split(s, train, test, preset.scoring_mode(k), n)
 
 
 def test_alignment_equivalence_exact():
@@ -453,11 +452,11 @@ def test_alignment_equivalence_exact():
     rng = random.Random(101)
     for trial in range(60):
         ds = make_implicit_dataset(rng)
-        pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 999)))
-        s_full = cosine_similarity(build_matrix(pair.train))
+        train, test = split_holdout(ds, 0.8, rng.randint(0, 999))
+        s_full = cosine_similarity(build_matrix(train))
         k = (1, 2, 5)[trial % 3]
-        adjusted = run_preset("lenskit-adjusted", s_full, pair, k, 10)
-        recbole = run_preset("recbole", s_full, pair, k, 10)
+        adjusted = run_preset("lenskit-adjusted", s_full, train, test, k, 10)
+        recbole = run_preset("recbole", s_full, train, test, k, 10)
         assert list(adjusted) == list(recbole)
 
 
@@ -465,11 +464,11 @@ def test_degenerate_equality_with_large_k():
     rng = random.Random(202)
     for _ in range(30):
         ds = make_implicit_dataset(rng)
-        pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 999)))
-        s_full = cosine_similarity(build_matrix(pair.train))
+        train, test = split_holdout(ds, 0.8, rng.randint(0, 999))
+        s_full = cosine_similarity(build_matrix(train))
         k = max(ds.n_items - 1, 1)
-        original = run_preset("lenskit-original", s_full, pair, k, 10)
-        recbole = run_preset("recbole", s_full, pair, k, 10)
+        original = run_preset("lenskit-original", s_full, train, test, k, 10)
+        recbole = run_preset("recbole", s_full, train, test, k, 10)
         assert list(original) == list(recbole)
 
 
@@ -477,10 +476,10 @@ def test_exclusion_and_order_soundness():
     rng = random.Random(303)
     for _ in range(25):
         ds = make_implicit_dataset(rng)
-        pair = split_holdout(ds, SplitConfig(0.8, rng.randint(0, 999)))
-        s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 5)
-        train_items = item_sets(pair.train)
-        for rl in recommend_split(s, pair, SUM_ALL, 10):
+        train, test = split_holdout(ds, 0.8, rng.randint(0, 999))
+        s = truncate_topk(cosine_similarity(build_matrix(train)), 5)
+        train_items = item_sets(train)
+        for rl in recommend_split(s, train, test, SUM_ALL, 10):
             items = [item for item, _ in rl.entries]
             scores = [score for _, score in rl.entries]
             assert not (set(items) & train_items[rl.user])
@@ -501,10 +500,10 @@ def loaded_lists(path) -> dict[str, list[tuple[str, float]]]:
 
 def test_save_load_recommendations(tmp_path):
     ds = make_implicit_dataset(random.Random(404))
-    pair = split_holdout(ds, SplitConfig(0.8, 84))
-    s = truncate_topk(cosine_similarity(build_matrix(pair.train)), 3)
-    recs = recommend_split(s, pair, SUM_ALL, 5)
-    path = save_recommendations(recs, pair.train, tmp_path / "recs.tsv")
+    train, test = split_holdout(ds, 0.8, 84)
+    s = truncate_topk(cosine_similarity(build_matrix(train)), 3)
+    recs = recommend_split(s, train, test, SUM_ALL, 5)
+    path = save_recommendations(recs, train, tmp_path / "recs.tsv")
     loaded = loaded_lists(path)
     assert len(loaded) == len([rl for rl in recs if rl.entries])
     for rl in recs:
@@ -523,8 +522,8 @@ def test_save_load_recommendations(tmp_path):
        chars=st.integers(1, 64))
 def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n, chunk, chars):
     ds = make_implicit_dataset(random.Random(seed), 12, 9)
-    pair = split_holdout(ds, SplitConfig(0.6, seed))
-    recs = recommend_split(cosine_similarity(build_matrix(pair.train)), pair, SUM_ALL, n)
+    train, test = split_holdout(ds, 0.6, seed)
+    recs = recommend_split(cosine_similarity(build_matrix(train)), train, test, SUM_ALL, n)
     want = {
         ds.user_ids[rl.user]: [(ds.item_ids[item], score) for item, score in rl.entries]
         for rl in recs
@@ -533,7 +532,7 @@ def test_property_save_load_recommendations_in_chunks(tmp_path_factory, seed, n,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "CHUNK_LINES", chunk)
         mp.setattr(ingest, "CHUNK_CHARS", chars)
-        path = save_recommendations(recs, pair.train, tmp_path_factory.mktemp("recs") / "r.tsv")
+        path = save_recommendations(recs, train, tmp_path_factory.mktemp("recs") / "r.tsv")
         assert loaded_lists(path) == want
 
 

@@ -17,7 +17,6 @@ from itemknn_bench.ingest import (
     to_implicit,
 )
 from itemknn_bench.split import (
-    SplitConfig,
     canonical_order,
     save_split,
     split_holdout,
@@ -55,37 +54,38 @@ def test_splitmix64_draw_reference_vectors():
     assert [int(splitmix64_draw(seed, t)[0]) for t in range(3)] == SPLITMIX64_SEED0
 
 
-def test_split_config_validates_ratio():
-    with pytest.raises(ValueError):
-        SplitConfig(train_ratio=0.0, seed=1)
-    with pytest.raises(ValueError):
-        SplitConfig(train_ratio=1.5, seed=1)
+def test_split_holdout_validates_ratio():
+    ds = single_user_ds(3)
+    with pytest.raises(ValueError, match=r"train_ratio must be in \(0, 1\], got 0.0"):
+        split_holdout(ds, 0.0, 1)
+    with pytest.raises(ValueError, match=r"train_ratio must be in \(0, 1\], got 1.5"):
+        split_holdout(ds, 1.5, 1)
 
 
 def test_ceiling_rule_ten_interactions():
-    pair = split_holdout(single_user_ds(10), SplitConfig(0.8, 42))
-    assert pair.train.n_interactions == 8
-    assert pair.test.n_interactions == 2
+    train, test = split_holdout(single_user_ds(10), 0.8, 42)
+    assert train.n_interactions == 8
+    assert test.n_interactions == 2
 
 
 def test_single_interaction_user_absent_from_test():
-    pair = split_holdout(single_user_ds(1), SplitConfig(0.8, 42))
-    assert pair.train.n_interactions == 1
-    assert pair.test.n_interactions == 0
+    train, test = split_holdout(single_user_ds(1), 0.8, 42)
+    assert train.n_interactions == 1
+    assert test.n_interactions == 0
 
 
 def test_requires_implicit():
     ds = dataset_from_rows([Interaction("u", "i", 4.0, 0.0)])
     with pytest.raises(ContractError):
-        split_holdout(ds, SplitConfig(0.8, 42))
+        split_holdout(ds, 0.8, 42)
 
 
 def test_deterministic_repeat():
     ds = make_implicit_dataset(random.Random(100))
-    a = split_holdout(ds, SplitConfig(0.8, 21))
-    b = split_holdout(ds, SplitConfig(0.8, 21))
-    assert a.train == b.train
-    assert a.test == b.test
+    train, test = split_holdout(ds, 0.8, 21)
+    again = split_holdout(ds, 0.8, 21)
+    assert again[0] == train
+    assert again[1] == test
 
 
 def test_seeds_produce_different_memberships():
@@ -95,8 +95,8 @@ def test_seeds_produce_different_memberships():
         for i in rng.sample(range(40), 10):
             rows.append(Interaction(f"u{u}", f"i{i}", 1.0, float(rng.randint(0, 99))))
     ds = dataset_from_rows(rows)
-    t21 = pair_set(split_holdout(ds, SplitConfig(0.8, 21)).test)
-    t42 = pair_set(split_holdout(ds, SplitConfig(0.8, 42)).test)
+    t21 = pair_set(split_holdout(ds, 0.8, 21)[1])
+    t42 = pair_set(split_holdout(ds, 0.8, 42)[1])
     assert t21 != t42
 
 
@@ -105,42 +105,42 @@ def test_partition_and_ceiling_per_user():
     for _ in range(25):
         ds = make_implicit_dataset(rng)
         ratio = rng.choice([0.5, 0.8, 1.0])
-        pair = split_holdout(ds, SplitConfig(ratio, rng.randint(0, 2**63)))
-        train_pairs = pair_set(pair.train)
-        test_pairs = pair_set(pair.test)
+        train, test = split_holdout(ds, ratio, rng.randint(0, 2**63))
+        train_pairs = pair_set(train)
+        test_pairs = pair_set(test)
         assert train_pairs | test_pairs == pair_set(ds)
         assert not (train_pairs & test_pairs)
         # per-user counts: exactly ceil(ratio * n) in train
         totals = Counter(r[0] for r in as_rows(ds))
-        trains = Counter(r[0] for r in as_rows(pair.train))
+        trains = Counter(r[0] for r in as_rows(train))
         for user, n in totals.items():
             assert trains[user] == math.ceil(ratio * n)
         # no test-only users
-        assert {r[0] for r in as_rows(pair.test)} <= set(trains)
+        assert {r[0] for r in as_rows(test)} <= set(trains)
 
 
 def test_shared_index_universe():
     ds = make_implicit_dataset(random.Random(2))
-    pair = split_holdout(ds, SplitConfig(0.8, 84))
-    assert pair.train.user_ids is ds.user_ids
-    assert pair.test.item_ids is ds.item_ids
+    train, test = split_holdout(ds, 0.8, 84)
+    assert train.user_ids is ds.user_ids
+    assert test.item_ids is ds.item_ids
 
 
 def test_save_split_round_trips(tmp_path):
     ds = make_implicit_dataset(random.Random(3))
-    pair = split_holdout(ds, SplitConfig(0.8, 42))
-    train_path, test_path = save_split(pair, tmp_path, "toy.seed42")
+    train, test = split_holdout(ds, 0.8, 42)
+    train_path, test_path = save_split(train, test, tmp_path, "toy.seed42")
     assert train_path.name == "toy.seed42.train.inter"
     assert test_path.name == "toy.seed42.test.inter"
-    assert as_rows(load_interactions(train_path)) == as_rows(pair.train)
-    assert as_rows(load_interactions(test_path)) == as_rows(pair.test)
+    assert as_rows(load_interactions(train_path)) == as_rows(train)
+    assert as_rows(load_interactions(test_path)) == as_rows(test)
 
 
 def test_byte_identical_persisted_split(tmp_path):
     ds = make_implicit_dataset(random.Random(4))
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    pa = save_split(split_holdout(ds, SplitConfig(0.8, 21)), a_dir, "x")
-    pb = save_split(split_holdout(ds, SplitConfig(0.8, 21)), b_dir, "x")
+    pa = save_split(*split_holdout(ds, 0.8, 21), a_dir, "x")
+    pb = save_split(*split_holdout(ds, 0.8, 21), b_dir, "x")
     for pth_a, pth_b in zip(pa, pb):
         assert pth_a.read_bytes() == pth_b.read_bytes()
 
@@ -185,8 +185,8 @@ GOLDEN_SPLITS = {
 @pytest.mark.parametrize("seed,ratio", sorted(GOLDEN_SPLITS))
 def test_golden_split(seed, ratio):
     ds = golden_dataset()
-    pair = split_holdout(ds, SplitConfig(ratio, seed))
-    for side, want in zip((pair.train, pair.test), GOLDEN_SPLITS[(seed, ratio)]):
+    train, test = split_holdout(ds, ratio, seed)
+    for side, want in zip((train, test), GOLDEN_SPLITS[(seed, ratio)]):
         assert ", ".join(f"{u} {i} {t:g}" for u, i, _, t in as_rows(side)) == want
         assert side.user_ids == ["ann", "bob", "cat", "dan"]
 
@@ -217,12 +217,12 @@ def test_property_columnar_layers_match_row_oracles(data, ratio, seeds, threshol
     assert implicit.user_ids == want_users
     assert implicit.item_ids == want_items
     for seed in seeds:
-        pair = split_holdout(implicit, SplitConfig(ratio, seed))
+        train, test = split_holdout(implicit, ratio, seed)
         want_train, want_test = oracle_split(want_rows, want_users, want_items, ratio, seed)
-        assert repr(as_rows(pair.train)) == repr(want_train)
-        assert repr(as_rows(pair.test)) == repr(want_test)
-        assert pair.train.user_ids == pair.test.user_ids == want_users
-        assert pair.train.item_ids == pair.test.item_ids == want_items
+        assert repr(as_rows(train)) == repr(want_train)
+        assert repr(as_rows(test)) == repr(want_test)
+        assert train.user_ids == test.user_ids == want_users
+        assert train.item_ids == test.item_ids == want_items
 
 
 def tied_dataset(rng: np.random.Generator, n_rows: int, n_users: int, n_items: int,
@@ -260,8 +260,8 @@ def test_split_over_65536_users_matches_oracle():
         rows += [(f"u{u}", f"i{i}", 1.0, rng.choice([0.0, -0.0, 1.0])) for i in items]
     rng.shuffle(rows)
     ds = dataset_from_rows(rows)
-    pair = split_holdout(ds, SplitConfig(0.5, 42))
+    train, test = split_holdout(ds, 0.5, 42)
     want_train, want_test = oracle_split(as_rows(ds), ds.user_ids, ds.item_ids, 0.5, 42)
-    assert repr(as_rows(pair.train)) == repr(want_train)
-    assert repr(as_rows(pair.test)) == repr(want_test)
-    assert pair.test.n_interactions > 0
+    assert repr(as_rows(train)) == repr(want_train)
+    assert repr(as_rows(test)) == repr(want_test)
+    assert test.n_interactions > 0
