@@ -37,6 +37,7 @@ from .ingest import (
     ImplicitThreshold,
     load_interactions,
     stats,
+    stats_of,
     to_implicit,
 )
 from .knn import STRATEGY_TOPK, cosine_similarity, build_matrix, truncate_topk
@@ -122,12 +123,14 @@ def load_report(path: str | Path) -> dict:
     """The payload of a stored ``report.json``, as :func:`emit_report` takes it.
 
     Raises ``SchemaError`` unless the file is JSON laid out as
-    :func:`run_experiment`'s payload: each dict holds
-    exactly its keys, the stats' counts are ints and their ratios floats, the
-    config is one that :meth:`ExperimentConfig.validate` accepts, and every
-    cell's metrics are floats in [0, 1], its ``n``, IDCG mode,
-    preset, seed and ``n_users`` are those its config, keys and users give,
-    and its means are those of its ``per_user`` values.
+    :func:`run_experiment`'s payload: each dict holds exactly its keys, the
+    stats' counts are ints >= 0 and their ratios the floats
+    :func:`ingest.stats_of` derives from them, ``stats_after`` counts no
+    more than ``stats_before`` and no more interactions than user-item
+    pairs, the config is one that :meth:`ExperimentConfig.validate`
+    accepts, and every cell's metrics are floats in [0, 1], its ``n``, IDCG
+    mode, preset, seed and ``n_users`` are those its config, keys and users
+    give, and its means are those of its ``per_user`` values.
     So each report format renders, into its output directory, what an
     experiment could have written.
     """
@@ -151,6 +154,18 @@ def load_report(path: str | Path) -> dict:
         for key, (want, what) in zip(STATS_KEYS, [(int, "an int")] * 3 + [(float, "a float")] * 3):
             if type(values[key]) is not want:
                 fail(f"{name}.{key} is not {what}")
+        counts = [values[key] for key in STATS_KEYS[:3]]
+        if min(counts) < 0:
+            fail(f"{name} holds a negative count")
+        for key, ratio in list(stats_of(*counts).items())[3:]:
+            if repr(values[key]) != repr(ratio):  # bit for bit, -0.0 too
+                fail(f"{name}.{key} is not {ratio!r}, the ratio its counts give")
+    before, after = payload["stats_before"], payload["stats_after"]
+    # Raw rows may repeat a pair, implicit ones may not; to_implicit only drops rows.
+    if after["n_interactions"] > after["n_users"] * after["n_items"]:
+        fail("stats_after.n_interactions is above n_users * n_items, its distinct pairs")
+    if bigger := [key for key in STATS_KEYS[:3] if after[key] > before[key]]:
+        fail(f"stats_after.{bigger[0]} is above stats_before's")
     cfg = keyed(payload["config"], ExperimentConfig("", ImplicitThreshold(0)).as_dict(), "config")
     keyed(cfg["threshold"], ("cutoff", "mode"), "config.threshold")
     if fault := _config_fault(cfg):

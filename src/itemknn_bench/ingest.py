@@ -571,9 +571,13 @@ def to_implicit(ds: InteractionDataset, t: ImplicitThreshold) -> InteractionData
 
 
 def stats(ds: InteractionDataset) -> dict:
-    """The dataset's counts and derived ratios, keyed by ``STATS_KEYS``, as
-    ``report.json`` stores them; averages and sparsity are 0 for an empty dataset."""
-    n_u, n_i, n_x = ds.n_users, ds.n_items, ds.n_interactions
+    """:func:`stats_of` of the dataset's counts, as ``report.json`` stores them."""
+    return stats_of(ds.n_users, ds.n_items, ds.n_interactions)
+
+
+def stats_of(n_u: int, n_i: int, n_x: int) -> dict:
+    """The counts and their derived ratios, keyed by ``STATS_KEYS``; averages
+    and sparsity are 0 without users or items."""
     ratios = (n_x / n_u, n_x / n_i, 1.0 - n_x / (n_u * n_i)) if n_u and n_i else (0.0,) * 3
     return dict(zip(STATS_KEYS, (n_u, n_i, n_x, *ratios)))
 

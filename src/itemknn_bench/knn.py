@@ -40,7 +40,7 @@ STRATEGY_TOPK = "topk"
 COSINE_CHUNK = 2**16
 
 
-@dataclass
+@dataclass(eq=False)
 class SimilarityMatrix:
     """Item-item similarities in CSR arrays; rows sorted by column index.
 
@@ -64,16 +64,16 @@ class SimilarityMatrix:
     copies none of them; a top-k matrix is converted once.  The per-row
     neighbour priorities that profile-topk selects by (:meth:`priorities`)
     are built on first use.  Both are cached on the matrix itself, so they
-    live exactly as long as it does.
+    live exactly as long as it does.  A matrix equals only itself.
     """
 
     indptr: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
     k: int | None = None
-    n_i: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _csc: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
-    _priorities: sp.csc_matrix | None = field(default=None, repr=False, compare=False)
+    n_i: np.ndarray | None = field(default=None, repr=False)
+    _csc: sp.csc_matrix | None = field(default=None, repr=False)
+    _priorities: sp.csc_matrix | None = field(default=None, repr=False)
 
     @property
     def n_items(self) -> int:

@@ -55,17 +55,7 @@ class MetricReport:
         return len(self.per_user)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "idcg_mode": self.idcg_mode,
-            "preset": self.preset,
-            "seed": self.seed,
-            "mean_ndcg": self.mean_ndcg,
-            "mean_precision": self.mean_precision,
-            "mean_recall": self.mean_recall,
-            "n_users": self.n_users,
-            "per_user": self.per_user,
-        }
+        return {**vars(self), "n_users": self.n_users}
 
 
 def report_from_gains(

@@ -30,10 +30,11 @@ How both modes are computed: by one kernel, a chunk of users at a time.
   per-row neighbour priority (:meth:`knn.SimilarityMatrix.priorities`):
   for row i, j's priority is nnz_i minus j's rank in row i's neighbour
   order, an integer that is unique within the row, larger for a better
-  neighbour, and 0 for an unstored cell.  The priorities of the chunk's
-  cells are gathered by the same kernel; each selecting user's own cells
-  are laid out as a dense items x |P| block of small unsigned integers,
-  C-ordered, so that ``np.partition`` walks each row's cells contiguously.
+  neighbour, and 0 for an unstored cell.  The priorities share the CSC
+  arrays' ``indptr`` and ``indices``, so a second gather takes the same
+  cells in the same order; each selecting user's own cells are laid out as
+  a dense items x |P| block of small unsigned integers, C-ordered (the
+  transpose of one-column runs), so ``np.partition`` walks rows contiguously.
   It finds each row's k-th largest priority t, and a cell is kept when its
   priority is at least t (a row with fewer than k stored cells has t = 0
   and keeps them all).  Priorities are unique, so exactly the first k of
@@ -171,47 +172,30 @@ class _ColumnGather:
 
     ``indptr``, ``indices`` and ``data`` are the arrays of ``m[:, cols]``:
     column after column in the order of ``cols``, rows ascending within a
-    column.  :meth:`gather` takes the same cells out of other data laid out
-    like ``m.data``, into the same ``indptr`` and ``indices``; :meth:`dense`
-    lays gathered data of a run of the columns out as the dense
-    ``m.shape[0] x columns`` block, C-ordered, each row contiguous; and
-    :meth:`sums` adds the cells of runs of the columns into dense rows.
+    column.  Matrices that share ``indptr`` and ``indices`` gather the same
+    cells in the same order.  :meth:`sums` adds the cells of runs of the
+    columns into dense rows; a run of one column is that column's dense
+    image.
 
     Private dependency: ``scipy.sparse._sparsetools.csr_row_index`` and
     ``csr_todense``, the kernels behind scipy's own ``m[:, cols]`` and
-    ``toarray``, called without scipy's Python-level checks.  They check no
-    bounds: every column must lie in ``[0, m.shape[1])``.  ``cols``,
-    ``m.indptr`` and ``m.indices`` must share one index dtype (``cols`` is
-    cast to it here): the kernels refuse mismatched ones, or widen them with
-    a copy on every call.
+    ``toarray``, each called here once, without scipy's Python-level checks.
+    They check no bounds: every column must lie in ``[0, m.shape[1])``.
+    ``cols``, ``m.indptr`` and ``m.indices`` must share one index dtype
+    (``cols`` is cast to it here): the kernels refuse mismatched ones, or
+    widen them with a copy on every call.
     """
 
     def __init__(self, m: sp.csc_matrix, cols: np.ndarray):
-        self._m = m
-        self._cols = cols.astype(m.indptr.dtype, copy=False)
+        self.height = m.shape[0]
+        cols = cols.astype(m.indptr.dtype, copy=False)
         self.indptr = np.zeros(len(cols) + 1, dtype=m.indptr.dtype)
-        np.cumsum(m.indptr[self._cols + 1] - m.indptr[self._cols], out=self.indptr[1:])
+        np.cumsum(m.indptr[cols + 1] - m.indptr[cols], out=self.indptr[1:])
         self.indices = np.empty(self.indptr[-1], dtype=m.indices.dtype)
-        self.data = self.gather(m.data)
-
-    def gather(self, data: np.ndarray) -> np.ndarray:
-        """The gathered cells' entries of ``data``; writes ``indices`` (again, the same)."""
-        out = np.empty(self.indptr[-1], dtype=data.dtype)
-        m = self._m
+        self.data = np.empty(self.indptr[-1], dtype=m.data.dtype)
         _sparsetools.csr_row_index(
-            len(self._cols), self._cols, m.indptr, m.indices, data, self.indices, out
+            len(cols), cols, m.indptr, m.indices, m.data, self.indices, self.data
         )
-        return out
-
-    def dense(self, data: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Gathered ``data`` of columns ``lo:hi`` as a dense ``m.shape[0] x (hi - lo)`` array.
-
-        The array is C-ordered: each row's cells are contiguous.
-        """
-        width, height = hi - lo, self._m.shape[0]
-        out = np.zeros((width, height), dtype=data.dtype)  # the transpose, C-ordered
-        _sparsetools.csr_todense(width, height, self.indptr[lo : hi + 1], self.indices, data, out)
-        return out.T.copy()
 
     def sums(self, data: np.ndarray, bounds: np.ndarray) -> np.ndarray:
         """Row r: the cells of columns ``bounds[r]:bounds[r + 1]`` added into zeroed slots.
@@ -220,9 +204,8 @@ class _ColumnGather:
         order, so every slot is a left-to-right sum, over the columns in the
         order of ``cols``, starting from 0.
         """
-        rows, height = len(bounds) - 1, self._m.shape[0]
-        out = np.zeros((rows, height), dtype=data.dtype)
-        _sparsetools.csr_todense(rows, height, self.indptr[bounds], self.indices, data, out)
+        out = np.zeros((len(bounds) - 1, self.height), dtype=data.dtype)
+        _sparsetools.csr_todense(*out.shape, self.indptr[bounds], self.indices, data, out)
         return out
 
 
@@ -244,10 +227,10 @@ def _score_chunk(
     gathered = _ColumnGather(s.csc(), profiles)  # user after user, each in ascending j
     vals, rows = gathered.data, gathered.indices
     if k is not None:
-        priorities = gathered.gather(s.priorities().data)  # the same cells, in the same order
+        priorities = _ColumnGather(s.priorities(), profiles).data  # the same cells, in order
         for r in np.flatnonzero(np.diff(bounds) > k).tolist():
             lo, hi = bounds[r], bounds[r + 1]
-            block = gathered.dense(priorities, lo, hi)  # this user's items x |P|
+            block = gathered.sums(priorities, np.arange(lo, hi + 1)).T.copy()  # items x |P|
             block.partition(hi - lo - k, axis=1)  # in place: the block is this call's own
             kth = block[:, hi - lo - k]
             cells = slice(gathered.indptr[lo], gathered.indptr[hi])

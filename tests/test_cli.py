@@ -321,6 +321,13 @@ def _stats(payload, name, **values):
     return {**payload, name: {**payload[name], **values}}
 
 
+def _counts(payload, name, n_users, n_items, n_interactions):
+    """``payload`` with stats ``name`` of these counts and the ratios an experiment derives."""
+    return _stats(payload, name, n_users=n_users, n_items=n_items, n_interactions=n_interactions,
+                  avg_per_user=n_interactions / n_users, avg_per_item=n_interactions / n_items,
+                  sparsity=1.0 - n_interactions / (n_users * n_items))
+
+
 def _renamed(payload, name, old, new):
     """``payload`` with ``old`` renamed ``new`` in config list ``name`` and in results."""
     results = payload["results"]
@@ -435,6 +442,21 @@ def _renamed(payload, name, old, new):
         (lambda p: _stats(p, "stats_before", sparsity=1), "stats_before.sparsity is not a float"),
         (lambda p: _stats(p, "stats_after", avg_per_user=str(p["stats_after"]["avg_per_user"])),
          "stats_after.avg_per_user is not a float"),
+        # Each of these re-emitted, with exit 0, stats that no dataset has.
+        (lambda p: _stats(p, "stats_before", n_users=-5), "stats_before holds a negative count"),
+        (lambda p: _stats(p, "stats_after", n_interactions=-69),
+         "stats_after holds a negative count"),
+        (lambda p: _stats(p, "stats_before", sparsity=2.0),
+         "stats_before.sparsity is not 0.5107142857142857, the ratio its counts give"),
+        (lambda p: _stats(p, "stats_after",
+                          avg_per_item=math.nextafter(p["stats_after"]["avg_per_item"], 0.0)),
+         "stats_after.avg_per_item is not 4.928571428571429, the ratio its counts give"),
+        (lambda p: _stats(p, "stats_after", n_items=10**9),
+         "stats_after.avg_per_item is not 6.9e-08, the ratio its counts give"),
+        (lambda p: _counts(p, "stats_after", 20, 10**9, 69),
+         "stats_after.n_items is above stats_before's"),
+        (lambda p: _counts(p, "stats_after", 2, 3, 7),
+         "stats_after.n_interactions is above n_users * n_items, its distinct pairs"),
     ],
     ids=["results-list", "top-level-list", "stats-field-missing", "seed-not-in-results",
          "dataset-not-data-stem", "unhashable-seed", "text-mean", "text-k", "bool-k", "zero-n",
@@ -447,7 +469,9 @@ def _renamed(payload, name, old, new):
          "cell-two-metrics", "cell-edited-mean", "cell-edited-recall", "cell-infinite-ndcg",
          "cell-minus-infinite-precision", "cell-nan-recall", "cell-metrics-above-one",
          "cell-negative-metrics", "stats-text-count", "stats-float-count", "stats-bool-count",
-         "stats-int-ratio", "stats-text-ratio"],
+         "stats-int-ratio", "stats-text-ratio", "stats-negative-users",
+         "stats-negative-interactions-after", "stats-sparsity-above-one", "stats-ratio-off-by-a-bit",
+         "stats-items-without-ratio", "stats-after-above-before", "stats-pairs-repeated"],
 )
 def test_report_refuses_malformed_report(experiment_out, tmp_path, capsys, edit, message):
     payload = json.loads((experiment_out / "report.json").read_text(encoding="utf-8"))

@@ -354,3 +354,21 @@ def test_property_experiment_metrics_in_unit_range(tmp_path_factory, profiles, s
 
     emit_report(payload, ("json",), work / "out")
     load_report(work / "out" / "report.json")  # SchemaError if refused
+
+
+def test_report_of_repeated_raw_pairs_loads(tmp_path):
+    """Raw rows may repeat a pair, so the stats before the threshold may count more
+    interactions than user-item pairs (a negative sparsity), and a user and an item
+    the threshold drops leave fewer counts after it: load_report accepts both."""
+    rows = [Interaction(f"u{u}", f"i{i}", 5.0, 0.0) for u in range(3) for i in range(3)]
+    rows += [Interaction("u0", "i0", 5.0, 1.0)] * 8 + [Interaction("u3", "i3", 1.0, 0.0)]
+    path = save_interactions(dataset_from_rows(rows), tmp_path / "repeated.inter")
+    cfg = toy_config(path, seeds=(21,), presets=("recbole",), train_ratio=0.5)
+    payload, _ = run_experiment(cfg)
+    before, after = payload["stats_before"], payload["stats_after"]
+    assert (before["n_users"], before["n_items"], before["n_interactions"]) == (4, 4, 18)
+    assert before["sparsity"] < 0.0
+    assert (after["n_users"], after["n_items"], after["n_interactions"]) == (3, 3, 9)
+    emit_report(payload, ("json",), tmp_path / "out")
+    loaded = load_report(tmp_path / "out" / "report.json")  # SchemaError if refused
+    assert (loaded["stats_before"], loaded["stats_after"]) == (before, after)

@@ -113,6 +113,15 @@ def test_cosine_half_overlap():
     assert to_dense(s)[0][1] == 0.5
 
 
+def test_similarity_matrix_equals_only_itself():
+    # Comparing the array fields would raise: an array of several bools has no truth value.
+    b = sp.csr_matrix(np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]]))
+    s, same_values = cosine_similarity(b), cosine_similarity(b)
+    assert entries_equal(s, same_values)
+    assert s == s and not (s != s)
+    assert s != same_values and not (s == same_values)
+
+
 def test_cosine_requires_items():
     with pytest.raises(ContractError):
         cosine_similarity(build_matrix(ds_from_pairs([])))

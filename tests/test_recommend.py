@@ -169,7 +169,9 @@ def test_property_column_gather_is_scipy_indexing(data):
     """The compiled-kernel gather == scipy's public ``m[:, cols]`` and ``toarray``, bit for bit.
 
     Float64 and uint16 data, int32 and int64 index arrays, empty column
-    lists, repeated and unsorted columns, and columns without entries.
+    lists, repeated and unsorted columns, and columns without entries.  A
+    run of one column is that column's dense image, and a second matrix
+    sharing ``indptr`` and ``indices`` gathers the same cells in the same order.
     """
     n_rows = data.draw(st.integers(1, 8), label="n_rows")
     n_cols = data.draw(st.integers(1, 8), label="n_cols")
@@ -182,7 +184,8 @@ def test_property_column_gather_is_scipy_indexing(data):
     m = sp.csc_matrix(dense)
     index = data.draw(st.sampled_from([np.int32, np.int64]), label="index dtype")
     m.indptr, m.indices = m.indptr.astype(index), m.indices.astype(index)
-    other = (m.data * 3).astype(dtype)  # other data laid out like m.data
+    other = sp.csc_matrix(((m.data * 3).astype(dtype), m.indices, m.indptr), shape=m.shape)
+    other.indptr, other.indices = m.indptr, m.indices  # shared, of the drawn dtype
     cols = np.array(
         data.draw(st.lists(st.integers(0, n_cols - 1), max_size=2 * n_cols), label="cols"),
         dtype=data.draw(st.sampled_from([np.int32, np.int64]), label="cols dtype"),
@@ -193,15 +196,16 @@ def test_property_column_gather_is_scipy_indexing(data):
     assert got.indptr.tolist() == want.indptr.tolist()
     assert got.indices.tolist() == want.indices.tolist()
     assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
-    block = got.dense(got.data, 0, len(cols))
-    assert block.flags.c_contiguous and block.dtype == dtype
-    assert block.tobytes() == want.toarray().tobytes()
-    want_other = sp.csc_matrix((other, m.indices, m.indptr), shape=m.shape)[:, cols]
-    assert got.gather(other).tobytes() == want_other.data.tobytes()
-    assert got.indices.tolist() == want.indices.tolist()  # gather writes the same rows again
+    columns = got.sums(got.data, np.arange(len(cols) + 1))  # one-column runs
+    assert columns.dtype == dtype and columns.tobytes() == want.toarray().T.tobytes()
+    got_other = recommend._ColumnGather(other, cols)
+    assert got_other.indptr.tolist() == got.indptr.tolist()
+    assert got_other.indices.tolist() == got.indices.tolist()
+    assert got_other.data.tobytes() == other[:, cols].data.tobytes()
     lo = data.draw(st.integers(0, len(cols)), label="lo")
     hi = data.draw(st.integers(lo, len(cols)), label="hi")
-    assert got.dense(got.data, lo, hi).tobytes() == m[:, cols[lo:hi]].toarray().tobytes()
+    run = got.sums(got.data, np.arange(lo, hi + 1))
+    assert run.tobytes() == m[:, cols[lo:hi]].toarray().T.tobytes()
     if dtype is np.float64:  # sums: runs of columns, each slot added in column order from 0.0
         bounds = np.array(sorted(data.draw(st.lists(st.integers(0, len(cols)), min_size=1),
                                            label="bounds")))
